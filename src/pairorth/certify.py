@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .bounds import f_map, inflection, kappa_bounds_from_phi, stopping_tail
+from .bounds import f_map, kappa_bounds_from_phi, stopping_tail
 from .errors import PairOrthError
 from .generators import GAUSSIAN, NEAR_SINGULAR, GeneratorSpec, generate
-from .matrix import COMPLEX, REAL, ColumnMatrix
+from .matrix import COMPLEX, REAL
 from .metrics import (
     INVERSE_ROWS,
     PROJECTION,
@@ -28,17 +28,7 @@ from .metrics import (
     snapshot,
 )
 from .oracle import exact_one_step_expectation, verify_lemma3
-from .process import UNIFORM, run_ensemble
-
-SUITES = (
-    "lemma3",
-    "lemma10",
-    "onestep",
-    "eq9",
-    "hadamard",
-    "kappa-sandwich",
-    "tstar-tail",
-)
+from .process import UNIFORM, derive_replicate_seed, run_ensemble
 
 
 @dataclass
@@ -54,152 +44,113 @@ class SuiteResult:
         return self.passes == self.trials
 
 
-def _trial_seed(seed: int, trial: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _random_state(seed: int, trial: int, n_values, fields=(REAL, COMPLEX)):
     n = n_values[trial % len(n_values)]
     fld = fields[(trial // len(n_values)) % len(fields)]
-    spec = GeneratorSpec(GAUSSIAN, n=n, field=fld, seed=_trial_seed(seed, trial))
+    spec = GeneratorSpec(GAUSSIAN, n=n, field=fld, seed=derive_replicate_seed(seed, trial))
     A, _ = generate(spec)
     return A, spec
 
 
-def _suite_lemma3(trials: int, seed: int) -> SuiteResult:
+# Each trial function draws one instance and returns
+# (margin, passed, trial_seed, A); _run_trials keeps the worst margin,
+# the pass count and the failing instances.
+
+
+def _lemma3_trial(seed: int, trial: int):
     """Per-step monotonicity: no d_k decreases, the replaced column's
     distance grows by at least the predicted ratio, and phi does not
     increase. Slack 1e-10."""
-    worst = math.inf
-    passes = 0
-    failures = []
-    for trial in range(trials):
-        A, spec = _random_state(seed, trial, (2, 3, 4, 5, 6))
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(_trial_seed(seed, trial) ^ 0x9E37)))
-        i = int(rng.integers(A.n))
-        j = int((i + 1 + rng.integers(A.n - 1)) % A.n)
-        report = verify_lemma3(A, (i, j))
-        phi_margin = float(
-            -np.log(report.d_before).sum() - (-np.log(report.d_after).sum())
-        )
-        margin = min(report.margin_all, report.margin_ratio, phi_margin)
-        worst = min(worst, margin)
-        if margin >= -tol.MONOTONE_ABS:
-            passes += 1
-        else:
-            failures.append((spec.seed, A))
-    return SuiteResult("lemma3", trials, passes, worst, failures)
+    A, spec = _random_state(seed, trial, (2, 3, 4, 5, 6))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed ^ 0x9E37)))
+    i = int(rng.integers(A.n))
+    j = int((i + 1 + rng.integers(A.n - 1)) % A.n)
+    report = verify_lemma3(A, (i, j))
+    phi_margin = float(
+        -np.log(report.d_before).sum() - (-np.log(report.d_after).sum())
+    )
+    margin = min(report.margin_all, report.margin_ratio, phi_margin)
+    return margin, margin >= -tol.MONOTONE_ABS, spec.seed, A
 
 
-def _suite_lemma10(trials: int, seed: int) -> SuiteResult:
+def _lemma10_trial(seed: int, trial: int):
     """Gram residual lower bound ||A*A - I||_F^2 >= (n/(n-1))(1 - sigma_n^2)^2,
     slack 1e-9."""
-    worst = math.inf
-    passes = 0
-    failures = []
-    for trial in range(trials):
-        A, spec = _random_state(seed, trial, tuple(range(2, 11)))
-        s = snapshot(A)
-        lhs = s.gram_offdiag**2
-        rhs = A.n / (A.n - 1) * (1.0 - s.sigma[-1] ** 2) ** 2
-        margin = lhs - rhs
-        worst = min(worst, margin)
-        if margin >= -tol.GRAM_RESIDUAL_ABS:
-            passes += 1
-        else:
-            failures.append((spec.seed, A))
-    return SuiteResult("lemma10", trials, passes, worst, failures)
+    A, spec = _random_state(seed, trial, tuple(range(2, 11)))
+    s = snapshot(A)
+    lhs = s.gram_offdiag**2
+    rhs = A.n / (A.n - 1) * (1.0 - s.sigma[-1] ** 2) ** 2
+    margin = lhs - rhs
+    return margin, margin >= -tol.GRAM_RESIDUAL_ABS, spec.seed, A
 
 
-def _suite_onestep(trials: int, seed: int) -> SuiteResult:
+def _onestep_trial(seed: int, trial: int):
     """Exact expectation over all ordered pairs stays at or below the
     one-step map f(phi), slack 1e-9."""
-    worst = math.inf
-    passes = 0
-    failures = []
-    for trial in range(trials):
-        A, spec = _random_state(seed, trial, (2, 3, 4, 5, 6))
-        expectation = exact_one_step_expectation(A)
-        margin = f_map(potential_phi(A), A.n) - expectation
-        worst = min(worst, margin)
-        if margin >= -tol.ONE_STEP_EXPECTATION_ABS:
-            passes += 1
-        else:
-            failures.append((spec.seed, A))
-    return SuiteResult("onestep", trials, passes, worst, failures)
+    A, spec = _random_state(seed, trial, (2, 3, 4, 5, 6))
+    expectation = exact_one_step_expectation(A)
+    margin = f_map(potential_phi(A), A.n) - expectation
+    return margin, margin >= -tol.ONE_STEP_EXPECTATION_ABS, spec.seed, A
 
 
-def _suite_eq9(trials: int, seed: int) -> SuiteResult:
+def _eq9_trial(seed: int, trial: int):
     """The two distance methods agree to 1e-8 relative on matrices with
     condition number at most 1e6."""
-    worst = math.inf
-    passes = 0
-    failures = []
-    for trial in range(trials):
-        attempt = 0
-        while True:
-            n = (2, 3, 4, 5, 6, 8)[trial % 6]
-            fld = (REAL, COMPLEX)[(trial // 6) % 2]
-            spec = GeneratorSpec(
-                GAUSSIAN, n=n, field=fld, seed=_trial_seed(seed, trial * 1000 + attempt)
-            )
-            A, achieved = generate(spec)
-            if achieved.kappa <= 1e6:
-                break
-            attempt += 1
-        d_inv = leave_one_out_distances(A, INVERSE_ROWS)
-        d_proj = leave_one_out_distances(A, PROJECTION)
-        rel = float(np.max(np.abs(d_inv - d_proj) / d_proj))
-        margin = tol.DISTANCE_METHOD_REL - rel
-        worst = min(worst, margin)
-        if margin >= 0.0:
-            passes += 1
-        else:
-            failures.append((spec.seed, A))
-    return SuiteResult("eq9", trials, passes, worst, failures)
-
-
-def _suite_hadamard(trials: int, seed: int) -> SuiteResult:
-    """All four determinant / operator-norm inequalities, relative slack 1e-9."""
-    worst = math.inf
-    passes = 0
-    failures = []
-    for trial in range(trials):
-        A, spec = _random_state(seed, trial, tuple(range(2, 9)))
-        rep = hadamard_report(A)
-        margin = min(
-            (rep.det_bound - rep.det_abs) / rep.det_bound,
-            (rep.inv_det_bound - rep.inv_det_abs) / rep.inv_det_bound,
-            (rep.norm_bound - rep.norm) / rep.norm_bound,
-            (rep.inv_norm_bound - rep.inv_norm) / rep.inv_norm_bound,
+    attempt = 0
+    while True:
+        n = (2, 3, 4, 5, 6, 8)[trial % 6]
+        fld = (REAL, COMPLEX)[(trial // 6) % 2]
+        spec = GeneratorSpec(
+            GAUSSIAN, n=n, field=fld, seed=derive_replicate_seed(seed, trial * 1000 + attempt)
         )
-        worst = min(worst, margin)
-        if rep.all_ok:
-            passes += 1
-        else:
-            failures.append((spec.seed, A))
-    return SuiteResult("hadamard", trials, passes, worst, failures)
+        A, achieved = generate(spec)
+        if achieved.kappa <= 1e6:
+            break
+        attempt += 1
+    d_inv = leave_one_out_distances(A, INVERSE_ROWS)
+    d_proj = leave_one_out_distances(A, PROJECTION)
+    rel = float(np.max(np.abs(d_inv - d_proj) / d_proj))
+    margin = tol.DISTANCE_METHOD_REL - rel
+    return margin, margin >= 0.0, spec.seed, A
 
 
-def _suite_kappa_sandwich(trials: int, seed: int) -> SuiteResult:
+def _hadamard_trial(seed: int, trial: int):
+    """All four determinant / operator-norm inequalities, relative slack 1e-9.
+    The pass rule is the report's own flags, not the sign of the margin."""
+    A, spec = _random_state(seed, trial, tuple(range(2, 9)))
+    rep = hadamard_report(A)
+    margin = min(
+        (rep.det_bound - rep.det_abs) / rep.det_bound,
+        (rep.inv_det_bound - rep.inv_det_abs) / rep.inv_det_bound,
+        (rep.norm_bound - rep.norm) / rep.norm_bound,
+        (rep.inv_norm_bound - rep.inv_norm) / rep.inv_norm_bound,
+    )
+    return margin, rep.all_ok, spec.seed, A
+
+
+def _kappa_sandwich_trial(seed: int, trial: int):
     """Measured kappa against exp(phi/n) from below and both upper bounds,
     slack 1e-9 absolute."""
+    A, spec = _random_state(seed, trial, tuple(range(2, 9)))
+    s = snapshot(A)
+    lower, upper_loose, upper_tight = kappa_bounds_from_phi(s.phi, A.n)
+    upper = upper_loose if upper_tight is None else min(upper_loose, upper_tight)
+    margin = min(s.kappa - lower, upper - s.kappa)
+    return margin, margin >= -1e-9, spec.seed, A
+
+
+def _run_trials(suite: str, trials: int, seed: int) -> SuiteResult:
     worst = math.inf
     passes = 0
     failures = []
     for trial in range(trials):
-        A, spec = _random_state(seed, trial, tuple(range(2, 9)))
-        s = snapshot(A)
-        lower, upper_loose, upper_tight = kappa_bounds_from_phi(s.phi, A.n)
-        upper = upper_loose if upper_tight is None else min(upper_loose, upper_tight)
-        margin = min(s.kappa - lower, upper - s.kappa)
+        margin, passed, trial_seed, A = _TRIALS[suite](seed, trial)
         worst = min(worst, margin)
-        if margin >= -1e-9:
+        if passed:
             passes += 1
         else:
-            failures.append((spec.seed, A))
-    return SuiteResult("kappa-sandwich", trials, passes, worst, failures)
+            failures.append((trial_seed, A))
+    return SuiteResult(suite, trials, passes, worst, failures)
 
 
 def find_tail_instance(seed: int, n: int = 4, phi_range=(4.0, 6.0)):
@@ -216,7 +167,7 @@ def find_tail_instance(seed: int, n: int = 4, phi_range=(4.0, 6.0)):
         if not (0.0 < eta < 1.0):
             continue
         spec = GeneratorSpec(
-            NEAR_SINGULAR, n=n, field=REAL, seed=_trial_seed(seed, 7000 + k), eta=eta
+            NEAR_SINGULAR, n=n, field=REAL, seed=derive_replicate_seed(seed, 7000 + k), eta=eta
         )
         A, achieved = generate(spec)
         if lo <= achieved.phi <= hi:
@@ -250,15 +201,16 @@ def _suite_tstar_tail(trials: int, seed: int) -> SuiteResult:
     return SuiteResult("tstar-tail", trials, passes, worst, failures)
 
 
-_SUITE_FUNCS = {
-    "lemma3": _suite_lemma3,
-    "lemma10": _suite_lemma10,
-    "onestep": _suite_onestep,
-    "eq9": _suite_eq9,
-    "hadamard": _suite_hadamard,
-    "kappa-sandwich": _suite_kappa_sandwich,
-    "tstar-tail": _suite_tstar_tail,
+_TRIALS = {
+    "lemma3": _lemma3_trial,
+    "lemma10": _lemma10_trial,
+    "onestep": _onestep_trial,
+    "eq9": _eq9_trial,
+    "hadamard": _hadamard_trial,
+    "kappa-sandwich": _kappa_sandwich_trial,
 }
+
+SUITES = (*_TRIALS, "tstar-tail")
 
 DEFAULT_TRIALS = {
     "lemma3": 10000,
@@ -273,8 +225,10 @@ DEFAULT_TRIALS = {
 
 def run_suite(suite: str, trials: int | None, seed: int) -> SuiteResult:
     """Run one certification suite; see SUITES for the names."""
-    if suite not in _SUITE_FUNCS:
+    if suite not in SUITES:
         raise PairOrthError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if trials is None:
         trials = DEFAULT_TRIALS[suite]
-    return _SUITE_FUNCS[suite](trials, seed)
+    if suite == "tstar-tail":
+        return _suite_tstar_tail(trials, seed)
+    return _run_trials(suite, trials, seed)

@@ -64,28 +64,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _workers() -> int:
-    env = os.environ.get("PAIRORTH_THREADS")
-    if env is not None:
-        try:
-            capped = int(env)
-        except ValueError:
-            raise UsageError(f"PAIRORTH_THREADS must be an integer, got {env!r}")
-        return max(1, capped)
-    return os.cpu_count() or 1
+def _config_casts(parser: argparse.ArgumentParser) -> dict:
+    """Config key -> cast for every flag of one subcommand but --config."""
+    return {
+        action.dest: action.type or str
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
 
 
-def _merge_config(args: argparse.Namespace, casts: dict) -> argparse.Namespace:
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill argparse values that were left at None from the config file."""
     if getattr(args, "config", None) is None:
         return args
     with open(args.config) as handle:
         values = io.parse_config(handle.read())
     for key, raw in values.items():
-        if key not in casts:
+        if key not in args.config_casts:
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
-            setattr(args, key, casts[key](raw))
+            try:
+                setattr(args, key, args.config_casts[key](raw))
+            except ValueError as exc:
+                raise UsageError(f"invalid value {raw!r} for config key {key!r}") from exc
     return args
 
 
@@ -125,23 +126,6 @@ def _generator_spec(args) -> GeneratorSpec:
     )
 
 
-_RUN_CASTS = {
-    "gen": str,
-    "n": int,
-    "theta": float,
-    "eta": float,
-    "sigma": _sigma_list,
-    "field": str,
-    "sampler": str,
-    "steps": int,
-    "replicates": int,
-    "stride": int,
-    "seed": int,
-    "out": str,
-    "emit": str,
-}
-
-
 def _add_generator_flags(sub):
     sub.add_argument("--gen", help=f"generator kind, one of {sorted(GEN_ALIASES)}")
     sub.add_argument("--n", type=int, help="matrix dimension")
@@ -152,7 +136,6 @@ def _add_generator_flags(sub):
 
 
 def _cmd_run(args) -> int:
-    args = _merge_config(args, _RUN_CASTS)
     _require(args, "seed")
     out_dir = args.out or "."
     steps = _require(args, "steps")
@@ -188,7 +171,6 @@ def _cmd_run(args) -> int:
         replicates=replicates,
         base_seed=args.seed,
         metrics_stride=stride,
-        workers=min(_workers(), replicates),
         trajectory_sink=sink,
     )
 
@@ -277,11 +259,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-_VERIFY_CASTS = {"trials": int, "seed": int, "out": str}
-
-
 def _cmd_verify(args) -> int:
-    args = _merge_config(args, _VERIFY_CASTS)
     suites = list(certify.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for suite in suites:
@@ -305,20 +283,7 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 2
 
 
-_GEN_CASTS = {
-    "gen": str,
-    "n": int,
-    "theta": float,
-    "eta": float,
-    "sigma": _sigma_list,
-    "field": str,
-    "seed": int,
-    "out": str,
-}
-
-
 def _cmd_gen(args) -> int:
-    args = _merge_config(args, _GEN_CASTS)
     # GeneratorSpec itself rejects random kinds without a seed
     spec = _generator_spec(args)
     A, achieved = generate(spec)
@@ -328,11 +293,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_COSOLVE_CASTS = dict(_RUN_CASTS, interleave=_interleave)
-
-
 def _cmd_cosolve(args) -> int:
-    args = _merge_config(args, _COSOLVE_CASTS)
     _require(args, "seed")
     out_dir = args.out or "."
     steps = _require(args, "steps")
@@ -419,13 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     cosolve_p.add_argument("--config", help="key = value config file; flags override")
     cosolve_p.set_defaults(func=_cmd_cosolve)
 
+    for sub_p in (run_p, verify_p, gen_p, cosolve_p):
+        sub_p.set_defaults(config_casts=_config_casts(sub_p))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _merge_config(parser.parse_args(argv))
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

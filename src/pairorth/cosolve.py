@@ -7,6 +7,10 @@ update that keeps the solution unchanged, which is exactly what
 orth_with_rhs applies. Kaczmarz steps project the iterate onto one
 equation's solution hyperplane; columns are unit so no division is
 needed.
+
+run_cosolve advances the matrix with the step kernel of pairorth.process
+on one working array, and applies the same right-hand-side and Kaczmarz
+updates as the one-op functions orth_with_rhs and kaczmarz_step.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import numpy as np
 
 from .errors import UsageError
 from .matrix import ColumnMatrix, PairIndex, _orth_column, validate_pair
-from .metrics import _distances_auto, _phi_from_distances
-from .process import UNIFORM, _sample_pair_arr, derive_replicate_seed, make_rng
+from .process import UNIFORM, _phi, _step, derive_replicate_seed, make_rng
 
 ORTH = "orth"
 KACZ = "kacz"
@@ -72,6 +75,16 @@ def initial_state(
     )
 
 
+def _update_rhs(b: np.ndarray, i: int, j: int, c, c2, nu) -> None:
+    # equation i after a_i <- (a_i - (c + c2) a_j) / nu, written into b in place
+    b[i] = (b[i] - np.conj(c + c2) * b[j]) / nu
+
+
+def _kaczmarz(arr: np.ndarray, b: np.ndarray, x: np.ndarray, row: int) -> np.ndarray:
+    a = arr[:, row]
+    return x + (b[row] - np.vdot(a, x)) * a
+
+
 def orth_with_rhs(state: CosolveState, pair: PairIndex) -> CosolveState:
     """Orthogonalize one column and co-update b so the solution is kept.
 
@@ -83,9 +96,8 @@ def orth_with_rhs(state: CosolveState, pair: PairIndex) -> CosolveState:
     arr = np.array(state.A.array, order="F")
     new_col, c, c2, nu = _orth_column(arr, i, j)
     arr[:, i] = new_col
-    c_total = c + c2
     b = np.array(state.b)
-    b[i] = (b[i] - np.conj(c_total) * b[j]) / nu
+    _update_rhs(b, i, j, c, c2, nu)
     return replace(
         state,
         A=ColumnMatrix._wrap(arr, state.A.field),
@@ -102,9 +114,8 @@ def kaczmarz_step(state: CosolveState, row: int) -> CosolveState:
     """
     if not (0 <= row < state.A.n):
         raise UsageError(f"row {row} out of range for n = {state.A.n}")
-    a = state.A.column(row)
-    resid = state.b[row] - np.vdot(a, state.x)
-    return replace(state, x=state.x + resid * a, step_count=state.step_count + 1)
+    x = _kaczmarz(state.A.array, state.b, state.x, row)
+    return replace(state, x=x, step_count=state.step_count + 1)
 
 
 @dataclass(frozen=True)
@@ -138,16 +149,18 @@ def run_cosolve(
 
     p, q = state.interleave
     cycle: list[str] = [ORTH] * p + [KACZ] * q
+    cur = np.array(A0.array, order="F")
+    b = np.array(state.b)
+    x = state.x
     history: list[CosolveRecord] = []
-    phi = _phi_from_distances(_distances_auto(state.A.array))
+    phi = _phi(cur)
     for step in range(1, steps + 1):
         kind = cycle[(step - 1) % len(cycle)]
         if kind == ORTH:
-            pair = _sample_pair_arr(state.A.array, UNIFORM, rng_pairs)
-            state = orth_with_rhs(state, pair)
-            phi = _phi_from_distances(_distances_auto(state.A.array))
+            (i, j), c, c2, nu, phi = _step(cur, UNIFORM, rng_pairs)
+            _update_rhs(b, i, j, c, c2, nu)
         else:
-            row = int(rng_rows.integers(state.A.n))
-            state = kaczmarz_step(state, row)
-        history.append(CosolveRecord(step, kind, state.error(), phi))
-    return history, state
+            x = _kaczmarz(cur, b, x, int(rng_rows.integers(A0.n)))
+        history.append(CosolveRecord(step, kind, float(np.linalg.norm(x - state.x_true)), phi))
+    final = replace(state, A=ColumnMatrix._wrap(cur, A0.field), b=b, x=x, step_count=steps)
+    return history, final

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import SingularityError, UsageError
-from .matrix import ColumnMatrix
+from .matrix import ColumnMatrix, gram_offdiag_fro
 
 PROJECTION = "projection"
 INVERSE_ROWS = "inverse-rows"
@@ -41,7 +41,8 @@ class MetricsSnapshot:
     gram_offdiag: float
 
 
-def _distances_inverse_rows(arr: np.ndarray) -> np.ndarray:
+def _distances_inverse_rows(arr: np.ndarray):
+    """(inverse, distances) with d_j the reciprocal norm of inverse row j."""
     try:
         inv = np.linalg.inv(arr)
     except np.linalg.LinAlgError as exc:
@@ -51,7 +52,7 @@ def _distances_inverse_rows(arr: np.ndarray) -> np.ndarray:
         j = int(np.argmax(~np.isfinite(row_norms)))
         raise SingularityError(f"inverse row {j} is not finite", column=j)
     # d_j <= 1 holds exactly in real arithmetic; trim roundoff overshoot.
-    return np.minimum(1.0 / row_norms, 1.0)
+    return inv, np.minimum(1.0 / row_norms, 1.0)
 
 
 def _distances_projection(arr: np.ndarray) -> np.ndarray:
@@ -80,17 +81,14 @@ def _phi_from_distances(d: np.ndarray) -> float:
 
 def _distances_auto(arr: np.ndarray) -> np.ndarray:
     try:
-        inv = np.linalg.inv(arr)
-    except np.linalg.LinAlgError:
-        return _distances_projection(arr)
-    row_norms = np.linalg.norm(inv, axis=1)
-    if not np.all(np.isfinite(row_norms)) or np.any(row_norms == 0.0):
+        inv, d = _distances_inverse_rows(arr)
+    except SingularityError:
         return _distances_projection(arr)
     # sqrt(n) * ||A^-1||_F bounds kappa from above and is free here.
     kappa_est = math.sqrt(arr.shape[0]) * float(np.linalg.norm(inv))
     if kappa_est > tol.DISTANCE_FALLBACK_KAPPA:
         return _distances_projection(arr)
-    return np.minimum(1.0 / row_norms, 1.0)
+    return d
 
 
 def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
@@ -103,7 +101,7 @@ def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
     number exceeds 1e8.
     """
     if method == INVERSE_ROWS:
-        return _distances_inverse_rows(A.array)
+        return _distances_inverse_rows(A.array)[1]
     if method == PROJECTION:
         return _distances_projection(A.array)
     if method == AUTO:
@@ -156,9 +154,9 @@ def _exp_or_inf(x: float) -> float:
 
 def hadamard_report(A: ColumnMatrix) -> HadamardReport:
     """Evaluate all four determinant/norm inequalities for one matrix."""
-    phi = potential_phi(A)
+    s = snapshot(A)
+    phi, sigma = s.phi, s.sigma
     _, logdet = np.linalg.slogdet(A.array)
-    sigma = np.linalg.svd(A.array, compute_uv=False)
     det_abs = math.exp(logdet)
     inv_det_abs = _exp_or_inf(-logdet)
     norm = float(sigma[0])
@@ -189,12 +187,10 @@ def snapshot(A: ColumnMatrix, method: str = AUTO) -> MetricsSnapshot:
     """Compute the full diagnostic snapshot for one matrix state."""
     d = leave_one_out_distances(A, method)
     sigma = np.linalg.svd(A.array, compute_uv=False)
-    g = A.array.conj().T @ A.array
-    g[np.diag_indices(A.n)] -= 1.0
     return MetricsSnapshot(
         d=d,
         phi=_phi_from_distances(d),
         sigma=sigma,
         kappa=float(sigma[0] / sigma[-1]),
-        gram_offdiag=float(np.linalg.norm(g)),
+        gram_offdiag=gram_offdiag_fro(A),
     )

@@ -6,15 +6,18 @@ is recomputed from the matrix after every step (there is no stable
 incremental recurrence for all the distances); full diagnostic snapshots
 are taken on a configurable stride.
 
+One step kernel, _step, samples the pair, updates the column in place
+and recomputes the potential; run_chain and the Kaczmarz co-solver both
+drive it.
+
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
-splittable scheme, never by sequential reuse, so replicates may run in
-any order or in parallel and still merge deterministically.
+splittable scheme, never by sequential reuse; replicates run in index
+order and each one depends only on its own seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +85,24 @@ def sample_pair(A: ColumnMatrix, kind: str, rng: np.random.Generator) -> PairInd
     i then smallest j.
     """
     return _sample_pair_arr(A.array, kind, rng)
+
+
+def _phi(arr: np.ndarray) -> float:
+    return _phi_from_distances(_distances_auto(arr))
+
+
+def _step(cur: np.ndarray, kind: str, rng: np.random.Generator):
+    """Advance the state cur by one step of the process, in place.
+
+    Samples the pair (i, j), replaces column i by its unit component
+    orthogonal to column j and returns ((i, j), c, c2, nu, phi) with the
+    coefficients of _orth_column and the new potential. A degenerate pair
+    raises DegeneratePairError before cur is touched.
+    """
+    i, j = _sample_pair_arr(cur, kind, rng)
+    new_col, c, c2, nu = _orth_column(cur, i, j)
+    cur[:, i] = new_col
+    return (i, j), c, c2, nu, _phi(cur)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,26 +181,23 @@ def run_chain(
     def snap() -> MetricsSnapshot:
         return snapshot(ColumnMatrix._wrap(np.array(cur, order="F"), A0.field))
 
-    phi = _phi_from_distances(_distances_auto(cur))
+    phi = _phi(cur)
     traj.steps.append(StepRecord(0, None, None, phi, snap()))
     if phi < threshold:
         traj.t_star = 0
 
     for t in range(1, steps + 1):
-        i, j = _sample_pair_arr(cur, kind, rng)
         try:
-            new_col, c, _, _ = _orth_column(cur, i, j)
+            pair, c, _, _, phi_new = _step(cur, kind, rng)
         except DegeneratePairError as exc:
             traj.final_matrix = ColumnMatrix._wrap(np.array(cur, order="F"), A0.field)
             raise ChainAbortError(t, exc.pair, exc.inner_abs, traj) from exc
-        cur[:, i] = new_col
-        phi_new = _phi_from_distances(_distances_auto(cur))
         if phi_new > phi + tol.MONOTONE_ABS:
             traj.monotonicity_violations += 1
             traj.worst_phi_rise = max(traj.worst_phi_rise, phi_new - phi)
         take_snapshot = (t % metrics_stride == 0) or (t == steps)
         traj.steps.append(
-            StepRecord(t, (i, j), abs(c), phi_new, snap() if take_snapshot else None)
+            StepRecord(t, pair, abs(c), phi_new, snap() if take_snapshot else None)
         )
         if traj.t_star is None and phi_new < threshold:
             traj.t_star = t
@@ -236,43 +254,32 @@ def run_ensemble(
     replicates: int,
     base_seed: int,
     metrics_stride: int = 1,
-    workers: int = 1,
     trajectory_sink=None,
 ) -> EnsembleStats:
     """Run independent replicates and aggregate them on the record grid.
 
-    Replicate r runs with seed derive_replicate_seed(base_seed, r).
-    Aborted replicates are excluded and counted; more than 1% aborting
-    fails the whole run. trajectory_sink, when given, receives
-    (replicate_index, trajectory) in deterministic index order.
+    Replicates run one after another in index order; replicate r runs
+    with seed derive_replicate_seed(base_seed, r). Aborted replicates are
+    excluded and counted; more than 1% aborting fails the whole run.
+    trajectory_sink, when given, receives (replicate_index, trajectory)
+    as each replicate finishes.
     """
     if replicates < 1:
         raise UsageError(f"replicates must be >= 1, got {replicates}")
     grid = _record_grid(steps, metrics_stride)
     phi0 = None
 
-    def one(r: int) -> Trajectory | ChainAbortError:
-        try:
-            return run_chain(A0, steps, kind, derive_replicate_seed(base_seed, r), metrics_stride)
-        except ChainAbortError as exc:
-            return exc
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(replicates)))
-    else:
-        outcomes = [one(r) for r in range(replicates)]
-
     phi_rows = []
     log_kappa_rows = []
     t_stars: list[int | None] = []
     aborts = 0
     violations = 0
-    for r, outcome in enumerate(outcomes):
-        if isinstance(outcome, ChainAbortError):
+    for r in range(replicates):
+        try:
+            traj = run_chain(A0, steps, kind, derive_replicate_seed(base_seed, r), metrics_stride)
+        except ChainAbortError:
             aborts += 1
             continue
-        traj = outcome
         if trajectory_sink is not None:
             trajectory_sink(r, traj)
         phi_all = traj.phi

@@ -85,6 +85,17 @@ class TestRun:
         config.write_text("turbo = yes\n")
         assert main(["run", "--config", str(config), "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "command,line",
+        [("run", "n = four"), ("cosolve", "interleave = 1:x"), ("gen", "sigma = 1,x")],
+    )
+    def test_malformed_config_value_is_usage_error(self, tmp_path, capsys, command, line):
+        config = tmp_path / "exp.cfg"
+        config.write_text(line + "\n")
+        assert main([command, "--config", str(config), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "pairorth: error: invalid value" in err and "Traceback" not in err
+
 
 class TestBounds:
     def test_f_zero(self, capsys):
@@ -150,6 +161,13 @@ class TestVerify:
     def test_seed_required(self):
         assert main(["verify", "onestep", "--trials", "5"]) == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_must_be_u64(self, capsys, seed):
+        assert main(["verify", "lemma10", "--trials", "3", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert "seed must be an unsigned 64-bit integer" in captured.err
+        assert captured.out == ""
+
 
 class TestGen:
     def test_round_trip(self, tmp_path):
@@ -199,26 +217,20 @@ class TestCosolve:
         summary = read_summary(tmp_path / "cosolve_summary.txt")
         assert float(summary["final_residual"]) <= 1e-8
 
+    def test_config_rejects_run_only_keys(self, tmp_path, capsys):
+        # sampler, replicates, stride and emit belong to run; cosolve has
+        # no use for them and must not accept them silently
+        config = tmp_path / "co.cfg"
+        config.write_text("sampler = bogus\n")
+        code = main(
+            ["cosolve", "--config", str(config), "--gen", "gaussian", "--n", "4",
+             "--steps", "5", "--seed", "5", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "unknown config key 'sampler'" in capsys.readouterr().err
+
     def test_bad_interleave(self, tmp_path):
         assert main(
             ["cosolve", "--gen", "gaussian", "--n", "4", "--interleave", "11",
              "--steps", "5", "--seed", "5", "--out", str(tmp_path)]
         ) == 1
-
-
-class TestThreadCap:
-    def test_env_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAIRORTH_THREADS", "2")
-        code = main(
-            ["run", "--gen", "haar", "--n", "3", "--steps", "10",
-             "--replicates", "4", "--seed", "8", "--out", str(tmp_path)]
-        )
-        assert code == 0
-
-    def test_bad_env_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAIRORTH_THREADS", "many")
-        code = main(
-            ["run", "--gen", "haar", "--n", "3", "--steps", "10",
-             "--replicates", "2", "--seed", "8", "--out", str(tmp_path)]
-        )
-        assert code == 1

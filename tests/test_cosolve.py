@@ -10,8 +10,12 @@ from pairorth import (
     initial_state,
     inner,
     kaczmarz_step,
+    derive_replicate_seed,
+    make_rng,
     orth_with_rhs,
+    potential_phi,
     run_cosolve,
+    sample_pair,
 )
 from pairorth import tolerances as tol
 from pairorth.cosolve import KACZ, ORTH
@@ -161,3 +165,27 @@ class TestRunCosolve:
         plain_errs = [r.err_norm for r in h_plain]
         mixed_errs = [r.err_norm for r in h_mixed if r.kind == KACZ]
         assert plain_errs == pytest.approx(mixed_errs, rel=1e-9)
+
+    @pytest.mark.parametrize("field,interleave", [("real", (1, 1)), ("complex", (2, 1))])
+    def test_matches_replay_through_one_op_functions(self, field, interleave):
+        # run_cosolve works on one array in place; replaying the same draws
+        # through the public one-op functions must give identical bits
+        A, x_true = random_instance(5, 12, field)
+        history, final = run_cosolve(A, x_true, interleave=interleave, steps=90, seed=7)
+        rng_pairs = make_rng(derive_replicate_seed(7, 0))
+        rng_rows = make_rng(derive_replicate_seed(7, 1))
+        state = initial_state(A, x_true, interleave, seed=7)
+        phi = potential_phi(state.A)
+        cycle = [ORTH] * interleave[0] + [KACZ] * interleave[1]
+        for rec in history:
+            kind = cycle[(rec.step - 1) % len(cycle)]
+            if kind == ORTH:
+                state = orth_with_rhs(state, sample_pair(state.A, "uniform", rng_pairs))
+                phi = potential_phi(state.A)
+            else:
+                state = kaczmarz_step(state, int(rng_rows.integers(A.n)))
+            assert (rec.kind, rec.err_norm, rec.phi) == (kind, state.error(), phi)
+        assert np.array_equal(final.A.array, state.A.array)
+        assert np.array_equal(final.b, state.b)
+        assert np.array_equal(final.x, state.x)
+        assert final.step_count == state.step_count == 90

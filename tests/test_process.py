@@ -205,23 +205,21 @@ class TestRunEnsemble:
         assert stats.replicates == 8
         assert stats.t[0] == 0 and stats.t[-1] == 100
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         A = random_state(4, 99)
         kwargs = dict(steps=80, kind=UNIFORM, replicates=6, base_seed=21, metrics_stride=16)
         s1 = run_ensemble(A, **kwargs)
         s2 = run_ensemble(A, **kwargs)
-        s3 = run_ensemble(A, workers=3, **kwargs)
-        for other in (s2, s3):
-            assert np.array_equal(s1.mean_phi, other.mean_phi)
-            assert np.array_equal(s1.mean_log_kappa, other.mean_log_kappa)
-            assert s1.t_stars == other.t_stars
+        assert np.array_equal(s1.mean_phi, s2.mean_phi)
+        assert np.array_equal(s1.mean_log_kappa, s2.mean_log_kappa)
+        assert s1.t_stars == s2.t_stars
 
     def test_trajectory_sink_order(self):
         A = random_state(3, 55)
         seen = []
         run_ensemble(
             A, steps=10, kind=UNIFORM, replicates=4, base_seed=9, metrics_stride=5,
-            workers=2, trajectory_sink=lambda r, traj: seen.append((r, traj.seed)),
+            trajectory_sink=lambda r, traj: seen.append((r, traj.seed)),
         )
         assert [r for r, _ in seen] == [0, 1, 2, 3]
         assert [s for _, s in seen] == [derive_replicate_seed(9, r) for r in range(4)]
