@@ -11,7 +11,6 @@ system while solving it.
 """
 
 from .bounds import (
-    BoundParams,
     ConvergenceTarget,
     c_n,
     f_map,
@@ -65,7 +64,6 @@ from .oracle import (
 )
 from .process import (
     EnsembleStats,
-    StepRecord,
     Trajectory,
     derive_replicate_seed,
     detect_t_star,
@@ -78,7 +76,6 @@ from .process import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundParams",
     "ChainAbortError",
     "ColumnMatrix",
     "ConstructionError",
@@ -94,7 +91,6 @@ __all__ = [
     "PairIndex",
     "PairOrthError",
     "SingularityError",
-    "StepRecord",
     "Trajectory",
     "UsageError",
     "build_unit_column_matrix",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 
@@ -22,25 +22,6 @@ def inflection(n: int) -> float:
 def c_n(n: int) -> float:
     """Constant 2 (log 2)^2 n^2 (n-1)^2 in the small-potential decay curve."""
     return 2.0 * math.log(2.0) ** 2 * n * n * (n - 1) * (n - 1)
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Every named constant of the bound family, for one dimension n."""
-
-    n: int
-    c_n: float = field(init=False)
-    inflection: float = field(init=False)
-    decay_const: float = 47.0
-    prop_const: float = 96.0
-    thm1_c1: float = 200.0
-    thm1_c2: float = 48.0
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise UsageError(f"dimension must be >= 2, got {self.n}")
-        object.__setattr__(self, "c_n", c_n(self.n))
-        object.__setattr__(self, "inflection", inflection(self.n))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .bounds import f_map, kappa_bounds_from_phi, stopping_tail
-from .errors import PairOrthError
+from .errors import PairOrthError, UsageError
 from .generators import GAUSSIAN, NEAR_SINGULAR, GeneratorSpec, generate
 from .matrix import COMPLEX, REAL
 from .metrics import (
@@ -28,7 +28,7 @@ from .metrics import (
     snapshot,
 )
 from .oracle import exact_one_step_expectation, verify_lemma3
-from .process import UNIFORM, derive_replicate_seed, run_ensemble
+from .process import UNIFORM, derive_replicate_seed, make_rng, run_ensemble
 
 
 @dataclass
@@ -62,7 +62,7 @@ def _lemma3_trial(seed: int, trial: int):
     distance grows by at least the predicted ratio, and phi does not
     increase. Slack 1e-10."""
     A, spec = _random_state(seed, trial, (2, 3, 4, 5, 6))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed ^ 0x9E37)))
+    rng = make_rng(spec.seed ^ 0x9E37)
     i = int(rng.integers(A.n))
     j = int((i + 1 + rng.integers(A.n - 1)) % A.n)
     report = verify_lemma3(A, (i, j))
@@ -229,6 +229,8 @@ def run_suite(suite: str, trials: int | None, seed: int) -> SuiteResult:
         raise PairOrthError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if trials is None:
         trials = DEFAULT_TRIALS[suite]
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
     if suite == "tstar-tail":
         return _suite_tstar_tail(trials, seed)
     return _run_trials(suite, trials, seed)

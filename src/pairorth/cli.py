@@ -17,8 +17,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import certify, io
 from .bounds import (
     ConvergenceTarget,
@@ -41,7 +39,7 @@ from .generators import (
     GeneratorSpec,
     generate,
 )
-from .process import SAMPLER_KINDS, UNIFORM, run_ensemble
+from .process import SAMPLER_KINDS, UNIFORM, make_rng, run_ensemble
 
 GEN_ALIASES = {
     "haar": HAAR,
@@ -140,7 +138,7 @@ def _cmd_run(args) -> int:
     out_dir = args.out or "."
     steps = _require(args, "steps")
     replicates = _require(args, "replicates")
-    stride = args.stride or 1
+    stride = 1 if args.stride is None else args.stride
     sampler = args.sampler or UNIFORM
     if sampler not in SAMPLER_KINDS:
         raise UsageError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_KINDS}")
@@ -301,7 +299,7 @@ def _cmd_cosolve(args) -> int:
     spec = _generator_spec(args)
     A0, achieved = generate(spec)
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed ^ 0xC05)))
+    rng = make_rng(args.seed ^ 0xC05)
     x_true = rng.standard_normal(A0.n)
     if A0.field == "complex":
         x_true = x_true + 1j * rng.standard_normal(A0.n)

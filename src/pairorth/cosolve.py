@@ -41,7 +41,6 @@ class CosolveState:
     x: np.ndarray
     x_true: np.ndarray
     interleave: tuple[int, int] = (1, 1)
-    seed: int = 0
     step_count: int = 0
 
     def residual(self) -> float:
@@ -55,7 +54,6 @@ def initial_state(
     A0: ColumnMatrix,
     x_true,
     interleave: tuple[int, int] = (1, 1),
-    seed: int = 0,
 ) -> CosolveState:
     """State with b = A0* x_true and a zero iterate."""
     x_true = np.asarray(x_true)
@@ -71,7 +69,6 @@ def initial_state(
         x=np.zeros_like(b),
         x_true=np.array(x_true),
         interleave=(int(p), int(q)),
-        seed=seed,
     )
 
 
@@ -143,7 +140,7 @@ def run_cosolve(
     """
     if steps < 0:
         raise UsageError(f"steps must be >= 0, got {steps}")
-    state = initial_state(A0, x_true, interleave, seed)
+    state = initial_state(A0, x_true, interleave)
     rng_pairs = make_rng(derive_replicate_seed(seed, 0))
     rng_rows = make_rng(derive_replicate_seed(seed, 1))
 

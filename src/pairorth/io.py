@@ -101,16 +101,20 @@ COSOLVE_HEADER = "step,kind,err_norm,phi"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """One row per step; snapshot columns filled where the stride hit."""
+    """One row per step; snapshot columns filled on the record grid."""
     lines = [TRAJECTORY_HEADER]
-    for rec in traj.steps:
-        if rec.pair is None:
-            head = f"{rec.t},,,"
+    snaps = dict(zip(traj.grid, traj.snapshots))
+    pairs = traj.pairs.tolist()
+    inner_abs = traj.inner_abs.tolist()
+    for t, phi in enumerate(traj.phi.tolist()):
+        if t == 0:
+            head = "0,,,"
         else:
-            head = f"{rec.t},{rec.pair[0]},{rec.pair[1]},{format_float(rec.inner_abs)}"
-        row = f"{head},{format_float(rec.phi)}"
-        if rec.snapshot is not None:
-            s = rec.snapshot
+            (i, j), c = pairs[t - 1], inner_abs[t - 1]
+            head = f"{t},{i},{j},{format_float(c)}"
+        row = f"{head},{format_float(phi)}"
+        s = snaps.get(t)
+        if s is not None:
             row += (
                 f",{format_float(s.sigma[-1])},{format_float(s.kappa)},"
                 f"{format_float(s.gram_offdiag)}"

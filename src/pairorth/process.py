@@ -4,7 +4,8 @@ A chain starts from a unit-column matrix, repeatedly samples an ordered
 pair (i, j) and orthogonalizes column i against column j. The potential
 is recomputed from the matrix after every step (there is no stable
 incremental recurrence for all the distances); full diagnostic snapshots
-are taken on a configurable stride.
+are taken on the record grid, every multiple of a stride plus the last
+step.
 
 One step kernel, _step, samples the pair, updates the column in place
 and recomputes the potential; run_chain and the Kaczmarz co-solver both
@@ -18,7 +19,7 @@ order and each one depends only on its own seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,52 +106,67 @@ def _step(cur: np.ndarray, kind: str, rng: np.random.Generator):
     return (i, j), c, c2, nu, _phi(cur)
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
-    """One recorded step. The t = 0 record carries no pair."""
-
-    t: int
-    pair: PairIndex | None
-    inner_abs: float | None
-    phi: float
-    snapshot: MetricsSnapshot | None = None
-
-
 @dataclass
 class Trajectory:
-    """Per-step record of one chain run.
+    """Record of one chain run, stored by column.
 
-    phi is recorded at every step (steps + 1 entries including t = 0);
-    full snapshots only where the stride hits. t_star is the first step
-    at which phi dropped below the inflection threshold (log2/2) n, if it
-    did. monotonicity_violations counts steps where phi rose by more than
-    the 1e-10 slack; worst_phi_rise is the largest such rise observed.
+    phi[t] is the potential after t steps (steps + 1 entries, t = 0 the
+    start); pairs[t - 1] is the ordered pair drawn at step t and
+    inner_abs[t - 1] the magnitude |c| of its projection coefficient.
+    snapshots[k] is the full diagnostic snapshot at step grid[k] of the
+    record grid. The trajectory of an aborted chain holds the prefix
+    recorded before the abort. t_star, monotonicity_violations and
+    worst_phi_rise are read off phi.
     """
 
     n: int
     sampler: str
     seed: int
     metrics_stride: int
-    steps: list[StepRecord] = field(default_factory=list)
-    t_star: int | None = None
+    phi: np.ndarray
+    pairs: np.ndarray
+    inner_abs: np.ndarray
+    grid: list[int]
+    snapshots: list[MetricsSnapshot]
     final_matrix: ColumnMatrix | None = None
-    monotonicity_violations: int = 0
-    worst_phi_rise: float = 0.0
 
     @property
-    def phi(self) -> np.ndarray:
-        return np.array([rec.phi for rec in self.steps])
+    def t_star(self) -> int | None:
+        return detect_t_star(self)
+
+    @property
+    def _phi_rises(self) -> np.ndarray:
+        # every one-step rise of phi beyond the 1e-10 slack, in step order
+        rise = self.phi[1:] - self.phi[:-1]
+        return rise[self.phi[1:] > self.phi[:-1] + tol.MONOTONE_ABS]
+
+    @property
+    def monotonicity_violations(self) -> int:
+        return int(self._phi_rises.size)
+
+    @property
+    def worst_phi_rise(self) -> float:
+        return float(self._phi_rises.max(initial=0.0))
 
 
 def detect_t_star(traj: Trajectory) -> int | None:
     """First step index with phi strictly below (log2/2) n, if any."""
-    if not traj.steps:
+    if len(traj.phi) == 0:
         raise UsageError("trajectory has no recorded steps")
-    threshold = inflection(traj.n)
-    for rec in traj.steps:
-        if rec.phi < threshold:
-            return rec.t
-    return None
+    below = np.flatnonzero(traj.phi < inflection(traj.n))
+    return int(below[0]) if below.size else None
+
+
+def _record_grid(steps: int, stride: int) -> list[int]:
+    """Steps that get a full snapshot: every multiple of stride, and the last."""
+    if steps < 0:
+        raise UsageError(f"steps must be >= 0, got {steps}")
+    if stride < 1:
+        raise UsageError(f"metrics_stride must be >= 1, got {stride}")
+    grid = list(range(0, steps + 1, stride))
+    if grid[-1] != steps:
+        grid.append(steps)
+    return grid
 
 
 def run_chain(
@@ -166,58 +182,51 @@ def run_chain(
     degenerate pair aborts the run by raising ChainAbortError carrying the
     diagnostic and the partial trajectory; it is never skipped silently.
     """
-    if steps < 0:
-        raise UsageError(f"steps must be >= 0, got {steps}")
-    if metrics_stride < 1:
-        raise UsageError(f"metrics_stride must be >= 1, got {metrics_stride}")
+    grid = _record_grid(steps, metrics_stride)
     if kind not in SAMPLER_KINDS:
         raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
 
     rng = make_rng(seed)
     cur = np.array(A0.array, order="F")
-    threshold = inflection(A0.n)
-    traj = Trajectory(n=A0.n, sampler=kind, seed=seed, metrics_stride=metrics_stride)
+    on_grid = set(grid)
+    phi = np.empty(steps + 1)
+    pairs = np.empty((steps, 2), dtype=np.intp)
+    inner_abs = np.empty(steps)
+    snapshots: list[MetricsSnapshot] = []
 
-    def snap() -> MetricsSnapshot:
-        return snapshot(ColumnMatrix._wrap(np.array(cur, order="F"), A0.field))
+    def matrix() -> ColumnMatrix:
+        return ColumnMatrix._wrap(np.array(cur, order="F"), A0.field)
 
-    phi = _phi(cur)
-    traj.steps.append(StepRecord(0, None, None, phi, snap()))
-    if phi < threshold:
-        traj.t_star = 0
+    def recorded(last: int) -> Trajectory:
+        return Trajectory(
+            A0.n, kind, seed, metrics_stride, phi[: last + 1], pairs[:last],
+            inner_abs[:last], grid[: len(snapshots)], snapshots, matrix(),
+        )
 
+    phi[0] = _phi(cur)
+    snapshots.append(snapshot(matrix()))
     for t in range(1, steps + 1):
         try:
-            pair, c, _, _, phi_new = _step(cur, kind, rng)
+            pairs[t - 1], c, _, _, phi[t] = _step(cur, kind, rng)
         except DegeneratePairError as exc:
-            traj.final_matrix = ColumnMatrix._wrap(np.array(cur, order="F"), A0.field)
-            raise ChainAbortError(t, exc.pair, exc.inner_abs, traj) from exc
-        if phi_new > phi + tol.MONOTONE_ABS:
-            traj.monotonicity_violations += 1
-            traj.worst_phi_rise = max(traj.worst_phi_rise, phi_new - phi)
-        take_snapshot = (t % metrics_stride == 0) or (t == steps)
-        traj.steps.append(
-            StepRecord(t, pair, abs(c), phi_new, snap() if take_snapshot else None)
-        )
-        if traj.t_star is None and phi_new < threshold:
-            traj.t_star = t
-        phi = phi_new
-
-    traj.final_matrix = ColumnMatrix._wrap(np.array(cur, order="F"), A0.field)
-    return traj
+            raise ChainAbortError(t, exc.pair, exc.inner_abs, recorded(t - 1)) from exc
+        inner_abs[t - 1] = abs(c)
+        if t in on_grid:
+            snapshots.append(snapshot(matrix()))
+    return recorded(steps)
 
 
 @dataclass
 class EnsembleStats:
     """Per-recorded-step aggregates across replicates, plus bound curves.
 
-    The recorded grid is every multiple of the stride plus the final
-    step. exceed is True where mean_phi - 2 stderr_phi rises above the
-    closed-form expectation bound evaluated at phi0 (the bound constrains
-    the true mean; two standard errors is the Monte Carlo allowance). The
-    comparison carries a 1e-12 float allowance: at t = 0 both sides equal
-    phi0 analytically but are computed by different double-precision
-    routes, and a strict comparison would flag ulp-level noise.
+    The rows are the record grid of the chains. exceed is True where
+    mean_phi - 2 stderr_phi rises above the closed-form expectation bound
+    evaluated at phi0 (the bound constrains the true mean; two standard
+    errors is the Monte Carlo allowance). The comparison carries a 1e-12
+    float allowance: at t = 0 both sides equal phi0 analytically but are
+    computed by different double-precision routes, and a strict
+    comparison would flag ulp-level noise.
     """
 
     n: int
@@ -238,13 +247,6 @@ class EnsembleStats:
     t_stars: list[int | None]
     aborts: int
     monotonicity_violations: int
-
-
-def _record_grid(steps: int, stride: int) -> list[int]:
-    grid = list(range(0, steps + 1, stride))
-    if grid[-1] != steps:
-        grid.append(steps)
-    return grid
 
 
 def run_ensemble(
@@ -282,13 +284,12 @@ def run_ensemble(
             continue
         if trajectory_sink is not None:
             trajectory_sink(r, traj)
-        phi_all = traj.phi
-        phi_rows.append(phi_all[grid])
-        log_kappa_rows.append([np.log(traj.steps[t].snapshot.kappa) for t in grid])
+        phi_rows.append(traj.phi[grid])
+        log_kappa_rows.append([np.log(s.kappa) for s in traj.snapshots])
         t_stars.append(traj.t_star)
         violations += traj.monotonicity_violations
         if phi0 is None:
-            phi0 = float(phi_all[0])
+            phi0 = float(traj.phi[0])
 
     if aborts / replicates > tol.ENSEMBLE_ABORT_FRACTION:
         raise PairOrthError(

@@ -147,6 +147,7 @@ def test_criterion_5_kappa_phi_sandwich():
     assert result.ok
 
 
+@pytest.mark.slow
 def test_criterion_6_expected_potential_bound(criterion6_inputs, criterion6_stats):
     started = time.monotonic()
     _, achieved = criterion6_inputs
@@ -166,6 +167,7 @@ def test_criterion_6_expected_potential_bound(criterion6_inputs, criterion6_stat
     assert final_small
 
 
+@pytest.mark.slow
 def test_criterion_7_stopping_time_tail():
     started = time.monotonic()
     A0, achieved = certify.find_tail_instance(BASE_SEED, n=4, phi_range=(4.0, 6.0))
@@ -224,6 +226,7 @@ def test_criterion_8_two_by_two_exactness():
     assert worst_kappa <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_9_kappa_convergence():
     # the closed-form step counts for eps, delta < 0.01 exceed 1e10 and are
     # not simulated; this certifies the qualitative convergence and checks
@@ -337,6 +340,7 @@ def test_criterion_10_kaczmarz_cosolve():
     assert compare_ok
 
 
+@pytest.mark.slow
 def test_criterion_11_determinism(criterion6_inputs, criterion6_stats):
     A0, _ = criterion6_inputs
     repeat = run_ensemble(

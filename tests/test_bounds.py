@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pairorth import (
-    BoundParams,
     ConvergenceTarget,
     DomainError,
     UsageError,
@@ -211,17 +210,11 @@ class TestTheorem1Steps:
         assert not ConvergenceTarget(eps=0.5, delta=0.001).within_stated_regime
 
 
-class TestBoundParams:
+class TestConstants:
     def test_constants(self):
-        p = BoundParams(n=4)
-        assert p.c_n == pytest.approx(2 * math.log(2) ** 2 * 16 * 9, rel=1e-15)
-        assert p.inflection == pytest.approx(2 * math.log(2), rel=1e-15)
-        assert (p.decay_const, p.prop_const, p.thm1_c1, p.thm1_c2) == (47, 96, 200, 48)
+        assert c_n(4) == pytest.approx(2 * math.log(2) ** 2 * 16 * 9, rel=1e-15)
+        assert inflection(4) == pytest.approx(2 * math.log(2), rel=1e-15)
 
     def test_c_n_below_n4(self):
         for n in range(2, 65):
             assert c_n(n) <= n**4
-
-    def test_dimension_floor(self):
-        with pytest.raises(UsageError):
-            BoundParams(n=1)

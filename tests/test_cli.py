@@ -80,6 +80,15 @@ class TestRun:
         assert resolved["steps"] == "3"  # flag wins
         assert resolved["n"] == "4"
 
+    def test_stride_zero_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["run", "--gen", "haar", "--n", "4", "--steps", "5", "--replicates", "1",
+             "--stride", "0", "--seed", "1", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "metrics_stride must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "config.txt").exists()
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text("turbo = yes\n")
@@ -160,6 +169,13 @@ class TestVerify:
 
     def test_seed_required(self):
         assert main(["verify", "onestep", "--trials", "5"]) == 1
+
+    @pytest.mark.parametrize("trials", ["-3", "0"])
+    def test_trials_must_be_positive(self, capsys, trials):
+        assert main(["verify", "lemma10", "--trials", trials, "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "trials must be >= 1" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_must_be_u64(self, capsys, seed):

@@ -174,7 +174,7 @@ class TestRunCosolve:
         history, final = run_cosolve(A, x_true, interleave=interleave, steps=90, seed=7)
         rng_pairs = make_rng(derive_replicate_seed(7, 0))
         rng_rows = make_rng(derive_replicate_seed(7, 1))
-        state = initial_state(A, x_true, interleave, seed=7)
+        state = initial_state(A, x_true, interleave)
         phi = potential_phi(state.A)
         cycle = [ORTH] * interleave[0] + [KACZ] * interleave[1]
         for rec in history:

@@ -18,7 +18,7 @@ from pairorth import (
     sample_pair,
 )
 from pairorth.generators import GeneratorSpec
-from pairorth.process import GREEDY, PROPORTIONAL, UNIFORM, StepRecord, Trajectory
+from pairorth.process import GREEDY, PROPORTIONAL, UNIFORM, Trajectory, _record_grid
 
 
 def angle_matrix(theta=np.pi / 3):
@@ -117,12 +117,18 @@ class TestRunChain:
 
     def test_record_count_and_t0(self):
         traj = run_chain(random_state(4, 5), steps=20, seed=1, metrics_stride=7)
-        assert len(traj.steps) == 21
-        assert traj.steps[0].t == 0 and traj.steps[0].pair is None
-        assert traj.steps[0].snapshot is not None
-        # snapshots on the stride grid and at the final step
-        snap_ts = [rec.t for rec in traj.steps if rec.snapshot is not None]
-        assert snap_ts == [0, 7, 14, 20]
+        assert len(traj.phi) == 21
+        # t = 0 draws no pair: pairs[t - 1] belongs to step t
+        assert traj.pairs.shape == (20, 2) and traj.inner_abs.shape == (20,)
+        # snapshots at t = 0, on the stride grid and at the final step
+        assert traj.grid == [0, 7, 14, 20] and len(traj.snapshots) == 4
+
+    def test_snapshot_grid_is_record_grid(self):
+        # 7 does not divide 20, so the final step is added to the grid
+        traj = run_chain(random_state(4, 5), steps=20, seed=1, metrics_stride=7)
+        assert traj.grid == _record_grid(20, 7) == [0, 7, 14, 20]
+        snap_phi = [s.phi for s in traj.snapshots]
+        assert snap_phi == pytest.approx(traj.phi[traj.grid].tolist(), rel=1e-12)
 
     def test_reproducible_bit_identical(self):
         A = random_state(5, 8)
@@ -130,7 +136,7 @@ class TestRunChain:
         t2 = run_chain(A, steps=300, kind=UNIFORM, seed=99, metrics_stride=50)
         assert np.array_equal(t1.phi, t2.phi)
         assert np.array_equal(t1.final_matrix.array, t2.final_matrix.array)
-        assert [r.pair for r in t1.steps] == [r.pair for r in t2.steps]
+        assert np.array_equal(t1.pairs, t2.pairs)
 
     def test_different_seed_differs(self):
         A = random_state(5, 8)
@@ -146,6 +152,20 @@ class TestRunChain:
         assert err.value.partial_trajectory is not None
         assert err.value.inner_abs > 1.0 - 1e-12
 
+    def test_aborted_chain_keeps_the_recorded_prefix(self):
+        # columns 0 and 1 are nearly parallel; seed 3 draws them at step 4
+        A = build_unit_column_matrix(
+            [[1.0, np.cos(1e-7), 0.3], [0.0, np.sin(1e-7), 0.2], [0.0, 0.0, 0.9]],
+            normalize=True,
+        )
+        with pytest.raises(ChainAbortError) as err:
+            run_chain(A, steps=10, seed=3, metrics_stride=2)
+        partial = err.value.partial_trajectory
+        assert err.value.step == 4
+        assert len(partial.phi) == err.value.step
+        assert len(partial.pairs) == len(partial.inner_abs) == err.value.step - 1
+        assert partial.grid == [0, 2] and len(partial.snapshots) == 2
+
     def test_usage_errors(self):
         A = angle_matrix()
         with pytest.raises(UsageError):
@@ -158,8 +178,11 @@ class TestRunChain:
 
 class TestDetectTStar:
     def _traj(self, phis, n=2):
-        steps = [StepRecord(t, None if t == 0 else (0, 1), None, p) for t, p in enumerate(phis)]
-        return Trajectory(n=n, sampler=UNIFORM, seed=0, metrics_stride=1, steps=steps)
+        steps = len(phis) - 1
+        return Trajectory(
+            n=n, sampler=UNIFORM, seed=0, metrics_stride=1, phi=np.array(phis),
+            pairs=np.tile([0, 1], (steps, 1)), inner_abs=np.zeros(steps), grid=[], snapshots=[],
+        )
 
     def test_immediate_when_starting_low(self):
         assert detect_t_star(self._traj([0.5, 0.4])) == 0
@@ -169,7 +192,24 @@ class TestDetectTStar:
 
     def test_scan_example(self):
         # inflection(2) = log 2 = 0.6931...
-        assert detect_t_star(self._traj([1.0, 0.8, 0.6])) == 2
+        t_star = detect_t_star(self._traj([1.0, 0.8, 0.6]))
+        assert t_star == 2 and type(t_star) is int
+
+    def test_phi_rises_read_off_phi(self):
+        # rises of 0.5 and 0.8 count; 5e-11 is inside the 1e-10 slack
+        traj = self._traj([1.0, 1.5, 1.2, 1.2 + 5e-11, 2.0])
+        assert traj.monotonicity_violations == 2
+        assert traj.worst_phi_rise == 2.0 - (1.2 + 5e-11)
+        flat = self._traj([1.0, 0.9])
+        assert (flat.monotonicity_violations, flat.worst_phi_rise) == (0, 0.0)
+
+    def test_phi_rises_match_the_scalar_rule(self):
+        A, _ = generate(GeneratorSpec("near_singular", n=4, field="real", seed=5, eta=1e-3))
+        traj = run_chain(A, steps=400, seed=17)
+        phi = traj.phi.tolist()
+        rises = [new - old for old, new in zip(phi, phi[1:]) if new > old + 1e-10]
+        assert rises and traj.monotonicity_violations == len(rises)
+        assert traj.worst_phi_rise == max(rises)
 
     def test_matches_chain_field(self):
         A, _ = generate(GeneratorSpec("near_singular", n=4, field="real", seed=5, eta=1e-3))
@@ -227,6 +267,12 @@ class TestRunEnsemble:
     def test_replicate_validation(self):
         with pytest.raises(UsageError):
             run_ensemble(angle_matrix(), steps=1, kind=UNIFORM, replicates=0, base_seed=1)
+
+    @pytest.mark.parametrize("steps,stride", [(-1, 1), (5, 0)])
+    def test_record_grid_validation(self, steps, stride):
+        with pytest.raises(UsageError):
+            run_ensemble(angle_matrix(), steps=steps, kind=UNIFORM, replicates=1,
+                         base_seed=1, metrics_stride=stride)
 
 
 class TestSeedDerivation:
