@@ -39,7 +39,7 @@ from .generators import (
     GeneratorSpec,
     generate,
 )
-from .process import SAMPLER_KINDS, UNIFORM, make_rng, run_ensemble
+from .process import SAMPLER_KINDS, UNIFORM, _record_grid, make_rng, run_ensemble
 
 GEN_ALIASES = {
     "haar": HAAR,
@@ -146,6 +146,7 @@ def _cmd_run(args) -> int:
         raise UsageError(f"steps must be >= 1, got {steps}")
     if replicates < 1:
         raise UsageError(f"replicates must be >= 1, got {replicates}")
+    _record_grid(steps, stride, "--stride")
     emit = set((args.emit or "ensemble,summary").split(","))
     unknown = emit - {"trajectory", "ensemble", "summary"}
     if unknown:
@@ -214,6 +215,9 @@ def _cmd_run(args) -> int:
             "exceed_count": int(stats.exceed.sum()),
             "aborts": stats.aborts,
             "monotonicity_violations": stats.monotonicity_violations,
+            "inverse_refreshes": stats.inverse_refreshes,
+            "projection_fallbacks": stats.projection_fallbacks,
+            "worst_refresh_drift": io.format_float(stats.worst_refresh_drift),
         }
         io.write_summary(os.path.join(out_dir, "summary.txt"), summary)
 

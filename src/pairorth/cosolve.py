@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UsageError
 from .matrix import ColumnMatrix, PairIndex, _orth_column, validate_pair
-from .process import UNIFORM, _phi, _step, derive_replicate_seed, make_rng
+from .process import UNIFORM, _ChainState, _step, derive_replicate_seed, make_rng
 
 ORTH = "orth"
 KACZ = "kacz"
@@ -146,15 +146,16 @@ def run_cosolve(
 
     p, q = state.interleave
     cycle: list[str] = [ORTH] * p + [KACZ] * q
-    cur = np.array(A0.array, order="F")
+    chain = _ChainState(np.array(A0.array, order="F"), UNIFORM)
+    cur = chain.arr
     b = np.array(state.b)
     x = state.x
     history: list[CosolveRecord] = []
-    phi = _phi(cur)
+    phi = chain.phi
     for step in range(1, steps + 1):
         kind = cycle[(step - 1) % len(cycle)]
         if kind == ORTH:
-            (i, j), c, c2, nu, phi = _step(cur, UNIFORM, rng_pairs)
+            (i, j), c, c2, nu, phi = _step(chain, rng_pairs)
             _update_rhs(b, i, j, c, c2, nu)
         else:
             x = _kaczmarz(cur, b, x, int(rng_rows.integers(A0.n)))

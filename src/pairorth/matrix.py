@@ -44,8 +44,7 @@ class ColumnMatrix:
     """Square matrix with unit-length, linearly independent columns.
 
     Values are immutable once constructed: the underlying array is marked
-    read-only and every update returns a new instance, so instances are
-    safe to share across threads.
+    read-only and every update returns a new instance.
     """
 
     __slots__ = ("_array", "n", "field")

@@ -42,7 +42,7 @@ class MetricsSnapshot:
 
 
 def _distances_inverse_rows(arr: np.ndarray):
-    """(inverse, distances) with d_j the reciprocal norm of inverse row j."""
+    """(inverse, row norms, distances) with d_j the reciprocal norm of inverse row j."""
     try:
         inv = np.linalg.inv(arr)
     except np.linalg.LinAlgError as exc:
@@ -52,7 +52,7 @@ def _distances_inverse_rows(arr: np.ndarray):
         j = int(np.argmax(~np.isfinite(row_norms)))
         raise SingularityError(f"inverse row {j} is not finite", column=j)
     # d_j <= 1 holds exactly in real arithmetic; trim roundoff overshoot.
-    return inv, np.minimum(1.0 / row_norms, 1.0)
+    return inv, row_norms, np.minimum(1.0 / row_norms, 1.0)
 
 
 def _distances_projection(arr: np.ndarray) -> np.ndarray:
@@ -79,16 +79,22 @@ def _phi_from_distances(d: np.ndarray) -> float:
     return float(-np.log(d).sum() + 0.0)
 
 
-def _distances_auto(arr: np.ndarray) -> np.ndarray:
+def _distances_full(arr: np.ndarray):
+    """The auto rule, recomputed from scratch: (inverse, row norms, d).
+
+    d comes from the inverse rows, or from projection, with inverse and
+    row norms None, when the inverse is singular or its estimate of kappa
+    exceeds DISTANCE_FALLBACK_KAPPA.
+    """
     try:
-        inv, d = _distances_inverse_rows(arr)
+        inv, row_norms, d = _distances_inverse_rows(arr)
     except SingularityError:
-        return _distances_projection(arr)
+        return None, None, _distances_projection(arr)
     # sqrt(n) * ||A^-1||_F bounds kappa from above and is free here.
     kappa_est = math.sqrt(arr.shape[0]) * float(np.linalg.norm(inv))
     if kappa_est > tol.DISTANCE_FALLBACK_KAPPA:
-        return _distances_projection(arr)
-    return d
+        return None, None, _distances_projection(arr)
+    return inv, row_norms, d
 
 
 def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
@@ -101,11 +107,11 @@ def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
     number exceeds 1e8.
     """
     if method == INVERSE_ROWS:
-        return _distances_inverse_rows(A.array)[1]
+        return _distances_inverse_rows(A.array)[2]
     if method == PROJECTION:
         return _distances_projection(A.array)
     if method == AUTO:
-        return _distances_auto(A.array)
+        return _distances_full(A.array)[2]
     raise UsageError(f"unknown distance method {method!r}")
 
 

@@ -36,6 +36,11 @@ DISTANCE_METHOD_REL = 1e-8
 # falls back to per-column projection.
 DISTANCE_FALLBACK_KAPPA = 1e8
 
+# The step kernel updates two inverse rows per step and recomputes the
+# inverse in full every this many steps, bounding the drift of the kept
+# distances. Measured drift and cost are in the process module docstring.
+INVERSE_REFRESH_STEPS = 64
+
 # Slack for the exact one-step expectation against the iterative map.
 ONE_STEP_EXPECTATION_ABS = 1e-9
 

@@ -67,6 +67,10 @@ class TestRun:
         summary = read_summary(tmp_path / "summary.txt")
         assert "monotonicity_violations" in summary
         assert int(summary["aborts"]) == 0
+        # each replicate refreshes its inverse at least every 64 steps
+        assert int(summary["inverse_refreshes"]) >= 2 * (200 // 64)
+        assert int(summary["projection_fallbacks"]) == 0
+        assert 0.0 <= float(summary["worst_refresh_drift"]) <= 1e-6
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "exp.cfg"
@@ -86,8 +90,17 @@ class TestRun:
              "--stride", "0", "--seed", "1", "--out", str(tmp_path)]
         )
         assert code == 1
-        assert "metrics_stride must be >= 1" in capsys.readouterr().err
+        assert "--stride must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "config.txt").exists()
+
+    def test_bad_stride_creates_no_output_dir(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--gen", "haar", "--n", "4", "--steps", "5", "--replicates", "1",
+             "--stride", "0", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "exp.cfg"

@@ -17,6 +17,7 @@ from pairorth import (
     run_ensemble,
     sample_pair,
 )
+from pairorth import tolerances as tol
 from pairorth.generators import GeneratorSpec
 from pairorth.process import GREEDY, PROPORTIONAL, UNIFORM, Trajectory, _record_grid
 
@@ -99,6 +100,14 @@ class TestGreedySampler:
         A = random_state(5, seed=3)
         picks = {sample_pair(A, GREEDY, make_rng(s)) for s in range(5)}
         assert len(picks) == 1
+
+    def test_orthonormal_picks_first_pair_not_the_diagonal(self):
+        # every inner product is zero: the tie rule gives (0, 1), never (0, 0)
+        A = build_unit_column_matrix(np.eye(3))
+        assert sample_pair(A, GREEDY, make_rng(0)) == (0, 1)
+        traj = run_chain(A, steps=5, kind=GREEDY, seed=0)
+        assert np.all(traj.phi == 0.0)
+        assert np.array_equal(traj.final_matrix.array, A.array)
 
 
 class TestRunChain:
@@ -218,6 +227,33 @@ class TestDetectTStar:
         if traj.t_star is not None:
             assert traj.phi[traj.t_star] < inflection(4)
             assert np.all(traj.phi[: traj.t_star] >= inflection(4))
+
+
+class TestKernelCounters:
+    def test_refresh_every_interval_on_a_well_conditioned_chain(self):
+        steps = 2 * tol.INVERSE_REFRESH_STEPS + 5
+        traj = run_chain(random_state(4, 31), steps, UNIFORM, seed=3)
+        assert traj.inverse_refreshes == 2
+        assert traj.projection_fallbacks == 0
+        assert 0.0 <= traj.worst_refresh_drift <= 1e-12
+
+    def test_ill_conditioned_steps_take_the_projection_path(self):
+        A, _ = generate(GeneratorSpec("near_singular", n=8, field="real", seed=7, eta=1e-10))
+        traj = run_chain(A, 20, UNIFORM, seed=3)
+        assert traj.projection_fallbacks > 0
+        assert traj.inverse_refreshes >= traj.projection_fallbacks
+
+    def test_ensemble_sums_counts_and_keeps_worst_drift(self):
+        A, _ = generate(GeneratorSpec("near_singular", n=8, field="real", seed=7, eta=1e-8))
+        steps = 2 * tol.INVERSE_REFRESH_STEPS
+        stats = run_ensemble(A, steps, UNIFORM, replicates=3, base_seed=5, metrics_stride=steps)
+        trajs = [
+            run_chain(A, steps, UNIFORM, derive_replicate_seed(5, r), steps) for r in range(3)
+        ]
+        assert stats.inverse_refreshes == sum(t.inverse_refreshes for t in trajs)
+        assert stats.projection_fallbacks == sum(t.projection_fallbacks for t in trajs)
+        assert stats.worst_refresh_drift == max(t.worst_refresh_drift for t in trajs)
+        assert 0 < stats.projection_fallbacks < stats.inverse_refreshes
 
 
 class TestRunEnsemble:
