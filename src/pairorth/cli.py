@@ -197,13 +197,13 @@ def _cmd_run(args) -> int:
     if "summary" in emit:
         observed = [ts for ts in stats.t_stars if ts is not None]
         summary = {
-            "n": stats.n,
+            "n": spec.n,
             "field": spec.field,
-            "sampler": stats.sampler,
-            "steps": stats.steps,
+            "sampler": sampler,
+            "steps": steps,
             "replicates": stats.replicates,
-            "stride": stats.metrics_stride,
-            "base_seed": stats.base_seed,
+            "stride": stride,
+            "base_seed": args.seed,
             "phi0": io.format_float(stats.phi0),
             "kappa0": io.format_float(achieved.kappa),
             "t_star_crossed": len(observed),
@@ -256,8 +256,6 @@ def _cmd_bounds(args) -> int:
     elif name == "theorem1-steps":
         target = ConvergenceTarget(eps=_require(args, "eps"), delta=_require(args, "delta"))
         print(theorem1_steps(_require(args, "phi0"), _require(args, "n"), target))
-    else:
-        raise UsageError(f"unknown bound {name!r}; expected one of {BOUND_NAMES}")
     return 0
 
 
@@ -346,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     bounds_p = sub.add_parser("bounds", help="evaluate one closed-form bound")
-    bounds_p.add_argument("name", help=f"one of {BOUND_NAMES}")
+    bounds_p.add_argument("name", choices=BOUND_NAMES)
     bounds_p.add_argument("--x", type=float)
     bounds_p.add_argument("--n", type=int)
     bounds_p.add_argument("--phi0", type=float)

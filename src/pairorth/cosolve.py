@@ -33,15 +33,12 @@ class CosolveState:
 
     x_true is held for verification only; the defining contract is that
     ||A* x_true - b|| stays within 1e-8 after every step of either kind.
-    interleave is (orth steps : kaczmarz steps) per round-robin cycle.
     """
 
     A: ColumnMatrix
     b: np.ndarray
     x: np.ndarray
     x_true: np.ndarray
-    interleave: tuple[int, int] = (1, 1)
-    step_count: int = 0
 
     def residual(self) -> float:
         return float(np.linalg.norm(self.A.array.conj().T @ self.x_true - self.b))
@@ -50,26 +47,13 @@ class CosolveState:
         return float(np.linalg.norm(self.x - self.x_true))
 
 
-def initial_state(
-    A0: ColumnMatrix,
-    x_true,
-    interleave: tuple[int, int] = (1, 1),
-) -> CosolveState:
+def initial_state(A0: ColumnMatrix, x_true) -> CosolveState:
     """State with b = A0* x_true and a zero iterate."""
     x_true = np.asarray(x_true)
     if x_true.shape != (A0.n,):
         raise UsageError(f"x_true must have shape ({A0.n},), got {x_true.shape}")
-    p, q = interleave
-    if p < 0 or q < 0 or (p == 0 and q == 0):
-        raise UsageError(f"interleave ratio must be non-negative and not 0:0, got {p}:{q}")
     b = A0.array.conj().T @ x_true
-    return CosolveState(
-        A=A0,
-        b=b,
-        x=np.zeros_like(b),
-        x_true=np.array(x_true),
-        interleave=(int(p), int(q)),
-    )
+    return CosolveState(A=A0, b=b, x=np.zeros_like(b), x_true=np.array(x_true))
 
 
 def _update_rhs(b: np.ndarray, i: int, j: int, c, c2, nu) -> None:
@@ -95,12 +79,7 @@ def orth_with_rhs(state: CosolveState, pair: PairIndex) -> CosolveState:
     arr[:, i] = new_col
     b = np.array(state.b)
     _update_rhs(b, i, j, c, c2, nu)
-    return replace(
-        state,
-        A=ColumnMatrix._wrap(arr, state.A.field),
-        b=b,
-        step_count=state.step_count + 1,
-    )
+    return replace(state, A=ColumnMatrix._wrap(arr, state.A.field), b=b)
 
 
 def kaczmarz_step(state: CosolveState, row: int) -> CosolveState:
@@ -112,7 +91,7 @@ def kaczmarz_step(state: CosolveState, row: int) -> CosolveState:
     if not (0 <= row < state.A.n):
         raise UsageError(f"row {row} out of range for n = {state.A.n}")
     x = _kaczmarz(state.A.array, state.b, state.x, row)
-    return replace(state, x=x, step_count=state.step_count + 1)
+    return replace(state, x=x)
 
 
 @dataclass(frozen=True)
@@ -140,11 +119,13 @@ def run_cosolve(
     """
     if steps < 0:
         raise UsageError(f"steps must be >= 0, got {steps}")
-    state = initial_state(A0, x_true, interleave)
+    p, q = interleave
+    if p < 0 or q < 0 or (p == 0 and q == 0):
+        raise UsageError(f"interleave ratio must be non-negative and not 0:0, got {p}:{q}")
+    state = initial_state(A0, x_true)
     rng_pairs = make_rng(derive_replicate_seed(seed, 0))
     rng_rows = make_rng(derive_replicate_seed(seed, 1))
 
-    p, q = state.interleave
     cycle: list[str] = [ORTH] * p + [KACZ] * q
     chain = _ChainState(np.array(A0.array, order="F"), UNIFORM)
     cur = chain.arr
@@ -160,5 +141,5 @@ def run_cosolve(
         else:
             x = _kaczmarz(cur, b, x, int(rng_rows.integers(A0.n)))
         history.append(CosolveRecord(step, kind, float(np.linalg.norm(x - state.x_true)), phi))
-    final = replace(state, A=ColumnMatrix._wrap(cur, A0.field), b=b, x=x, step_count=steps)
+    final = replace(state, A=ColumnMatrix._wrap(cur, A0.field), b=b, x=x)
     return history, final

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
-from .matrix import COMPLEX, REAL, ColumnMatrix
+from . import tolerances as tol
+from .errors import ConstructionError, UsageError
+from .matrix import COMPLEX, REAL, ColumnMatrix, inner
 from .metrics import MetricsSnapshot, snapshot
 from .process import make_rng
 
@@ -127,4 +128,12 @@ def generate(spec: GeneratorSpec) -> tuple[ColumnMatrix, MetricsSnapshot]:
         arr = _near_singular(spec, rng)
 
     A = ColumnMatrix(arr, normalize=True)
+    if A.n == 2:
+        # the only pair is (0, 1): every step of a chain would hit the guard
+        inner_abs = abs(inner(A.column(0), A.column(1)))
+        if inner_abs >= 1.0 - tol.DEGENERATE_PAIR_GUARD:
+            raise ConstructionError(
+                f"{spec.kind} at n = 2 gives a degenerate only pair: "
+                f"|<a_0, a_1>| = {inner_abs!r} is within {tol.DEGENERATE_PAIR_GUARD!r} of 1"
+            )
     return A, snapshot(A)

@@ -70,7 +70,7 @@ class ColumnMatrix:
         elif np.any(np.abs(norms - 1.0) > tol.UNIT_NORM_BUILD_REL):
             j = int(np.argmax(np.abs(norms - 1.0)))
             raise ConstructionError(
-                f"column {j} has norm {norms[j]!r}, not unit "
+                f"column {j} has norm {float(norms[j])!r}, not unit "
                 f"(pass normalize=True to rescale)"
             )
 
@@ -79,7 +79,7 @@ class ColumnMatrix:
         if not smin > floor:
             raise ConstructionError(
                 f"columns are numerically dependent: smallest singular value "
-                f"{smin!r} is below the rank floor {floor!r}"
+                f"{float(smin)!r} is below the rank floor {floor!r}"
             )
 
         arr.setflags(write=False)

@@ -189,14 +189,14 @@ def hadamard_report(A: ColumnMatrix) -> HadamardReport:
     )
 
 
-def snapshot(A: ColumnMatrix, method: str = AUTO) -> MetricsSnapshot:
+def snapshot(A: ColumnMatrix) -> MetricsSnapshot:
     """Compute the full diagnostic snapshot for one matrix state."""
-    d = leave_one_out_distances(A, method)
-    sigma = np.linalg.svd(A.array, compute_uv=False)
+    d = leave_one_out_distances(A)
+    kappa, sigma = condition_number(A)
     return MetricsSnapshot(
         d=d,
         phi=_phi_from_distances(d),
         sigma=sigma,
-        kappa=float(sigma[0] / sigma[-1]),
+        kappa=kappa,
         gram_offdiag=gram_offdiag_fro(A),
     )

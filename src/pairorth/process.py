@@ -8,27 +8,10 @@ the last step.
 
 One step kernel, _step, samples the pair, updates the column in place
 and updates the potential; run_chain and the Kaczmarz co-solver both
-drive it through a _ChainState. The update is a column operation,
-A' = A E with E = I except in column i, so A'^-1 = E^-1 A^-1 differs from
-A^-1 in two rows only: row i is scaled by nu and row j gains (c + c2)
-times the old row i (Sherman-Morrison reduced to a row operation). The
-kernel applies that in O(n), recomputes only d_i and d_j (d_j is the
-reciprocal norm of inverse row j), and reads the condition estimate
-sqrt(n) ||A^-1||_F off the kept squared row norms. The proportional and
-greedy samplers keep the Gram matrix A^H A and refresh its row and column
-i with one matrix-vector product, so every entry is a fresh dot product.
-
-Refresh policy: the inverse is recomputed in full every
-INVERSE_REFRESH_STEPS steps, and whenever the condition estimate crosses
-DISTANCE_FALLBACK_KAPPA; while it stays above, every step recomputes in
-full and takes the projection path, exactly as potential_phi does. The
-kernel counts refreshes and projection fallbacks and keeps the worst
-|phi_incremental - phi_full| seen at a refresh. With a refresh every 64
-steps the kept phi stayed within 3e-8 of a full recompute over 3000
-uniform steps from a near-singular n = 8 start (planted distance 1e-8),
-0.24 of the two-method slack n max(1e-8, n eps kappa), and within 1.2e-11
-on a Gaussian n = 128; every 16 steps gave 0.075 of the slack and 4x the
-refresh cost, every 256 steps 0.31.
+drive it through a _ChainState, which keeps the inverse (two rows move
+per step), the distances and, for the proportional and greedy samplers,
+the Gram matrix. The update rule, the refresh policy and the measured
+drift are in README, "How the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
@@ -213,9 +196,6 @@ class Trajectory:
     """
 
     n: int
-    sampler: str
-    seed: int
-    metrics_stride: int
     phi: np.ndarray
     pairs: np.ndarray
     inner_abs: np.ndarray
@@ -299,8 +279,8 @@ def run_chain(
 
     def recorded(last: int) -> Trajectory:
         return Trajectory(
-            A0.n, kind, seed, metrics_stride, phi[: last + 1], pairs[:last],
-            inner_abs[:last], grid[: len(snapshots)], snapshots, matrix(),
+            A0.n, phi[: last + 1], pairs[:last], inner_abs[:last],
+            grid[: len(snapshots)], snapshots, matrix(),
             state.refreshes, state.fallbacks, state.worst_drift,
         )
 
@@ -331,11 +311,6 @@ class EnsembleStats:
     over the kept replicates, the refresh drift is their maximum.
     """
 
-    n: int
-    sampler: str
-    base_seed: int
-    steps: int
-    metrics_stride: int
     replicates: int
     phi0: float
     t: np.ndarray
@@ -416,11 +391,6 @@ def run_ensemble(
     )
     bound = np.array([theorem7_bound(phi0, A0.n, t) for t in grid])
     return EnsembleStats(
-        n=A0.n,
-        sampler=kind,
-        base_seed=base_seed,
-        steps=steps,
-        metrics_stride=metrics_stride,
         replicates=kept,
         phi0=phi0,
         t=np.array(grid),

@@ -38,7 +38,8 @@ DISTANCE_FALLBACK_KAPPA = 1e8
 
 # The step kernel updates two inverse rows per step and recomputes the
 # inverse in full every this many steps, bounding the drift of the kept
-# distances. Measured drift and cost are in the process module docstring.
+# distances. Measured drift and cost are in README, "How the step kernel
+# keeps phi".
 INVERSE_REFRESH_STEPS = 64
 
 # Slack for the exact one-step expectation against the iterative map.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairorth import io
+from pairorth import certify, io
 from pairorth.cli import main
 
 
@@ -102,6 +102,16 @@ class TestRun:
         assert code == 1
         assert not out.exists()
 
+    def test_degenerate_n2_instance_fails_before_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["run", "--gen", "near_singular", "--n", "2", "--steps", "10",
+                "--replicates", "4", "--seed", "1", "--out", str(out)]
+        assert main(args + ["--eta", "1e-7"]) == 2
+        assert "degenerate only pair" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--eta", "1e-5"]) == 0
+        assert read_summary(out / "summary.txt")["aborts"] == "0"
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text("turbo = yes\n")
@@ -189,6 +199,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "trials must be >= 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", [16, 57, 157, 190])
+    def test_tstar_tail_seeds_beyond_the_coarse_grid(self, capsys, seed):
+        # the coarse eta grid misses phi in [4, 6] for these seeds; the fine
+        # grid behind it finds an instance, so the suite runs
+        _, achieved = certify.find_tail_instance(seed, n=4)
+        assert 4.0 <= achieved.phi <= 6.0
+        main(["verify", "tstar-tail", "--trials", "2", "--seed", str(seed)])
+        assert capsys.readouterr().out.startswith("tstar-tail: ")
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_must_be_u64(self, capsys, seed):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairorth import UsageError, generate, gram_offdiag_fro
+from pairorth import ConstructionError, UsageError, generate, gram_offdiag_fro
 from pairorth.generators import (
     GAUSSIAN,
     HAAR,
@@ -103,6 +103,11 @@ class TestTwoByTwo:
         assert achieved.phi == pytest.approx(PHI_PI3, abs=1e-12)
         assert achieved.kappa == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [1e-6, np.pi - 1e-6])
+    def test_degenerate_only_pair_rejected(self, theta):
+        with pytest.raises(ConstructionError, match=r"\|<a_0, a_1>\| = 0\.99999"):
+            generate(spec_for(TWO_BY_TWO, theta=theta))
+
 
 class TestPrescribedSpectrum:
     def test_raw_factor_spectrum_before_renormalization(self):
@@ -141,3 +146,12 @@ class TestNearSingular:
                 GeneratorSpec(NEAR_SINGULAR, n=5, field=field, seed=4, eta=eta)
             )
             assert 0.1 * eta <= achieved.d.min() <= 10 * eta
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_degenerate_only_pair_at_n2_rejected(self, field):
+        # at n = 2 the only pair is the planted one; below eta ~ 1.4e-6 it
+        # is within the degenerate-pair guard and no step could be taken
+        with pytest.raises(ConstructionError, match="degenerate only pair"):
+            generate(GeneratorSpec(NEAR_SINGULAR, n=2, field=field, seed=1, eta=1e-7))
+        A, _ = generate(GeneratorSpec(NEAR_SINGULAR, n=2, field=field, seed=1, eta=1e-5))
+        assert abs(np.vdot(A.array[:, 1], A.array[:, 0])) < 1.0 - 1e-12

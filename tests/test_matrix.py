@@ -80,6 +80,14 @@ class TestBuild:
         with pytest.raises(ConstructionError, match="singular value"):
             build_unit_column_matrix(entries)
 
+    def test_errors_print_plain_floats(self):
+        with pytest.raises(ConstructionError) as norm_err:
+            build_unit_column_matrix([[1.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(ConstructionError) as rank_err:
+            build_unit_column_matrix([[1.0, 1.0], [0.0, 0.0]])
+        assert "column 1 has norm 0.5, not unit" in str(norm_err.value)
+        assert "smallest singular value 0.0 is below" in str(rank_err.value)
+
     def test_non_square_rejected(self):
         with pytest.raises(ConstructionError):
             build_unit_column_matrix(np.ones((2, 3)))

@@ -189,7 +189,7 @@ class TestDetectTStar:
     def _traj(self, phis, n=2):
         steps = len(phis) - 1
         return Trajectory(
-            n=n, sampler=UNIFORM, seed=0, metrics_stride=1, phi=np.array(phis),
+            n=n, phi=np.array(phis),
             pairs=np.tile([0, 1], (steps, 1)), inner_abs=np.zeros(steps), grid=[], snapshots=[],
         )
 
@@ -295,10 +295,13 @@ class TestRunEnsemble:
         seen = []
         run_ensemble(
             A, steps=10, kind=UNIFORM, replicates=4, base_seed=9, metrics_stride=5,
-            trajectory_sink=lambda r, traj: seen.append((r, traj.seed)),
+            trajectory_sink=lambda r, traj: seen.append((r, traj.phi)),
         )
         assert [r for r, _ in seen] == [0, 1, 2, 3]
-        assert [s for _, s in seen] == [derive_replicate_seed(9, r) for r in range(4)]
+        for r, phi in seen:
+            alone = run_chain(A, steps=10, kind=UNIFORM, seed=derive_replicate_seed(9, r),
+                              metrics_stride=5)
+            assert np.array_equal(phi, alone.phi)
 
     def test_replicate_validation(self):
         with pytest.raises(UsageError):
