@@ -147,10 +147,13 @@ def _cmd_run(args) -> int:
     if replicates < 1:
         raise UsageError(f"replicates must be >= 1, got {replicates}")
     _record_grid(steps, stride, "--stride")
-    emit = set((args.emit or "ensemble,summary").split(","))
+    emit = set(("ensemble,summary" if args.emit is None else args.emit).split(","))
     unknown = emit - {"trajectory", "ensemble", "summary"}
     if unknown:
-        raise UsageError(f"unknown emit targets {sorted(unknown)}")
+        raise UsageError(
+            f"unknown emit targets {sorted(unknown)}; expected a comma subset of "
+            "trajectory,ensemble,summary"
+        )
 
     spec = _generator_spec(args)
     A0, achieved = generate(spec)
@@ -322,6 +325,9 @@ def _cmd_cosolve(args) -> int:
             "final_err": io.format_float(final.error()),
             "final_phi": io.format_float(history[-1].phi if history else achieved.phi),
             "final_residual": io.format_float(final.residual()),
+            "inverse_refreshes": final.inverse_refreshes,
+            "projection_fallbacks": final.projection_fallbacks,
+            "worst_refresh_drift": io.format_float(final.worst_refresh_drift),
         },
     )
     return 0

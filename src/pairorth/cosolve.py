@@ -33,12 +33,17 @@ class CosolveState:
 
     x_true is held for verification only; the defining contract is that
     ||A* x_true - b|| stays within 1e-8 after every step of either kind.
+    inverse_refreshes, projection_fallbacks and worst_refresh_drift are the
+    step kernel's counters over a run_cosolve (see process._ChainState).
     """
 
     A: ColumnMatrix
     b: np.ndarray
     x: np.ndarray
     x_true: np.ndarray
+    inverse_refreshes: int = 0
+    projection_fallbacks: int = 0
+    worst_refresh_drift: float = 0.0
 
     def residual(self) -> float:
         return float(np.linalg.norm(self.A.array.conj().T @ self.x_true - self.b))
@@ -141,5 +146,9 @@ def run_cosolve(
         else:
             x = _kaczmarz(cur, b, x, int(rng_rows.integers(A0.n)))
         history.append(CosolveRecord(step, kind, float(np.linalg.norm(x - state.x_true)), phi))
-    final = replace(state, A=ColumnMatrix._wrap(cur, A0.field), b=b, x=x)
+    final = replace(
+        state, A=ColumnMatrix._wrap(cur, A0.field), b=b, x=x,
+        inverse_refreshes=chain.refreshes, projection_fallbacks=chain.fallbacks,
+        worst_refresh_drift=chain.worst_drift,
+    )
     return history, final

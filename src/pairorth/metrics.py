@@ -55,17 +55,19 @@ def _distances_inverse_rows(arr: np.ndarray):
     return inv, row_norms, np.minimum(1.0 / row_norms, 1.0)
 
 
-def _distances_projection(arr: np.ndarray) -> np.ndarray:
-    n = arr.shape[1]
-    d = np.empty(n)
-    for j in range(n):
+def _distances_projection(arr: np.ndarray, cols=None) -> np.ndarray:
+    """d_j for each j in cols (default every column), one QR of the other
+    columns per j."""
+    cols = range(arr.shape[1]) if cols is None else cols
+    d = np.empty(len(cols))
+    for k, j in enumerate(cols):
         others = np.delete(arr, j, axis=1)
         q, _ = np.linalg.qr(others)
         a_j = arr[:, j]
         r = a_j - q @ (q.conj().T @ a_j)
         r = r - q @ (q.conj().T @ r)  # second pass recovers lost orthogonality
-        d[j] = np.linalg.norm(r)
-        if d[j] == 0.0 or not np.isfinite(d[j]):
+        d[k] = np.linalg.norm(r)
+        if d[k] == 0.0 or not np.isfinite(d[k]):
             raise SingularityError(
                 f"column {j} is numerically in the span of the others", column=j
             )

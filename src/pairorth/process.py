@@ -10,8 +10,10 @@ One step kernel, _step, samples the pair, updates the column in place
 and updates the potential; run_chain and the Kaczmarz co-solver both
 drive it through a _ChainState, which keeps the inverse (two rows move
 per step), the distances and, for the proportional and greedy samplers,
-the Gram matrix. The update rule, the refresh policy and the measured
-drift are in README, "How the step kernel keeps phi".
+the Gram matrix. Above the 1e8 condition estimate it keeps the distances
+alone and recomputes d_j by one QR per step. The update rules, the
+refresh policy and the measured drift are in README, "How the step
+kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
@@ -30,7 +32,13 @@ from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
 from .matrix import ColumnMatrix, PairIndex, _orth_column
-from .metrics import MetricsSnapshot, _distances_full, _phi_from_distances, snapshot
+from .metrics import (
+    MetricsSnapshot,
+    _distances_full,
+    _distances_projection,
+    _phi_from_distances,
+    snapshot,
+)
 
 UNIFORM = "uniform"
 PROPORTIONAL = "proportional"
@@ -105,11 +113,12 @@ class _ChainState:
     arr is the matrix (F-order, updated in place) and d its distances,
     phi their potential. While the inverse path holds, inv is A^-1
     (C-order, so its rows are contiguous) and row_sq the squared norms of
-    its rows; both are None while the full recompute takes the projection
-    path. gram is A^H A for the proportional and greedy samplers, None for
-    uniform. refreshes, fallbacks and worst_drift count the full
-    recomputes made by steps, those of them that took the projection path,
-    and the largest |phi_incremental - phi_full| seen at a refresh.
+    its rows; both are None on the projection path, where a step keeps d
+    and recomputes only d_j by one QR. gram is A^H A for the proportional
+    and greedy samplers, None for uniform. refreshes counts the full
+    recomputes made by steps, fallbacks the steps whose distances came
+    from the projection path, and worst_drift is the largest
+    |phi_kept - phi_full| seen at a refresh, on either path.
     """
 
     def __init__(self, arr: np.ndarray, kind: str):
@@ -128,13 +137,11 @@ class _ChainState:
         self.phi = _phi_from_distances(self.d)
         self.since_refresh = 0
 
-    def _refresh(self, phi_incremental: float | None) -> None:
+    def _refresh(self) -> None:
+        phi_kept = self.phi
         self._recompute()
         self.refreshes += 1
-        if self.inv is None:
-            self.fallbacks += 1
-        elif phi_incremental is not None:
-            self.worst_drift = max(self.worst_drift, abs(phi_incremental - self.phi))
+        self.worst_drift = max(self.worst_drift, abs(phi_kept - self.phi))
 
     def update(self, i: int, j: int, s, nu) -> None:
         """Follow the column update a_i <- (a_i - s a_j) / nu, already
@@ -144,24 +151,32 @@ class _ChainState:
             self.gram[i, :] = row
             self.gram[:, i] = row.conj()
         self.since_refresh += 1
-        inv = self.inv
+        inv, d = self.inv, self.d
         if inv is None:
-            self._refresh(None)
-            return
-        inv[j] += s * inv[i]
-        inv[i] *= nu
-        row_sq, d = self.row_sq, self.d
-        for k in (i, j):
-            row_sq[k] = np.vdot(inv[k], inv[k]).real
-            d[k] = min(1.0 / math.sqrt(row_sq[k]), 1.0)
+            # span{a_i', a_j} = span{a_i, a_j}, so d_k for k not in {i, j}
+            # stays; a_j is one of i's other columns, so d_i scales by 1/nu;
+            # only d_j, whose other columns now hold a_i', needs a QR
+            d[i] = min(d[i] / nu, 1.0)
+            d[j] = _distances_projection(self.arr, (j,))[0]
+            sum_sq = float(np.sum(1.0 / (d * d)))
+        else:
+            inv[j] += s * inv[i]
+            inv[i] *= nu
+            row_sq = self.row_sq
+            for k in (i, j):
+                row_sq[k] = np.vdot(inv[k], inv[k]).real
+                d[k] = min(1.0 / math.sqrt(row_sq[k]), 1.0)
+            sum_sq = float(row_sq.sum())
         self.phi = _phi_from_distances(d)
-        kappa_est = math.sqrt(self.arr.shape[0] * float(row_sq.sum()))
-        # "not <=" also refreshes on a NaN or infinite estimate
-        if (
-            self.since_refresh >= tol.INVERSE_REFRESH_STEPS
-            or not kappa_est <= tol.DISTANCE_FALLBACK_KAPPA
-        ):
-            self._refresh(self.phi)
+        # sqrt(n) ||A^-1||_F, read off the inverse rows or, on the
+        # projection path, off ||row k of A^-1|| = 1 / d_k; a crossing
+        # either way refreshes, and on the inverse path so does a NaN or
+        # infinite estimate (it is not below)
+        below = math.sqrt(self.arr.shape[0] * sum_sq) <= tol.DISTANCE_FALLBACK_KAPPA
+        if self.since_refresh >= tol.INVERSE_REFRESH_STEPS or below == (inv is None):
+            self._refresh()
+        if self.inv is None:
+            self.fallbacks += 1
 
 
 def _step(state: _ChainState, rng: np.random.Generator):

@@ -32,14 +32,16 @@ MONOTONE_ABS = 1e-10
 # condition numbers up to ~1e6).
 DISTANCE_METHOD_REL = 1e-8
 
-# Estimated condition number above which the inverse-row distance method
-# falls back to per-column projection.
+# Condition estimate sqrt(n) ||A^-1||_F above which the distances come
+# from per-column projection instead of inverse rows. The step kernel reads
+# the estimate off its kept state; above it, a step keeps the distances
+# and recomputes d_j alone by one QR, and a crossing either way refreshes.
 DISTANCE_FALLBACK_KAPPA = 1e8
 
-# The step kernel updates two inverse rows per step and recomputes the
-# inverse in full every this many steps, bounding the drift of the kept
-# distances. Measured drift and cost are in README, "How the step kernel
-# keeps phi".
+# The step kernel keeps its distances (two inverse rows per step, or on the
+# projection path one QR per step) and recomputes them in full every this
+# many steps, bounding their drift. Measured drift and cost are in README,
+# "How the step kernel keeps phi".
 INVERSE_REFRESH_STEPS = 64
 
 # Slack for the exact one-step expectation against the iterative map.

@@ -56,6 +56,26 @@ class TestRun:
         )
         assert code == 1
 
+    def test_empty_emit_is_usage_error(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--gen", "haar", "--n", "4", "--steps", "5", "--replicates", "1",
+             "--seed", "1", "--out", str(out), "--emit", ""]
+        )
+        assert code == 1
+        assert not out.exists()
+
+    def test_empty_emit_in_config_is_usage_error(self, tmp_path):
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_text("emit =\n")
+        code = main(
+            ["run", "--config", str(config), "--gen", "haar", "--n", "4", "--steps", "5",
+             "--replicates", "1", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+
     def test_near_singular_run_reports_phi_rises(self, tmp_path):
         # transient phi rises are summary content, not a failure exit
         code = main(
@@ -264,6 +284,9 @@ class TestCosolve:
         assert kinds == {"orth", "kacz"}
         summary = read_summary(tmp_path / "cosolve_summary.txt")
         assert float(summary["final_residual"]) <= 1e-8
+        assert int(summary["inverse_refreshes"]) == 0  # 20 orth steps, no refresh due
+        assert int(summary["projection_fallbacks"]) == 0
+        assert float(summary["worst_refresh_drift"]) == 0.0
 
     def test_config_rejects_run_only_keys(self, tmp_path, capsys):
         # sampler, replicates, stride and emit belong to run; cosolve has

@@ -170,6 +170,18 @@ class TestRunCosolve:
         mixed_errs = [r.err_norm for r in h_mixed if r.kind == KACZ]
         assert plain_errs == pytest.approx(mixed_errs, rel=1e-9)
 
+    @pytest.mark.parametrize("kind,eta", [("gaussian_normalized", None), ("near_singular", 1e-10)])
+    def test_kernel_counters_match_run_chain(self, kind, eta):
+        # the same kernel on the same pair draws: the near-singular start
+        # runs on the projection path, the Gaussian one on the inverse path
+        A, _ = generate(GeneratorSpec(kind, n=8, field="real", seed=4, eta=eta))
+        _, final = run_cosolve(A, np.ones(8), interleave=(1, 1), steps=300, seed=11)
+        traj = run_chain(A, 150, UNIFORM, derive_replicate_seed(11, 0))
+        assert traj.inverse_refreshes >= 2
+        assert (final.inverse_refreshes, final.projection_fallbacks, final.worst_refresh_drift) == (
+            traj.inverse_refreshes, traj.projection_fallbacks, traj.worst_refresh_drift
+        )
+
     @pytest.mark.parametrize("field,interleave", [("real", (1, 1)), ("complex", (2, 1))])
     def test_matches_replay_through_one_op_functions(self, field, interleave):
         # run_cosolve works on one array in place; replaying the same draws

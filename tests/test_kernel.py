@@ -1,13 +1,15 @@
 """The step kernel's kept state against full recomputes and the oracle.
 
-The kernel updates two inverse rows per step and refreshes them every
-INVERSE_REFRESH_STEPS steps; the proportional and greedy samplers keep the
-Gram matrix by column. These properties check the kept values at every
-step, refresh points included.
+The kernel updates two inverse rows per step; above the 1e8 condition
+estimate it keeps the distances and recomputes d_j alone by projection.
+On either path it recomputes in full every INVERSE_REFRESH_STEPS steps.
+The proportional and greedy samplers keep the Gram matrix by column. These
+properties check the kept values at every step, refresh points included.
 """
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairorth import (
@@ -30,7 +32,8 @@ from pairorth.generators import (
     GeneratorSpec,
 )
 from pairorth.matrix import COMPLEX, REAL
-from pairorth.process import GREEDY, PROPORTIONAL, SAMPLER_KINDS, _ChainState, _step
+from pairorth.metrics import AUTO, PROJECTION
+from pairorth.process import GREEDY, PROPORTIONAL, SAMPLER_KINDS, UNIFORM, _ChainState, _step
 
 EPS = float(np.finfo(float).eps)
 
@@ -56,14 +59,18 @@ def _wrap(state: _ChainState, field: str) -> ColumnMatrix:
     return ColumnMatrix._wrap(np.array(state.arr, order="F"), field)
 
 
-def _check_distances(state: _ChainState, A: ColumnMatrix) -> None:
+def _slack(A: ColumnMatrix) -> float:
     # the two-method slack of perfbench and the acceptance checks: distances
     # relative to n eps kappa, never tighter than DISTANCE_METHOD_REL
-    n = A.n
     kappa, _ = condition_number(A)
-    rel = max(tol.DISTANCE_METHOD_REL, n * EPS * kappa)
+    return max(tol.DISTANCE_METHOD_REL, A.n * EPS * kappa)
+
+
+def _check_distances(state: _ChainState, A: ColumnMatrix, method: str = AUTO) -> None:
+    n = A.n
+    rel = _slack(A)
     log_d = np.log(state.d)
-    d_full = leave_one_out_distances(A)
+    d_full = leave_one_out_distances(A, method)
     d_bf = np.array([brute_force_distance(A, j) for j in range(n)])
     assert np.max(np.abs(log_d - np.log(d_full))) <= rel
     assert np.max(np.abs(log_d - np.log(d_bf))) <= rel
@@ -117,3 +124,50 @@ def test_kept_gram_and_picks_match_a_fresh_product(kind, field, n, sampler, seed
             assert not in_step or exc.pair == expected
             break
         assert not in_step or pair == expected
+
+
+def _mp_distances(arr: np.ndarray) -> np.ndarray:
+    """d_j = 1 / ||row j of A^-1||, the inverse taken in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        inv = mpmath.inverse(mpmath.matrix(arr.tolist()))
+        n = arr.shape[0]
+        return np.array(
+            [float(1 / mpmath.sqrt(sum(abs(inv[j, k]) ** 2 for k in range(n)))) for j in range(n)]
+        )
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from((REAL, COMPLEX)),
+    n=st.integers(4, 16),
+    eta=st.sampled_from((1e-10, 1e-11, 1e-12)),
+    seed=st.integers(0, 2**32),
+)
+# the derandomized draws stay at small n; these two pin n = 16 at both ends of eta
+@example(field=REAL, n=16, eta=1e-10, seed=1)
+@example(field=COMPLEX, n=16, eta=1e-12, seed=2)
+def test_projection_path_keeps_distances(field, n, eta, seed):
+    A, _ = generate(GeneratorSpec(NEAR_SINGULAR, n=n, field=field, seed=seed, eta=eta))
+    state = _ChainState(np.array(A.array, order="F"), UNIFORM)
+    rng = make_rng(seed)
+    steps = tol.INVERSE_REFRESH_STEPS + 6
+    # a few steps against the 50-digit reference: the first, the last kept
+    # step before the refresh, the refresh itself and the last
+    mp_steps = {1, tol.INVERSE_REFRESH_STEPS - 1, tol.INVERSE_REFRESH_STEPS, steps}
+    for t in range(1, steps + 1):
+        d_before, kept, refreshes = state.d.copy(), state.inv is None, state.refreshes
+        try:
+            (i, j), *_ = _step(state, rng)
+        except DegeneratePairError:
+            break
+        if kept and state.refreshes == refreshes:
+            # span{a_i', a_j} = span{a_i, a_j}: every other distance is untouched
+            others = np.ones(n, dtype=bool)
+            others[[i, j]] = False
+            assert np.array_equal(state.d[others], d_before[others])
+        now = _wrap(state, A.field)
+        _check_distances(state, now, PROJECTION)
+        if t in mp_steps:
+            d_mp = _mp_distances(state.arr)
+            assert np.max(np.abs(np.log(state.d) - np.log(d_mp))) <= _slack(now)
+    assert state.fallbacks > 0

@@ -1,6 +1,7 @@
 """Golden outputs of the pairorth command line, for byte-for-byte diffs.
 
 Usage: python tools/golden.py CHECKOUT OUT
+       python tools/golden.py --compare OUT_A OUT_B
 
 Runs a fixed list of `pairorth` commands against the package in
 CHECKOUT/src. Each command gets its own directory OUT/<case>/: the files it
@@ -9,11 +10,22 @@ stdout.txt, stderr.txt and exit_code.txt. Commands run with OUT/<case> as
 their working directory and name their outputs by relative path, so no
 absolute path reaches the outputs. Run it once per checkout; when two
 checkouts behave the same, `diff -r OUT_A OUT_B` prints nothing.
+
+--compare reads two such trees. For each file that differs it prints the
+max |delta| of every float column of a CSV and every float key of a
+`key = value` file, and flags every other difference: integers (steps,
+pairs, counts), text (the operation kind), keys, rows or files present on
+one side only, and any change to stdout, stderr or an exit code. A value
+is a float when it parses as one and either side is written with a point,
+an exponent, inf or nan. The exit code is 1 when anything was flagged.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -51,15 +63,110 @@ def _cases() -> dict[str, list[str]]:
         "cosolve", "--gen", "prescribed", "--n", "8", "--sigma", SIGMA,
         "--interleave", "0:1", "--steps", "2000", "--seed", "9",
     ]
+    # the co-solver on the projection path
+    cases["cosolve-projection-path"] = [
+        "cosolve", "--gen", "near_singular", "--n", "12", "--eta", "1e-10",
+        "--interleave", "1:1", "--steps", "300", "--seed", "9",
+    ]
     cases["verify-all"] = ["verify", "all", "--trials", "20", "--seed", "3"]
     return cases
 
 
+def _delta(a: str, b: str) -> float | None:
+    """|a - b| for two float fields, None for anything else (integers such
+    as steps, pairs and counts, text, or a difference that is not finite)."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if not any(ch in a + b for ch in ".eEin"):  # a point, an exponent, inf or nan
+        return None
+    delta = 0.0 if a == b else abs(x - y)
+    return delta if math.isfinite(delta) else None
+
+
+def _fields(path: str) -> list[tuple[str, str]] | None:
+    """(field name, value) pairs of a CSV or `key = value` file, else None.
+
+    A CSV field is named by its column and 1-based data row.
+    """
+    with open(path) as handle:
+        text = handle.read()
+    if path.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        header = rows[0] if rows else []
+        return [(f"{header[c] if c < len(header) else c}@{r}", value)
+                for r, row in enumerate(rows[1:], start=1) for c, value in enumerate(row)]
+    if path.endswith(("summary.txt", "config.txt")):
+        return [tuple(part.strip() for part in line.split("=", 1)) for line in text.splitlines()]
+    return None
+
+
+def _compare_file(path_a: str, path_b: str) -> tuple[list[str], bool]:
+    """Report lines for two differing files, and whether anything was flagged."""
+    fields_a, fields_b = _fields(path_a), _fields(path_b)
+    if fields_a is None:
+        with open(path_a) as fa, open(path_b) as fb:
+            lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
+        k = next((k for k, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+                 min(len(lines_a), len(lines_b)))
+        line_a = lines_a[k] if k < len(lines_a) else "<end>"
+        line_b = lines_b[k] if k < len(lines_b) else "<end>"
+        return [f"  FLAG line {k + 1}: {line_a!r} != {line_b!r}"], True
+    a, b = dict(fields_a), dict(fields_b)
+    deltas: dict[str, float] = {}
+    flags: dict[str, list] = {}
+    for name in list(a) + [name for name in b if name not in a]:
+        column = name.split("@")[0]
+        va, vb = a.get(name), b.get(name)
+        delta = None if va is None or vb is None else _delta(va, vb)
+        if delta is not None:
+            deltas[column] = max(deltas.get(column, 0.0), delta)
+        elif va is None or vb is None:
+            flags.setdefault(column, []).append(f"{name} only in {'B' if va is None else 'A'}")
+        elif va != vb:
+            flags.setdefault(column, []).append(f"{name}: {va!r} != {vb!r}")
+    report = [f"  {column}: max |delta| {delta:.3g}" for column, delta in deltas.items()]
+    report += [f"  FLAG {column}: {len(items)} differ, first {items[0]}"
+               for column, items in flags.items()]
+    return report, bool(flags)
+
+
+def compare(out_a: str, out_b: str) -> int:
+    """Print how two golden trees differ; 1 if anything was flagged."""
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root)
+                for d, _, names in os.walk(root) for f in names}
+
+    files_a, files_b = files(out_a), files(out_b)
+    flagged = False
+    same = 0
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            print(f"{rel}\n  FLAG only in {'A' if rel in files_a else 'B'}")
+            flagged = True
+            continue
+        path_a, path_b = os.path.join(out_a, rel), os.path.join(out_b, rel)
+        with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+            if fa.read() == fb.read():
+                same += 1
+                continue
+        report, file_flagged = _compare_file(path_a, path_b)
+        flagged |= file_flagged
+        print(rel, *report, sep="\n")
+    print(f"{same} of {len(files_a | files_b)} files identical")
+    return 1 if flagged else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="compare the output trees OUT_A and OUT_B instead")
     parser.add_argument("checkout", help="source tree whose src/ holds the pairorth package")
     parser.add_argument("out", help="directory for the outputs (created)")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(args.checkout, args.out)
 
     src = os.path.join(os.path.abspath(args.checkout), "src")
     if not os.path.isfile(os.path.join(src, "pairorth", "cli.py")):
