@@ -221,6 +221,7 @@ def _cmd_run(args) -> int:
             "inverse_refreshes": stats.inverse_refreshes,
             "projection_fallbacks": stats.projection_fallbacks,
             "worst_refresh_drift": io.format_float(stats.worst_refresh_drift),
+            "uniform_fallbacks": stats.uniform_fallbacks,
         }
         io.write_summary(os.path.join(out_dir, "summary.txt"), summary)
 

@@ -11,18 +11,23 @@ and updates the potential; run_chain and the Kaczmarz co-solver both
 drive it through a _ChainState, which keeps the inverse (two rows move
 per step), the distances and, for the proportional and greedy samplers,
 the Gram matrix. Above the 1e8 condition estimate it keeps the distances
-alone and recomputes d_j by one QR per step. The update rules, the
-refresh policy and the measured drift are in README, "How the step
-kernel keeps phi".
+alone and recomputes d_j by one QR per step. run_ensemble steps chunks of
+uniform replicates as one _ChainStack: the same update over an (R, n, n)
+stack with the scalar kernel's reductions row by row, so every replicate
+gets the bits run_chain gives its seed. The update rules, the refresh
+policy, the measured drift and the stack's selection rule are in README,
+"How the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
-splittable scheme, never by sequential reuse; replicates run in index
-order and each one depends only on its own seed.
+splittable scheme, never by sequential reuse; each replicate depends only
+on its own seed, and results reach a trajectory sink in replicate order,
+chunk by chunk.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -31,7 +36,7 @@ import numpy as np
 from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
-from .matrix import ColumnMatrix, PairIndex, _orth_column
+from .matrix import REAL, ColumnMatrix, PairIndex, _orth_column
 from .metrics import (
     MetricsSnapshot,
     _distances_full,
@@ -65,13 +70,16 @@ def derive_replicate_seed(base_seed: int, r: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_pair(n: int, kind: str, rng: np.random.Generator, gram=None) -> PairIndex:
-    # gram is A^H A; the uniform sampler does not read it
+def _draw_pair(n: int, kind: str, rng: np.random.Generator, gram=None) -> tuple[PairIndex, bool]:
+    """The pair, and whether the proportional sampler fell back to uniform.
+
+    gram is A^H A; the uniform sampler does not read it.
+    """
     if kind == UNIFORM:
         k = int(rng.integers(n * (n - 1)))
         i = k // (n - 1)
         j = k % (n - 1)
-        return (i, j + 1 if j >= i else j)
+        return (i, j + 1 if j >= i else j), False
     g = np.abs(gram)
     if kind == GREEDY:
         # |<a_i, a_j>| is symmetric, so a row-major argmax over the strict
@@ -79,14 +87,14 @@ def _draw_pair(n: int, kind: str, rng: np.random.Generator, gram=None) -> PairIn
         # the diagonal and ignores the roundoff between (i, j) and (j, i)
         rows, cols = np.triu_indices(n, 1)
         k = int(np.argmax(g[rows, cols]))
-        return (int(rows[k]), int(cols[k]))
+        return (int(rows[k]), int(cols[k])), False
     np.fill_diagonal(g, 0.0)
     if kind == PROPORTIONAL:
         if g.max() < tol.PROPORTIONAL_FALLBACK_ABS:
-            return _draw_pair(n, UNIFORM, rng)
+            return _draw_pair(n, UNIFORM, rng)[0], True
         w = (g * g).ravel()
         k = int(rng.choice(n * n, p=w / w.sum()))
-        return (k // n, k % n)
+        return (k // n, k % n), False
     raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
 
 
@@ -104,7 +112,7 @@ def sample_pair(A: ColumnMatrix, kind: str, rng: np.random.Generator) -> PairInd
     i then smallest j.
     """
     gram = None if kind == UNIFORM else _gram(A.array)
-    return _draw_pair(A.n, kind, rng, gram)
+    return _draw_pair(A.n, kind, rng, gram)[0]
 
 
 class _ChainState:
@@ -117,8 +125,10 @@ class _ChainState:
     and recomputes only d_j by one QR. gram is A^H A for the proportional
     and greedy samplers, None for uniform. refreshes counts the full
     recomputes made by steps, fallbacks the steps whose distances came
-    from the projection path, and worst_drift is the largest
-    |phi_kept - phi_full| seen at a refresh, on either path.
+    from the projection path, worst_drift is the largest
+    |phi_kept - phi_full| seen at a refresh, on either path, and
+    uniform_fallbacks counts the proportional draws that fell back to
+    uniform.
     """
 
     def __init__(self, arr: np.ndarray, kind: str):
@@ -128,6 +138,7 @@ class _ChainState:
         self.refreshes = 0
         self.fallbacks = 0
         self.worst_drift = 0.0
+        self.uniform_fallbacks = 0
         self._recompute()
 
     def _recompute(self) -> None:
@@ -168,15 +179,31 @@ class _ChainState:
                 d[k] = min(1.0 / math.sqrt(row_sq[k]), 1.0)
             sum_sq = float(row_sq.sum())
         self.phi = _phi_from_distances(d)
+        self._settle(sum_sq)
+
+    def _settle(self, sum_sq: float) -> None:
+        """End a step whose kept distances give sum_sq = sum_k 1 / d_k^2:
+        refresh on the interval or at a crossing, count a projection step."""
         # sqrt(n) ||A^-1||_F, read off the inverse rows or, on the
         # projection path, off ||row k of A^-1|| = 1 / d_k; a crossing
         # either way refreshes, and on the inverse path so does a NaN or
         # infinite estimate (it is not below)
         below = math.sqrt(self.arr.shape[0] * sum_sq) <= tol.DISTANCE_FALLBACK_KAPPA
-        if self.since_refresh >= tol.INVERSE_REFRESH_STEPS or below == (inv is None):
+        if self.since_refresh >= tol.INVERSE_REFRESH_STEPS or below == (self.inv is None):
             self._refresh()
         if self.inv is None:
             self.fallbacks += 1
+
+
+def _orth_update(state: _ChainState, i: int, j: int):
+    """Replace column i of the state by its unit component orthogonal to
+    column j and update the kept values; returns (c, c2, nu) of
+    _orth_column. A degenerate pair raises DegeneratePairError before the
+    state is touched."""
+    new_col, c, c2, nu = _orth_column(state.arr, i, j)
+    state.arr[:, i] = new_col
+    state.update(i, j, c + c2, nu)
+    return c, c2, nu
 
 
 def _step(state: _ChainState, rng: np.random.Generator):
@@ -188,11 +215,9 @@ def _step(state: _ChainState, rng: np.random.Generator):
     and the new potential. A degenerate pair raises DegeneratePairError
     before the state is touched.
     """
-    arr = state.arr
-    i, j = _draw_pair(arr.shape[0], state.kind, rng, state.gram)
-    new_col, c, c2, nu = _orth_column(arr, i, j)
-    arr[:, i] = new_col
-    state.update(i, j, c + c2, nu)
+    (i, j), fell_back = _draw_pair(state.arr.shape[0], state.kind, rng, state.gram)
+    state.uniform_fallbacks += fell_back
+    c, c2, nu = _orth_update(state, i, j)
     return (i, j), c, c2, nu, state.phi
 
 
@@ -206,8 +231,9 @@ class Trajectory:
     snapshots[k] is the full diagnostic snapshot at step grid[k] of the
     record grid. The trajectory of an aborted chain holds the prefix
     recorded before the abort. t_star, monotonicity_violations and
-    worst_phi_rise are read off phi. inverse_refreshes, projection_fallbacks
-    and worst_refresh_drift are the step kernel's counters (see _ChainState).
+    worst_phi_rise are read off phi. inverse_refreshes, projection_fallbacks,
+    worst_refresh_drift and uniform_fallbacks are the step kernel's counters
+    (see _ChainState).
     """
 
     n: int
@@ -220,6 +246,7 @@ class Trajectory:
     inverse_refreshes: int = 0
     projection_fallbacks: int = 0
     worst_refresh_drift: float = 0.0
+    uniform_fallbacks: int = 0
 
     @property
     def t_star(self) -> int | None:
@@ -296,7 +323,7 @@ def run_chain(
         return Trajectory(
             A0.n, phi[: last + 1], pairs[:last], inner_abs[:last],
             grid[: len(snapshots)], snapshots, matrix(),
-            state.refreshes, state.fallbacks, state.worst_drift,
+            state.refreshes, state.fallbacks, state.worst_drift, state.uniform_fallbacks,
         )
 
     phi[0] = state.phi
@@ -310,6 +337,210 @@ def run_chain(
         if t in on_grid:
             snapshots.append(snapshot(matrix()))
     return recorded(steps)
+
+
+# A chunk of uniform replicates runs as one _ChainStack once it holds this
+# many; smaller chunks run replicate by replicate through run_chain. The
+# measured crossover is in README, "How the step kernel keeps phi".
+STACK_MIN_REPLICATES = 4
+
+# A stacked chunk holds every replicate's record until the chunk ends
+# (see _replicate_bytes); chunks are sized to keep that under this budget.
+STACK_BYTES = 32 * 2**20
+
+
+class _ChainStack:
+    """Working states of uniform chains from one start, stepped together.
+
+    cols[r] holds replicate r's columns as rows, so cols[r].T is its F-order
+    matrix. inv[r], row_sq[r], d[r], phi[r] and since[r] are its kept
+    inverse, squared inverse row norms, distances, potential and steps since
+    the last full recompute; on_inv[r] says whether it is on the inverse
+    path (inv[r] and row_sq[r] are stale while it is not). states[r] is a
+    _ChainState over cols[r].T that holds the counters: refreshes and
+    projection-path steps run the scalar code through it, with the kept
+    values loaded from the stack before and stored back after. The inverse
+    path is one vectorized step over the replicates on it, made of the
+    scalar kernel's reductions row by row, so every replicate gets the bits
+    run_chain gives it.
+    """
+
+    def __init__(self, A0: ColumnMatrix, count: int):
+        n, dtype = A0.n, A0.array.dtype
+        self.n = n
+        self.real = A0.field == REAL
+        self.cols = np.empty((count, n, n), dtype=dtype)
+        self.cols[:] = A0.array.T
+        self.inv = np.zeros((count, n, n), dtype=dtype)
+        self.row_sq = np.zeros((count, n))
+        self.d = np.empty((count, n))
+        self.phi = np.empty(count)
+        self.since = np.empty(count, dtype=np.intp)
+        self.on_inv = np.empty(count, dtype=bool)
+        # every replicate starts from A0: recompute once, copy the rest
+        first = _ChainState(self.cols[0].T, UNIFORM)
+        self.states = [first] + [copy.copy(first) for _ in range(count - 1)]
+        for r, state in enumerate(self.states):
+            state.arr = self.cols[r].T
+            self._store(r)
+
+    def _load(self, r: int) -> _ChainState:
+        state = self.states[r]
+        state.d = self.d[r]
+        state.inv, state.row_sq = (self.inv[r], self.row_sq[r]) if self.on_inv[r] else (None, None)
+        state.phi = float(self.phi[r])
+        state.since_refresh = int(self.since[r])
+        return state
+
+    def _store(self, r: int) -> None:
+        state = self.states[r]
+        self.d[r] = state.d
+        self.on_inv[r] = state.inv is not None
+        if state.inv is not None:
+            self.inv[r] = state.inv
+            self.row_sq[r] = state.row_sq
+        self.phi[r] = state.phi
+        self.since[r] = state.since_refresh
+
+    def matrix(self, r: int, field: str) -> ColumnMatrix:
+        return ColumnMatrix._wrap(np.array(self.cols[r].T, order="F"), field)
+
+    def step(self, pairs: np.ndarray, live: np.ndarray, inner_abs: np.ndarray) -> None:
+        """Step every live replicate r with the pair pairs[r] and write |c|
+        into inner_abs[r]; a degenerate pair clears live[r] instead, with
+        the replicate's state untouched, where run_chain would abort."""
+        on_inv = live & self.on_inv
+        for r in np.flatnonzero(live & ~on_inv):
+            i, j = pairs[r]
+            state = self._load(r)
+            try:
+                c, _, _ = _orth_update(state, int(i), int(j))
+            except DegeneratePairError:
+                live[r] = False
+                continue
+            self._store(r)
+            inner_abs[r] = abs(c)
+        a = np.flatnonzero(on_inv)
+        if a.size:
+            self._step_inverse(a, pairs[a, 0], pairs[a, 1], live, inner_abs)
+
+    def _step_inverse(self, a, i, j, live, inner_abs) -> None:
+        # _orth_column and _ChainState.update for the replicates a, row by
+        # row: np.vecdot(x, y) gives the bits of np.vdot(x, y), and the norm
+        # is np.linalg.norm's sqrt of a dot (of the real and imaginary parts
+        # for complex)
+        cols, inv = self.cols, self.inv
+        a_i, a_j = cols[a, i], cols[a, j]
+        c = np.vecdot(a_j, a_i)
+        w = a_i - c[:, None] * a_j
+        c2 = np.vecdot(a_j, w)
+        w -= c2[:, None] * a_j
+        if self.real:
+            nu = np.sqrt(np.vecdot(w, w))
+            c_abs = np.abs(c)
+        else:
+            nu = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+            # abs() of a complex scalar is hypot; np.abs of an array may
+            # differ from it in the last bit
+            c_abs = np.hypot(c.real, c.imag)
+        ok = (c_abs < 1.0 - tol.DEGENERATE_PAIR_GUARD) & (nu > 0.0) & np.isfinite(nu)
+        if not ok.all():
+            live[a[~ok]] = False
+            a, i, j, c, c2, w, nu, c_abs = (x[ok] for x in (a, i, j, c, c2, w, nu, c_abs))
+        cols[a, i] = w / nu[:, None]
+        inv_i, inv_j = inv[a, i], inv[a, j]
+        inv_j += (c + c2)[:, None] * inv_i
+        inv_i *= nu[:, None]
+        inv[a, i], inv[a, j] = inv_i, inv_j
+        row_sq, d = self.row_sq, self.d
+        for k, inv_k in ((i, inv_i), (j, inv_j)):
+            sq = np.vecdot(inv_k, inv_k).real
+            row_sq[a, k] = sq
+            d[a, k] = np.minimum(1.0 / np.sqrt(sq), 1.0)
+        self.phi[a] = -np.log(d[a]).sum(axis=1) + 0.0
+        sum_sq = row_sq[a].sum(axis=1)
+        self.since[a] += 1
+        # exactly the replicates whose _settle refreshes
+        due = (self.since[a] >= tol.INVERSE_REFRESH_STEPS) | ~(
+            np.sqrt(self.n * sum_sq) <= tol.DISTANCE_FALLBACK_KAPPA
+        )
+        for k in np.flatnonzero(due):
+            self._load(a[k])._settle(float(sum_sq[k]))
+            self._store(a[k])
+        inner_abs[a] = c_abs
+
+
+def _run_stack(A0: ColumnMatrix, steps: int, seeds: list[int], metrics_stride: int):
+    """run_chain(A0, steps, UNIFORM, seed, metrics_stride) for each seed,
+    stepped as one _ChainStack: the same trajectories, bit for bit, in seed
+    order, with None where run_chain would raise ChainAbortError."""
+    grid = _record_grid(steps, metrics_stride)
+    on_grid = set(grid)
+    n, count = A0.n, len(seeds)
+    pairs = np.empty((count, steps, 2), dtype=np.intp)
+    for r, seed in enumerate(seeds):
+        # one block of draws gives the same integers as run_chain's
+        # per-step draws
+        i, j = np.divmod(make_rng(seed).integers(n * (n - 1), size=steps), n - 1)
+        pairs[r, :, 0] = i
+        pairs[r, :, 1] = j + (j >= i)
+    phi = np.empty((count, steps + 1))
+    inner_abs = np.empty((count, steps))
+    live = np.ones(count, dtype=bool)
+    stack = _ChainStack(A0, count)
+    phi[:, 0] = stack.phi
+    snapshots = [[snapshot(stack.matrix(r, A0.field))] for r in range(count)]
+    for t in range(1, steps + 1):
+        stack.step(pairs[:, t - 1], live, inner_abs[:, t - 1])
+        phi[:, t] = stack.phi
+        if t in on_grid:
+            for r in np.flatnonzero(live):
+                snapshots[r].append(snapshot(stack.matrix(r, A0.field)))
+    return [
+        Trajectory(
+            n, phi[r], pairs[r], inner_abs[r], grid, snapshots[r], stack.matrix(r, A0.field),
+            state.refreshes, state.fallbacks, state.worst_drift, state.uniform_fallbacks,
+        ) if live[r] else None
+        for r, state in enumerate(stack.states)
+    ]
+
+
+def _replicate_bytes(n: int, steps: int, snapshots: int) -> int:
+    """The record of one replicate: phi, the pair and inner_abs of each
+    step, 32 bytes, and each snapshot, measured at 16 n + 420 bytes and
+    counted as 16 n + 512."""
+    return 32 * steps + (16 * n + 512) * snapshots
+
+
+def _ensemble_chunks(replicates: int, kind: str, replicate_bytes: int) -> list[tuple[range, bool]]:
+    """Replicate index ranges in order, and whether each runs as one stack.
+
+    Uniform replicates are split into the fewest chunks of near-equal size
+    whose records fit STACK_BYTES; a chunk smaller than
+    STACK_MIN_REPLICATES, and every other sampler, runs replicate by
+    replicate.
+    """
+    cap = STACK_BYTES // replicate_bytes
+    if kind != UNIFORM or cap < STACK_MIN_REPLICATES:
+        return [(range(replicates), False)]
+    size = -(-replicates // -(-replicates // cap))  # ceil(R / ceil(R / cap))
+    chunks = [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
+    return [(chunk, len(chunk) >= STACK_MIN_REPLICATES) for chunk in chunks]
+
+
+def _replicate_runs(A0, steps, kind, replicates, base_seed, metrics_stride):
+    """(r, trajectory of replicate r, or None if it aborted), in index order."""
+    snapshots = len(_record_grid(steps, metrics_stride))
+    for chunk, stacked in _ensemble_chunks(replicates, kind, _replicate_bytes(A0.n, steps, snapshots)):
+        seeds = [derive_replicate_seed(base_seed, r) for r in chunk]
+        if stacked:
+            yield from zip(chunk, _run_stack(A0, steps, seeds, metrics_stride))
+            continue
+        for r, seed in zip(chunk, seeds):
+            try:
+                yield r, run_chain(A0, steps, kind, seed, metrics_stride)
+            except ChainAbortError:
+                yield r, None
 
 
 @dataclass
@@ -342,6 +573,7 @@ class EnsembleStats:
     inverse_refreshes: int
     projection_fallbacks: int
     worst_refresh_drift: float
+    uniform_fallbacks: int
 
 
 def run_ensemble(
@@ -355,11 +587,15 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run independent replicates and aggregate them on the record grid.
 
-    Replicates run one after another in index order; replicate r runs
-    with seed derive_replicate_seed(base_seed, r). Aborted replicates are
-    excluded and counted; more than 1% aborting fails the whole run.
-    trajectory_sink, when given, receives (replicate_index, trajectory)
-    as each replicate finishes.
+    Replicate r runs with seed derive_replicate_seed(base_seed, r) and
+    gives the trajectory run_chain gives for that seed, bit for bit.
+    Replicates run in chunks, in index order: a uniform chunk of at least
+    STACK_MIN_REPLICATES replicates steps as one stack, any other runs
+    replicate by replicate, and chunks are sized so that a stack's records
+    fit STACK_BYTES. Aborted replicates are excluded and counted; more than 1%
+    aborting fails the whole run. trajectory_sink, when given, receives
+    (replicate_index, trajectory) for each kept replicate, in index order,
+    as each chunk finishes.
     """
     if replicates < 1:
         raise UsageError(f"replicates must be >= 1, got {replicates}")
@@ -371,12 +607,10 @@ def run_ensemble(
     t_stars: list[int | None] = []
     aborts = 0
     violations = 0
-    refreshes = fallbacks = 0
+    refreshes = fallbacks = uniform_fallbacks = 0
     worst_drift = 0.0
-    for r in range(replicates):
-        try:
-            traj = run_chain(A0, steps, kind, derive_replicate_seed(base_seed, r), metrics_stride)
-        except ChainAbortError:
+    for r, traj in _replicate_runs(A0, steps, kind, replicates, base_seed, metrics_stride):
+        if traj is None:
             aborts += 1
             continue
         if trajectory_sink is not None:
@@ -387,6 +621,7 @@ def run_ensemble(
         violations += traj.monotonicity_violations
         refreshes += traj.inverse_refreshes
         fallbacks += traj.projection_fallbacks
+        uniform_fallbacks += traj.uniform_fallbacks
         worst_drift = max(worst_drift, traj.worst_refresh_drift)
         if phi0 is None:
             phi0 = float(traj.phi[0])
@@ -422,4 +657,5 @@ def run_ensemble(
         inverse_refreshes=refreshes,
         projection_fallbacks=fallbacks,
         worst_refresh_drift=worst_drift,
+        uniform_fallbacks=uniform_fallbacks,
     )

@@ -30,7 +30,6 @@ from pairorth import (
     orth_step,
     orth_with_rhs,
     potential_phi,
-    run_chain,
     run_cosolve,
     run_ensemble,
     stopping_tail,
@@ -237,14 +236,14 @@ def test_criterion_9_kappa_convergence():
         GeneratorSpec(PRESCRIBED, n=8, field="real", seed=5, sigma=sigma)
     )
     assert 1e2 <= achieved.kappa <= 1e4
+    # replicate r runs with seed derive_replicate_seed(BASE_SEED, r), bit for
+    # bit the chain run_chain gives that seed
     finals = []
-    for r in range(20):
-        traj = run_chain(
-            A0, steps=50_000, kind=UNIFORM, seed=derive_replicate_seed(BASE_SEED, r),
-            metrics_stride=50_000,
-        )
-        kappa, _ = condition_number(traj.final_matrix)
-        finals.append(kappa)
+    run_ensemble(
+        A0, steps=50_000, kind=UNIFORM, replicates=20, base_seed=BASE_SEED,
+        metrics_stride=50_000,
+        trajectory_sink=lambda r, traj: finals.append(condition_number(traj.final_matrix)[0]),
+    )
     elapsed = time.monotonic() - started
 
     ref = highprec_bound_reference("theorem1-steps", 5.0, 4, 0.01, 0.01)
@@ -266,6 +265,7 @@ def test_criterion_9_kappa_convergence():
         f"evaluator vs reference rel err {abs(evaluated - ref) / ref:.1e}, "
         f"{elapsed:.0f}s",
     )
+    assert len(finals) == 20
     assert max(finals) <= 1.01
     assert evaluator_ok
 

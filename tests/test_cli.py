@@ -92,6 +92,16 @@ class TestRun:
         assert int(summary["projection_fallbacks"]) == 0
         assert 0.0 <= float(summary["worst_refresh_drift"]) <= 1e-6
 
+    def test_summary_counts_uniform_fallbacks(self, tmp_path):
+        # every inner product of an orthonormal start is below 1e-15, so
+        # each proportional draw falls back to uniform
+        code = main(
+            ["run", "--gen", "haar", "--n", "3", "--sampler", "proportional",
+             "--steps", "10", "--replicates", "2", "--seed", "1", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert read_summary(tmp_path / "summary.txt")["uniform_fallbacks"] == "20"
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text(

@@ -17,9 +17,21 @@ from pairorth import (
     run_ensemble,
     sample_pair,
 )
+from pairorth import process
 from pairorth import tolerances as tol
+from pairorth.errors import PairOrthError
 from pairorth.generators import GeneratorSpec
-from pairorth.process import GREEDY, PROPORTIONAL, UNIFORM, Trajectory, _record_grid
+from pairorth.process import (
+    GREEDY,
+    PROPORTIONAL,
+    STACK_BYTES,
+    STACK_MIN_REPLICATES,
+    UNIFORM,
+    Trajectory,
+    _ensemble_chunks,
+    _record_grid,
+    _replicate_bytes,
+)
 
 
 def angle_matrix(theta=np.pi / 3):
@@ -259,6 +271,156 @@ class TestKernelCounters:
         # inverse path within its first 64 steps (after 59, 42 and 62
         # projection steps): one refresh at that crossing, one 64 steps later
         assert (stats.projection_fallbacks, stats.inverse_refreshes) == (59 + 42 + 62, 3 * 2)
+
+
+class TestUniformFallbacks:
+    def test_proportional_chain_from_the_identity_falls_back_every_step(self):
+        A = build_unit_column_matrix(np.eye(3))
+        assert run_chain(A, steps=20, kind=PROPORTIONAL, seed=1).uniform_fallbacks == 20
+        stats = run_ensemble(A, steps=20, kind=PROPORTIONAL, replicates=3, base_seed=1)
+        assert stats.uniform_fallbacks == 60
+
+    def test_counts_only_proportional_fallbacks(self):
+        A = random_state(4, 5)
+        for kind in (UNIFORM, GREEDY):
+            assert run_chain(A, steps=30, kind=kind, seed=2).uniform_fallbacks == 0
+        # far from orthonormal the proportional sampler keeps its law; near
+        # it every inner product drops below 1e-15 and it falls back
+        assert run_chain(A, steps=3, kind=PROPORTIONAL, seed=2).uniform_fallbacks == 0
+        assert run_chain(A, steps=30, kind=PROPORTIONAL, seed=2).uniform_fallbacks > 0
+
+
+def ensemble_trajectories(A, steps, replicates, base_seed, stride):
+    """{r: trajectory} of the kept replicates, in the order the sink saw
+    them, and the PairOrthError the ensemble raised, if any."""
+    seen = {}
+    try:
+        run_ensemble(A, steps, UNIFORM, replicates, base_seed, stride,
+                     trajectory_sink=lambda r, traj: seen.setdefault(r, traj))
+    except PairOrthError as exc:
+        return seen, str(exc)
+    return seen, None
+
+
+def assert_same_trajectory(a, b):
+    for name in ("phi", "pairs", "inner_abs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.grid == b.grid and len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(sa.d, sb.d) and np.array_equal(sa.sigma, sb.sigma)
+        assert (sa.phi, sa.kappa, sa.gram_offdiag) == (sb.phi, sb.kappa, sb.gram_offdiag)
+    assert np.array_equal(a.final_matrix.array, b.final_matrix.array)
+    counters = ("inverse_refreshes", "projection_fallbacks", "worst_refresh_drift",
+                "uniform_fallbacks")
+    assert [getattr(a, k) for k in counters] == [getattr(b, k) for k in counters]
+
+
+def assert_stack_matches_run_chain(A, steps, replicates, base_seed, stride):
+    """Each replicate of a stacked run_ensemble against run_chain alone on
+    its seed; returns the stacked trajectories."""
+    record = _replicate_bytes(A.n, steps, len(_record_grid(steps, stride)))
+    assert _ensemble_chunks(replicates, UNIFORM, record) == [(range(replicates), True)]
+    stacked, error = ensemble_trajectories(A, steps, replicates, base_seed, stride)
+    kept = []
+    for r in range(replicates):
+        try:
+            alone = run_chain(A, steps, UNIFORM, derive_replicate_seed(base_seed, r), stride)
+        except ChainAbortError:
+            continue
+        kept.append(r)
+        assert_same_trajectory(stacked[r], alone)
+    assert list(stacked) == kept
+    return stacked, error
+
+
+class TestStackedEnsemble:
+    """run_ensemble steps uniform chunks as one stack; every replicate must
+    get the bits run_chain gives its seed."""
+
+    @pytest.mark.parametrize("replicates", [7, 50])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_bit_identical_to_run_chain(self, n, field, replicates):
+        stacked, error = assert_stack_matches_run_chain(
+            random_state(n, n, field), 150, replicates, 17, 40
+        )
+        assert error is None and len(stacked) == replicates
+        # the inverse path throughout, refreshed every 64 steps
+        assert all(t.projection_fallbacks == 0 and t.inverse_refreshes == 2
+                   for t in stacked.values())
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_bit_identical_on_an_ill_conditioned_inverse_path(self, field):
+        # the criterion-6 instance: condition estimate ~1e6, below the 1e8
+        # crossing, so the vectorized inverse path with its refreshes
+        A, _ = generate(GeneratorSpec("near_singular", n=8, field=field, seed=7, eta=1e-6))
+        stacked, error = assert_stack_matches_run_chain(A, 200, 50, 42, 100)
+        assert error is None and len(stacked) == 50
+        assert all(t.projection_fallbacks == 0 for t in stacked.values())
+
+    @pytest.mark.parametrize("field,seed,base_seed,steps,crossed", [
+        ("real", 2, 9, 200, 7), ("complex", 2, 10, 120, 6),
+    ])
+    def test_projection_path_start_crosses_back(self, field, seed, base_seed, steps, crossed):
+        # planted distance 1e-10: every replicate starts on the projection
+        # path, and `crossed` of the 7 return to the inverse path in time
+        A, _ = generate(GeneratorSpec("near_singular", n=6, field=field, seed=seed, eta=1e-10))
+        stacked, error = assert_stack_matches_run_chain(A, steps, 7, base_seed, 50)
+        assert error is None and len(stacked) == 7
+        assert all(t.projection_fallbacks > 0 for t in stacked.values())
+        assert sum(t.projection_fallbacks < steps for t in stacked.values()) == crossed
+
+    def test_retired_replicates_match_the_scalar_loop(self, monkeypatch):
+        # 3 of the 7 replicates hit a degenerate pair on the projection path
+        A, _ = generate(GeneratorSpec("near_singular", n=5, field="real", seed=3, eta=1e-10))
+        stacked, error = assert_stack_matches_run_chain(A, 120, 7, 9, 40)
+        assert list(stacked) == [0, 1, 2, 5] and error.startswith("3 of 7 replicates aborted")
+        monkeypatch.setattr(process, "STACK_MIN_REPLICATES", 8)
+        scalar, scalar_error = ensemble_trajectories(A, 120, 7, 9, 40)
+        assert list(scalar) == list(stacked) and scalar_error == error
+
+    def test_retired_on_the_inverse_path(self):
+        # columns 0 and 1 are nearly parallel; the guard retires 6 of 7
+        # replicates inside the vectorized step
+        A = build_unit_column_matrix(
+            [[1.0, np.cos(1e-7), 0.3], [0.0, np.sin(1e-7), 0.2], [0.0, 0.0, 0.9]],
+            normalize=True,
+        )
+        stacked, error = assert_stack_matches_run_chain(A, 30, 7, 4, 10)
+        assert list(stacked) == [6] and error.startswith("6 of 7 replicates aborted")
+
+    def test_chunk_rule(self):
+        budget = STACK_BYTES // STACK_MIN_REPLICATES
+        assert _ensemble_chunks(50, UNIFORM, 1000) == [(range(50), True)]
+        assert _ensemble_chunks(STACK_MIN_REPLICATES - 1, UNIFORM, 1000) == [
+            (range(STACK_MIN_REPLICATES - 1), False)
+        ]
+        for kind in (PROPORTIONAL, GREEDY):
+            assert _ensemble_chunks(50, kind, 1000) == [(range(50), False)]
+        # the fewest near-equal chunks whose records fit the budget
+        chunks = _ensemble_chunks(50, UNIFORM, STACK_BYTES // 20)
+        assert chunks == [(range(0, 17), True), (range(17, 34), True), (range(34, 50), True)]
+        assert _ensemble_chunks(50, UNIFORM, budget)[0] == (range(0, 4), True)
+        # past the budget for STACK_MIN_REPLICATES, the scalar loop
+        assert _ensemble_chunks(50, UNIFORM, budget + 1) == [(range(50), False)]
+        # snapshots count: 20,000 steps fit at stride 100, not at stride 1
+        assert _replicate_bytes(8, 20_000, 201) < budget < _replicate_bytes(8, 20_000, 20_001)
+
+    def test_budget_exceeding_steps_take_the_scalar_loop(self, monkeypatch):
+        A = random_state(4, 31)
+        # four replicates of 60 steps with stride 20 fit, of 61 steps do not
+        budget = STACK_MIN_REPLICATES * _replicate_bytes(4, 60, len(_record_grid(60, 20)))
+        monkeypatch.setattr(process, "STACK_BYTES", budget)
+        stacks = []
+        run_stack = process._run_stack
+        monkeypatch.setattr(process, "_run_stack", lambda *args: stacks.append(args) or run_stack(*args))
+        within = run_ensemble(A, 60, UNIFORM, 8, 3, 20)
+        assert len(stacks) == 2  # two chunks of 4
+        beyond = run_ensemble(A, 61, UNIFORM, 8, 3, 20)
+        assert len(stacks) == 2
+        alone = [run_chain(A, 61, UNIFORM, derive_replicate_seed(3, r), 20) for r in range(8)]
+        assert np.array_equal(beyond.mean_phi, np.mean([t.phi[beyond.t] for t in alone], axis=0))
+        assert within.replicates == beyond.replicates == 8
 
 
 class TestRunEnsemble:

@@ -54,6 +54,13 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "near_singular", "--n", "12", "--eta", "1e-10",
         "--steps", "100", "--stride", "25", "--replicates", "2", "--seed", "11", *EMIT,
     ]
+    # the same start with enough replicates to step as one stack; they
+    # leave the projection path between steps 683 and 1032, so the stack
+    # runs both paths side by side
+    cases["run-projection-path-stacked"] = [
+        "run", "--gen", "near_singular", "--n", "12", "--eta", "1e-10",
+        "--steps", "1200", "--stride", "300", "--replicates", "6", "--seed", "11", *EMIT,
+    ]
     for field in ("real", "complex"):
         cases[f"cosolve-1-1-{field}"] = [
             "cosolve", "--gen", "prescribed", "--n", "8", "--sigma", SIGMA, "--field", field,
