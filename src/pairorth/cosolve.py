@@ -8,8 +8,8 @@ orth_with_rhs applies. Kaczmarz steps project the iterate onto one
 equation's solution hyperplane; columns are unit so no division is
 needed.
 
-run_cosolve advances the matrix with the step kernel of pairorth.process
-on one working array, and applies the same right-hand-side and Kaczmarz
+run_cosolve advances the matrix as a one-chain stack of the step kernel
+of pairorth.process, and applies the same right-hand-side and Kaczmarz
 updates as the one-op functions orth_with_rhs and kaczmarz_step.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UsageError
 from .matrix import ColumnMatrix, PairIndex, _orth_column, validate_pair
-from .process import UNIFORM, _ChainState, _step, derive_replicate_seed, make_rng
+from .process import _ChainStack, _uniform_pairs, derive_replicate_seed, make_rng
 
 ORTH = "orth"
 KACZ = "kacz"
@@ -34,7 +34,7 @@ class CosolveState:
     x_true is held for verification only; the defining contract is that
     ||A* x_true - b|| stays within 1e-8 after every step of either kind.
     inverse_refreshes, projection_fallbacks and worst_refresh_drift are the
-    step kernel's counters over a run_cosolve (see process._ChainState).
+    step kernel's counters over a run_cosolve (see process._ChainStack).
     """
 
     A: ColumnMatrix
@@ -132,23 +132,25 @@ def run_cosolve(
     rng_rows = make_rng(derive_replicate_seed(seed, 1))
 
     cycle: list[str] = [ORTH] * p + [KACZ] * q
-    chain = _ChainState(np.array(A0.array, order="F"), UNIFORM)
-    cur = chain.arr
+    cycles, rest = divmod(steps, p + q)
+    pairs = iter(_uniform_pairs(A0.n, rng_pairs, cycles * p + min(rest, p)).tolist())
+    chain = _ChainStack(A0, 1)
     b = np.array(state.b)
     x = state.x
     history: list[CosolveRecord] = []
-    phi = chain.phi
     for step in range(1, steps + 1):
         kind = cycle[(step - 1) % len(cycle)]
         if kind == ORTH:
-            (i, j), c, c2, nu, phi = _step(chain, rng_pairs)
+            i, j = next(pairs)
+            c, c2, nu = chain.orth(0, i, j)
             _update_rhs(b, i, j, c, c2, nu)
         else:
-            x = _kaczmarz(cur, b, x, int(rng_rows.integers(A0.n)))
-        history.append(CosolveRecord(step, kind, float(np.linalg.norm(x - state.x_true)), phi))
+            x = _kaczmarz(chain.cols[0].T, b, x, int(rng_rows.integers(A0.n)))
+        err_norm = float(np.linalg.norm(x - state.x_true))
+        history.append(CosolveRecord(step, kind, err_norm, float(chain.phi[0])))
+    refreshes, fallbacks, worst_drift, _ = chain.counters(0)
     final = replace(
-        state, A=ColumnMatrix._wrap(cur, A0.field), b=b, x=x,
-        inverse_refreshes=chain.refreshes, projection_fallbacks=chain.fallbacks,
-        worst_refresh_drift=chain.worst_drift,
+        state, A=chain.matrix(0), b=b, x=x, inverse_refreshes=refreshes,
+        projection_fallbacks=fallbacks, worst_refresh_drift=worst_drift,
     )
     return history, final

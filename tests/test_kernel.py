@@ -33,7 +33,14 @@ from pairorth.generators import (
 )
 from pairorth.matrix import COMPLEX, REAL
 from pairorth.metrics import AUTO, PROJECTION
-from pairorth.process import GREEDY, PROPORTIONAL, SAMPLER_KINDS, UNIFORM, _ChainState, _step
+from pairorth.process import (
+    GREEDY,
+    PROPORTIONAL,
+    SAMPLER_KINDS,
+    UNIFORM,
+    _ChainStack,
+    _draw_pair,
+)
 
 EPS = float(np.finfo(float).eps)
 
@@ -53,6 +60,34 @@ def instances(draw):
         params["eta"] = draw(st.sampled_from((1e-2, 1e-6, 1e-8, 1e-10)))
     A, _ = generate(GeneratorSpec(kind, n=n, field=field, seed=seed, **params))
     return A
+
+
+class _ChainState:
+    """One chain of a _ChainStack, under the names the properties below
+    use. Their bodies keep this text because derandomized Hypothesis keys
+    its draws on a test's source: a renamed local draws other instances."""
+
+    def __init__(self, arr: np.ndarray, kind: str):
+        self.kind = kind
+        field = COMPLEX if np.iscomplexobj(arr) else REAL
+        self.stack = _ChainStack(ColumnMatrix._wrap(arr, field), 1, kind)
+
+    arr = property(lambda self: self.stack.cols[0].T)
+    d = property(lambda self: self.stack.d[0])
+    phi = property(lambda self: self.stack.phi[0])
+    gram = property(lambda self: self.stack.gram[0])
+    inv = property(lambda self: self.stack.inv[0] if self.stack.on_inv[0] else None)
+    refreshes = property(lambda self: self.stack.refreshes[0])
+    fallbacks = property(lambda self: self.stack.fallbacks[0])
+
+
+def _step(state: _ChainState, rng: np.random.Generator):
+    """One step of the chain, its pair drawn as run_chain draws it; returns
+    ((i, j),). A degenerate pair raises before the chain is touched."""
+    gram = None if state.stack.gram is None else state.gram
+    (i, j), _ = _draw_pair(state.arr.shape[0], state.kind, rng, gram)
+    state.stack.orth(0, i, j)
+    return ((i, j),)
 
 
 def _wrap(state: _ChainState, field: str) -> ColumnMatrix:

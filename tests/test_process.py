@@ -186,6 +186,15 @@ class TestRunChain:
         assert len(partial.phi) == err.value.step
         assert len(partial.pairs) == len(partial.inner_abs) == err.value.step - 1
         assert partial.grid == [0, 2] and len(partial.snapshots) == 2
+        assert err.value.pair == (0, 1) and err.value.inner_abs == 0.9999999999999952
+        # the matrix before the failing step, and the counters up to it
+        assert np.array_equal(partial.final_matrix.array, [
+            [0.9999999999999998, 0.999999999999995, -2.1693042681035958e-08],
+            [4.705881007612464e-09, 9.999999999999982e-08, 0.21693042681035887],
+            [2.1176467710726454e-08, 0.0, 0.9761870670746847],
+        ])
+        assert (partial.inverse_refreshes, partial.projection_fallbacks,
+                partial.worst_refresh_drift, partial.uniform_fallbacks) == (0, 0, 0.0, 0)
 
     def test_usage_errors(self):
         A = angle_matrix()
@@ -319,7 +328,7 @@ def assert_stack_matches_run_chain(A, steps, replicates, base_seed, stride):
     """Each replicate of a stacked run_ensemble against run_chain alone on
     its seed; returns the stacked trajectories."""
     record = _replicate_bytes(A.n, steps, len(_record_grid(steps, stride)))
-    assert _ensemble_chunks(replicates, UNIFORM, record) == [(range(replicates), True)]
+    assert _ensemble_chunks(replicates, UNIFORM, record) == [range(replicates)]
     stacked, error = ensemble_trajectories(A, steps, replicates, base_seed, stride)
     kept = []
     for r in range(replicates):
@@ -391,18 +400,20 @@ class TestStackedEnsemble:
 
     def test_chunk_rule(self):
         budget = STACK_BYTES // STACK_MIN_REPLICATES
-        assert _ensemble_chunks(50, UNIFORM, 1000) == [(range(50), True)]
+        ones = [range(r, r + 1) for r in range(50)]
+        assert _ensemble_chunks(50, UNIFORM, 1000) == [range(50)]
+        # a stack smaller than STACK_MIN_REPLICATES steps its chains one by one
         assert _ensemble_chunks(STACK_MIN_REPLICATES - 1, UNIFORM, 1000) == [
-            (range(STACK_MIN_REPLICATES - 1), False)
+            range(STACK_MIN_REPLICATES - 1)
         ]
         for kind in (PROPORTIONAL, GREEDY):
-            assert _ensemble_chunks(50, kind, 1000) == [(range(50), False)]
+            assert _ensemble_chunks(50, kind, 1000) == ones
         # the fewest near-equal chunks whose records fit the budget
         chunks = _ensemble_chunks(50, UNIFORM, STACK_BYTES // 20)
-        assert chunks == [(range(0, 17), True), (range(17, 34), True), (range(34, 50), True)]
-        assert _ensemble_chunks(50, UNIFORM, budget)[0] == (range(0, 4), True)
-        # past the budget for STACK_MIN_REPLICATES, the scalar loop
-        assert _ensemble_chunks(50, UNIFORM, budget + 1) == [(range(50), False)]
+        assert chunks == [range(0, 17), range(17, 34), range(34, 50)]
+        assert _ensemble_chunks(50, UNIFORM, budget)[0] == range(0, 4)
+        # past the budget for STACK_MIN_REPLICATES, chunks of one
+        assert _ensemble_chunks(50, UNIFORM, budget + 1) == ones
         # snapshots count: 20,000 steps fit at stride 100, not at stride 1
         assert _replicate_bytes(8, 20_000, 201) < budget < _replicate_bytes(8, 20_000, 20_001)
 
@@ -413,11 +424,11 @@ class TestStackedEnsemble:
         monkeypatch.setattr(process, "STACK_BYTES", budget)
         stacks = []
         run_stack = process._run_stack
-        monkeypatch.setattr(process, "_run_stack", lambda *args: stacks.append(args) or run_stack(*args))
+        monkeypatch.setattr(process, "_run_stack", lambda *args: stacks.append(len(args[3])) or run_stack(*args))
         within = run_ensemble(A, 60, UNIFORM, 8, 3, 20)
-        assert len(stacks) == 2  # two chunks of 4
+        assert stacks == [4, 4]  # two chunks of 4
         beyond = run_ensemble(A, 61, UNIFORM, 8, 3, 20)
-        assert len(stacks) == 2
+        assert stacks == [4, 4] + [1] * 8
         alone = [run_chain(A, 61, UNIFORM, derive_replicate_seed(3, r), 20) for r in range(8)]
         assert np.array_equal(beyond.mean_phi, np.mean([t.phi[beyond.t] for t in alone], axis=0))
         assert within.replicates == beyond.replicates == 8

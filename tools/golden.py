@@ -61,6 +61,12 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "near_singular", "--n", "12", "--eta", "1e-10",
         "--steps", "1200", "--stride", "300", "--replicates", "6", "--seed", "11", *EMIT,
     ]
+    # 3 of the 8 replicates hit a degenerate pair on the projection path:
+    # above the 1% budget, so the run exits 2 after the kept trajectories
+    cases["run-aborts"] = [
+        "run", "--gen", "near_singular", "--n", "5", "--eta", "1e-10",
+        "--steps", "120", "--stride", "40", "--replicates", "8", "--seed", "5", *EMIT,
+    ]
     for field in ("real", "complex"):
         cases[f"cosolve-1-1-{field}"] = [
             "cosolve", "--gen", "prescribed", "--n", "8", "--sigma", SIGMA, "--field", field,
