@@ -10,14 +10,15 @@ One kernel, _ChainStack, keeps R >= 1 chains from one start as (R, ...)
 arrays and steps them together: run_chain is a stack of one, run_ensemble
 runs one stack per chunk of replicates, and the Kaczmarz co-solver drives
 a stack of one. Per chain it keeps the inverse (two rows move per step),
-the distances and, for the proportional and greedy samplers, the Gram
-matrix. Above the 1e8 condition estimate it keeps the distances alone and
-recomputes d_j by one QR per step. Its step updates the uniform chains on
-the inverse path as one vectorized step when enough of them are, with the
-scalar code's reductions row by row, and runs the scalar code on each
-other chain's row, so every chain gets the same bits either way. The
-update rules, the refresh policy, the measured drift and the selection
-rule are in README, "How the step kernel keeps phi".
+the distances, for the proportional and greedy samplers the Gram matrix,
+and for the proportional sampler its weights |G|^2. Above the 1e8
+condition estimate it keeps the distances alone and recomputes d_j by one
+QR per step. Its step updates the uniform chains on the inverse path as
+one vectorized step when enough of them are, with the scalar code's
+reductions row by row, and runs the scalar code on each other chain's
+row, so every chain gets the same bits either way. The update rules, the
+refresh policy, the measured drift, the selection rule and the
+proportional draw are in README, "How the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
@@ -28,6 +29,7 @@ chunk by chunk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,31 +72,61 @@ def derive_replicate_seed(base_seed: int, r: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_pair(n: int, kind: str, rng: np.random.Generator, gram=None) -> tuple[PairIndex, bool]:
+@functools.cache
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle, row-major."""
+    return np.triu_indices(n, 1)
+
+
+def _weights(gram: np.ndarray) -> np.ndarray:
+    """The proportional sampler's weights |gram|^2, with a zero diagonal."""
+    w = np.abs(gram)
+    w *= w
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _draw_pair(
+    n: int, kind: str, rng: np.random.Generator, gram=None, w=None
+) -> tuple[PairIndex, bool]:
     """The pair, and whether the proportional sampler fell back to uniform.
 
-    gram is A^H A; the uniform sampler does not read it.
+    gram is A^H A, read by the greedy sampler, and w is _weights(gram), read
+    by the proportional sampler; the uniform sampler reads neither. The
+    stream: uniform takes one rng.integers draw, greedy none, and
+    proportional exactly one rng.random() double, or the uniform draw when
+    it falls back. That double picks the pair rng.choice(n * n, p=w.ravel()
+    / w.sum()) would: the row by a search over the cumulative row sums of
+    w, then the column by a search over that row's cumulative sum. The two
+    can differ only where the double lands within roundoff of a boundary
+    of the cumulative sums.
     """
     if kind == UNIFORM:
         k = int(rng.integers(n * (n - 1)))
         i = k // (n - 1)
         j = k % (n - 1)
         return (i, j + 1 if j >= i else j), False
-    g = np.abs(gram)
     if kind == GREEDY:
         # |<a_i, a_j>| is symmetric, so a row-major argmax over the strict
         # upper triangle breaks ties by smallest i then j, never lands on
         # the diagonal and ignores the roundoff between (i, j) and (j, i)
-        rows, cols = np.triu_indices(n, 1)
-        k = int(np.argmax(g[rows, cols]))
+        rows, cols = _upper_triangle(n)
+        k = int(np.argmax(np.abs(gram[rows, cols])))
         return (int(rows[k]), int(cols[k])), False
-    np.fill_diagonal(g, 0.0)
     if kind == PROPORTIONAL:
-        if g.max() < tol.PROPORTIONAL_FALLBACK_ABS:
+        # sqrt(fl(g * g)) == g, so this is the check max |g| < 1e-15
+        if math.sqrt(w.max()) < tol.PROPORTIONAL_FALLBACK_ABS:
             return _draw_pair(n, UNIFORM, rng)[0], True
-        w = (g * g).ravel()
-        k = int(rng.choice(n * n, p=w / w.sum()))
-        return (k // n, k % n), False
+        row_cdf = w.sum(axis=1).cumsum()
+        # u < 1 rounds u * total below total, so the row search stays
+        # inside; a search lands where its cdf rises, on a positive weight
+        x = rng.random() * row_cdf[-1]
+        i = int(row_cdf.searchsorted(x, "right"))
+        j = int(w[i].cumsum().searchsorted(x - (row_cdf[i - 1] if i else 0.0), "right"))
+        if j == n:
+            # the row's own sum fell short of x by roundoff
+            j = int(np.flatnonzero(w[i])[-1])
+        return (i, j), False
     raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
 
 
@@ -110,9 +142,15 @@ def sample_pair(A: ColumnMatrix, kind: str, rng: np.random.Generator) -> PairInd
     back to uniform when every off-diagonal inner product is below 1e-15.
     greedy: deterministic argmax of |<a_i, a_j>|, ties broken by smallest
     i then smallest j.
+
+    Each call takes from rng what a chain's step takes: one integer for
+    uniform, nothing for greedy, and for proportional exactly one double
+    (rng.random()), the one rng.choice(n * n, p=...) would take, or the
+    uniform integer when it falls back.
     """
     gram = None if kind == UNIFORM else _gram(A.array)
-    return _draw_pair(A.n, kind, rng, gram)[0]
+    w = _weights(gram) if kind == PROPORTIONAL else None
+    return _draw_pair(A.n, kind, rng, gram, w)[0]
 
 
 def _uniform_pairs(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -141,7 +179,9 @@ class _ChainStack:
     and row_sq[r] the squared norms of those rows; on the projection path
     both are stale, and a step keeps d[r] and recomputes only d_j by one QR.
     gram[r] is A^H A for the proportional and greedy samplers (gram is None
-    for uniform), and since[r] counts the steps since the last full
+    for uniform), w[r] its weights _weights(gram[r]) for the proportional
+    sampler (None otherwise), both updated in row and column i from one
+    product per step, and since[r] counts the steps since the last full
     recompute. The counters, per chain: refreshes, the full recomputes made
     by steps; fallbacks, the steps whose distances came from the projection
     path; worst_drift, the largest |phi_kept - phi_full| seen at a refresh,
@@ -162,17 +202,19 @@ class _ChainStack:
         self.since = np.empty(count, dtype=np.intp)
         self.on_inv = np.empty(count, dtype=bool)
         self.gram = None if kind == UNIFORM else np.empty((count, n, n), dtype=dtype)
+        self.w = np.empty((count, n, n)) if kind == PROPORTIONAL else None
         self.refreshes = np.zeros(count, dtype=np.intp)
         self.fallbacks = np.zeros(count, dtype=np.intp)
         self.worst_drift = np.zeros(count)
         self.uniform_fallbacks = np.zeros(count, dtype=np.intp)
         self.live = np.ones(count, dtype=bool)
         self.aborts: dict[int, DegeneratePairError] = {}
-        # chain r's matrix, d, inv, row_sq and gram: views, made once, that
-        # the scalar code updates in place
+        # chain r's matrix, d, inv, row_sq, gram and w: views, made once,
+        # that the scalar code updates in place
         self.rows = [
             (self.cols[r].T, self.d[r], self.inv[r], self.row_sq[r],
-             None if self.gram is None else self.gram[r])
+             None if self.gram is None else self.gram[r],
+             None if self.w is None else self.w[r])
             for r in range(count)
         ]
         # every chain starts from A0: recompute once, copy the rest
@@ -181,6 +223,9 @@ class _ChainStack:
         if self.gram is not None:
             self.gram[0] = _gram(self.cols[0].T)
             kept.append(self.gram)
+        if self.w is not None:
+            self.w[0] = _weights(self.gram[0])
+            kept.append(self.w)
         for values in kept:
             values[1:] = values[0]
 
@@ -211,13 +256,20 @@ class _ChainStack:
         column j and update its kept values; returns (c, c2, nu) of
         _orth_column. A degenerate pair raises DegeneratePairError before
         the chain is touched."""
-        arr, d, inv, row_sq, gram = self.rows[r]
+        arr, d, inv, row_sq, gram, w = self.rows[r]
         new_col, c, c2, nu = _orth_column(arr, i, j)
         arr[:, i] = new_col
         if gram is not None:
             row = arr[:, i].conj() @ arr
             gram[i, :] = row
             gram[:, i] = row.conj()
+        if w is not None:
+            # row and column i of _weights(gram), bit for bit: |conj(z)| = |z|
+            row_w = np.abs(row)
+            row_w *= row_w
+            row_w[i] = 0.0
+            w[i, :] = row_w
+            w[:, i] = row_w
         self.since[r] += 1
         if self.on_inv[r]:
             inv[j] += (c + c2) * inv[i]
@@ -339,6 +391,10 @@ class Trajectory:
     worst_phi_rise are read off phi. inverse_refreshes, projection_fallbacks,
     worst_refresh_drift and uniform_fallbacks are the step kernel's counters
     (see _ChainStack).
+
+    monotonicity_violations counts rises above the absolute 1e-10 slack.
+    On projection-path chains phi is accurate only to about n^2 eps kappa,
+    so there it also counts rises at roundoff level.
     """
 
     n: int
@@ -420,7 +476,8 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
             for r in range(count):
                 if not stack.live[r]:
                     continue
-                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.gram[r])
+                *_, gram, w = stack.rows[r]
+                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], gram, w)
                 stack.uniform_fallbacks[r] += fell_back
         stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
         phi[:, t] = stack.phi

@@ -3,12 +3,14 @@
 The kernel updates two inverse rows per step; above the 1e8 condition
 estimate it keeps the distances and recomputes d_j alone by projection.
 On either path it recomputes in full every INVERSE_REFRESH_STEPS steps.
-The proportional and greedy samplers keep the Gram matrix by column. These
-properties check the kept values at every step, refresh points included.
+The proportional and greedy samplers keep the Gram matrix by column, and
+the proportional sampler its weights |G|^2. These properties check the
+kept values at every step, refresh points included.
 """
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +42,7 @@ from pairorth.process import (
     UNIFORM,
     _ChainStack,
     _draw_pair,
+    _weights,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -84,8 +87,8 @@ class _ChainState:
 def _step(state: _ChainState, rng: np.random.Generator):
     """One step of the chain, its pair drawn as run_chain draws it; returns
     ((i, j),). A degenerate pair raises before the chain is touched."""
-    gram = None if state.stack.gram is None else state.gram
-    (i, j), _ = _draw_pair(state.arr.shape[0], state.kind, rng, gram)
+    *_, gram, w = state.stack.rows[0]
+    (i, j), _ = _draw_pair(state.arr.shape[0], state.kind, rng, gram, w)
     state.stack.orth(0, i, j)
     return ((i, j),)
 
@@ -206,3 +209,25 @@ def test_projection_path_keeps_distances(field, n, eta, seed):
             d_mp = _mp_distances(state.arr)
             assert np.max(np.abs(np.log(state.d) - np.log(d_mp))) <= _slack(now)
     assert state.fallbacks > 0
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind,eta", [(GAUSSIAN, None), (NEAR_SINGULAR, 1e-10)])
+def test_kept_weights_are_the_kept_gram_squared(kind, eta, field):
+    # the near-singular start takes projection-path steps and refreshes
+    A, _ = generate(GeneratorSpec(kind, n=8, field=field, seed=3, eta=eta))
+    stack = _ChainStack(A, 3, PROPORTIONAL)
+    rngs = [make_rng(seed) for seed in range(3)]
+    pairs, inner_abs = np.empty((3, 2), dtype=np.intp), np.empty(3)
+    for _ in range(100):
+        for r, rng in enumerate(rngs):
+            *_, gram, w = stack.rows[r]
+            pairs[r], _ = _draw_pair(A.n, PROPORTIONAL, rng, gram, w)
+        stack.step(pairs, inner_abs)
+        for r in range(3):
+            fresh = np.abs(stack.gram[r]) ** 2
+            np.fill_diagonal(fresh, 0.0)
+            assert stack.w[r].tobytes() == fresh.tobytes()
+            assert np.array_equal(_weights(stack.gram[r]), fresh)
+    assert stack.live.all() and stack.refreshes.min() > 0
+    assert (stack.fallbacks.min() > 0) == (kind == NEAR_SINGULAR)

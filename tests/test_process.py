@@ -28,9 +28,11 @@ from pairorth.process import (
     STACK_MIN_REPLICATES,
     UNIFORM,
     Trajectory,
+    _draw_pair,
     _ensemble_chunks,
     _record_grid,
     _replicate_bytes,
+    _weights,
 )
 
 
@@ -93,6 +95,86 @@ class TestProportionalSampler:
         keep = expected > 0
         _, p = scipy_stats.chisquare(counts[keep], draws * expected[keep])
         assert p >= 0.001
+
+
+def reference_pick(w, u):
+    """The pair rng.choice(n * n, p=w.ravel() / w.sum()) picks with the
+    double u: a right search of u in the normalized cumulative sum."""
+    cdf = np.cumsum(w.ravel() / w.sum())
+    k = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+    return divmod(k, w.shape[0])
+
+
+def spread_weights(n, seed):
+    """Symmetric weights 10^U(-12, 0) off the diagonal, zero on it."""
+    w = np.triu(10.0 ** np.random.default_rng(seed).uniform(-12.0, 0.0, (n, n)), 1)
+    return w + w.T
+
+
+def one_pair_state(n):
+    """Unit columns e_k, but for column 1, which leans on column 0: the
+    only nonzero inner product is <a_0, a_1> = 0.6."""
+    entries = np.eye(n)
+    entries[:2, 1] = (0.6, 0.8)
+    return build_unit_column_matrix(entries)
+
+
+class FixedDouble:
+    """A stand-in generator whose random() always returns u; it has no
+    other draw, so a sampler that asks for one fails."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestProportionalDraw:
+    """_draw_pair's row-then-column search against the cdf search of
+    rng.choice, from the same single double."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 128])
+    def test_picks_and_stream_match_rng_choice(self, n, field):
+        A = random_state(n, 40 + n, field)
+        for w in (_weights(A.array.conj().T @ A.array), spread_weights(n, n)):
+            # the reference is rng.choice's own pick
+            for seed in range(3):
+                k = int(make_rng(seed).choice(n * n, p=w.ravel() / w.sum()))
+                assert reference_pick(w, make_rng(seed).random()) == divmod(k, n)
+            rng, twin = make_rng(n), make_rng(n)
+            for _ in range(200):
+                pair, fell_back = _draw_pair(n, PROPORTIONAL, rng, w=w)
+                assert not fell_back and pair == reference_pick(w, twin.random())
+                # the draw took exactly one double: both streams are in step
+                assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_one_nonzero_pair(self, n):
+        A = one_pair_state(n)
+        picks = {sample_pair(A, PROPORTIONAL, make_rng(seed)) for seed in range(60)}
+        assert picks == {(0, 1), (1, 0)}
+
+    def test_fallback_decides_on_the_largest_inner_product(self):
+        # the weights are |<a_i, a_j>|^2, and the rule is max |<a_i, a_j>| < 1e-15
+        below = np.nextafter(1e-15, 0.0)
+        for g, falls_back in ((below, True), (1e-15, False), (1.1e-15, False)):
+            w = np.full((3, 3), g * g)
+            np.fill_diagonal(w, 0.0)
+            assert _draw_pair(3, PROPORTIONAL, make_rng(0), w=w)[1] == falls_back
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_roundoff_clamp_lands_on_a_positive_weight(self, u):
+        # at u = 1 - 2^-53 the column search of some of these runs past the
+        # end of its row: in row 7, whose last entry is the diagonal, and in
+        # row 6 of a matrix whose last row and column weigh nothing
+        spread = [spread_weights(8, seed) for seed in range(200)]
+        inputs = spread + [np.pad(w[:-1, :-1], (0, 1)) for w in spread]
+        inputs += [_weights(A.array.T @ A.array) for A in map(one_pair_state, (2, 3, 8))]
+        for w in inputs:
+            i, j = _draw_pair(len(w), PROPORTIONAL, FixedDouble(u), w=w)[0]
+            assert i != j and w[i, j] > 0.0
 
 
 class TestGreedySampler:

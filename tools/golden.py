@@ -48,6 +48,12 @@ def _cases() -> dict[str, list[str]]:
             "run", "--gen", "gaussian", "--n", "6", "--sampler", sampler,
             "--steps", "300", "--stride", "50", "--replicates", "4", "--seed", "5", *EMIT,
         ]
+    # the proportional sampler on complex columns, over a larger weight matrix
+    cases["run-proportional-complex"] = [
+        "run", "--gen", "gaussian", "--n", "32", "--field", "complex", "--sampler",
+        "proportional", "--steps", "400", "--stride", "100", "--replicates", "4",
+        "--seed", "5", *EMIT,
+    ]
     # planted distance 1e-10 keeps the condition estimate above 1e8, so
     # every step recomputes the distances by projection
     cases["run-projection-path"] = [
