@@ -101,9 +101,9 @@ COSOLVE_HEADER = "step,kind,err_norm,phi"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """One row per step; snapshot columns filled on the record grid."""
+    """One row per step; the condition columns filled on the record grid."""
     lines = [TRAJECTORY_HEADER]
-    snaps = dict(zip(traj.grid, traj.snapshots))
+    records = dict(zip(traj.grid, zip(traj.sigma_min, traj.kappa, traj.gram_offdiag)))
     pairs = traj.pairs.tolist()
     inner_abs = traj.inner_abs.tolist()
     for t, phi in enumerate(traj.phi.tolist()):
@@ -113,14 +113,8 @@ def trajectory_to_csv(traj: Trajectory) -> str:
             (i, j), c = pairs[t - 1], inner_abs[t - 1]
             head = f"{t},{i},{j},{format_float(c)}"
         row = f"{head},{format_float(phi)}"
-        s = snaps.get(t)
-        if s is not None:
-            row += (
-                f",{format_float(s.sigma[-1])},{format_float(s.kappa)},"
-                f"{format_float(s.gram_offdiag)}"
-            )
-        else:
-            row += ",,,"
+        record = records.get(t)
+        row += ",,," if record is None else "".join(f",{format_float(v)}" for v in record)
         lines.append(row)
     return "\n".join(lines) + "\n"
 

@@ -2,21 +2,21 @@
 
 A chain starts from a unit-column matrix, repeatedly samples an ordered
 pair (i, j) and orthogonalizes column i against column j. The potential
-phi = -sum_j log d_j is recorded after every step; full diagnostic
-snapshots are taken on the record grid, every multiple of a stride plus
-the last step.
+phi = -sum_j log d_j is recorded after every step; the smallest singular
+value, the condition number and ||A^H A - I||_F are recorded on the record
+grid, every multiple of a stride plus the last step.
 
 One kernel, _ChainStack, keeps R >= 1 chains from one start as (R, ...)
 arrays and steps them together: run_chain is a stack of one, run_ensemble
 runs one stack per chunk of replicates, and the Kaczmarz co-solver drives
 a stack of one. Per chain it keeps the inverse (two rows move per step),
-the distances, for the proportional and greedy samplers the Gram matrix,
-and for the proportional sampler its weights |G|^2. Above the 1e8
-condition estimate it keeps the distances alone and recomputes d_j by one
-QR per step. Its step updates the uniform chains on the inverse path as
-one vectorized step when enough of them are, with the scalar code's
-reductions row by row, and runs the scalar code on each other chain's
-row, so every chain gets the same bits either way. The update rules, the
+the distances and, for the proportional and greedy samplers, the weights
+|G|^2 of the Gram matrix G. Above the 1e8 condition estimate it keeps the
+distances alone and recomputes d_j by one QR per step. Its step updates
+the uniform chains on the inverse path as one vectorized step when enough
+of them are, with the scalar code's reductions row by row, and runs the
+scalar code on each other chain's row, so every chain gets the same bits
+either way. The update rules, the
 refresh policy, the measured drift, the selection rule and the
 proportional draw are in README, "How the step kernel keeps phi".
 
@@ -29,6 +29,7 @@ chunk by chunk.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -38,14 +39,8 @@ import numpy as np
 from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
-from .matrix import REAL, ColumnMatrix, PairIndex, _orth_column
-from .metrics import (
-    MetricsSnapshot,
-    _distances_full,
-    _distances_projection,
-    _phi_from_distances,
-    snapshot,
-)
+from .matrix import REAL, ColumnMatrix, PairIndex, _orth_column, gram_offdiag_fro
+from .metrics import _distances_full, _distances_projection, _phi_from_distances, condition_number
 
 UNIFORM = "uniform"
 PROPORTIONAL = "proportional"
@@ -79,27 +74,28 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weights(gram: np.ndarray) -> np.ndarray:
-    """The proportional sampler's weights |gram|^2, with a zero diagonal."""
+    """The weights |gram|^2 of the proportional and greedy samplers, with a
+    zero diagonal."""
     w = np.abs(gram)
     w *= w
     np.fill_diagonal(w, 0.0)
     return w
 
 
-def _draw_pair(
-    n: int, kind: str, rng: np.random.Generator, gram=None, w=None
-) -> tuple[PairIndex, bool]:
+def _draw_pair(n: int, kind: str, rng: np.random.Generator, w=None) -> tuple[PairIndex, bool]:
     """The pair, and whether the proportional sampler fell back to uniform.
 
-    gram is A^H A, read by the greedy sampler, and w is _weights(gram), read
-    by the proportional sampler; the uniform sampler reads neither. The
-    stream: uniform takes one rng.integers draw, greedy none, and
-    proportional exactly one rng.random() double, or the uniform draw when
-    it falls back. That double picks the pair rng.choice(n * n, p=w.ravel()
-    / w.sum()) would: the row by a search over the cumulative row sums of
-    w, then the column by a search over that row's cumulative sum. The two
-    can differ only where the double lands within roundoff of a boundary
-    of the cumulative sums.
+    w is _weights(A^H A), read by the proportional and greedy samplers; the
+    uniform sampler ignores it. Greedy takes the argmax of w, the pair of
+    largest |g| unless squaring rounds two |g| within an ulp of each other,
+    or below about 1e-154, to the same double. The stream: uniform takes
+    one rng.integers draw, greedy none, and proportional exactly one
+    rng.random() double, or the uniform draw when it falls back. That
+    double picks the pair rng.choice(n * n, p=w.ravel() / w.sum()) would:
+    the row by a search over the cumulative row sums of w, then the column
+    by a search over that row's cumulative sum. The two can differ only
+    where the double lands within roundoff of a boundary of the cumulative
+    sums.
     """
     if kind == UNIFORM:
         k = int(rng.integers(n * (n - 1)))
@@ -107,11 +103,11 @@ def _draw_pair(
         j = k % (n - 1)
         return (i, j + 1 if j >= i else j), False
     if kind == GREEDY:
-        # |<a_i, a_j>| is symmetric, so a row-major argmax over the strict
-        # upper triangle breaks ties by smallest i then j, never lands on
-        # the diagonal and ignores the roundoff between (i, j) and (j, i)
+        # w is symmetric, so a row-major argmax over the strict upper
+        # triangle breaks ties by smallest i then j and never lands on the
+        # diagonal
         rows, cols = _upper_triangle(n)
-        k = int(np.argmax(np.abs(gram[rows, cols])))
+        k = int(np.argmax(w[rows, cols]))
         return (int(rows[k]), int(cols[k])), False
     if kind == PROPORTIONAL:
         # sqrt(fl(g * g)) == g, so this is the check max |g| < 1e-15
@@ -141,16 +137,17 @@ def sample_pair(A: ColumnMatrix, kind: str, rng: np.random.Generator) -> PairInd
     proportional: pair probability proportional to |<a_i, a_j>|^2, falling
     back to uniform when every off-diagonal inner product is below 1e-15.
     greedy: deterministic argmax of |<a_i, a_j>|, ties broken by smallest
-    i then smallest j.
+    i then smallest j; it compares the squares |<a_i, a_j>|^2, so two values
+    that square to the same double (within an ulp of each other, or below
+    about 1e-154) count as a tie.
 
     Each call takes from rng what a chain's step takes: one integer for
     uniform, nothing for greedy, and for proportional exactly one double
     (rng.random()), the one rng.choice(n * n, p=...) would take, or the
     uniform integer when it falls back.
     """
-    gram = None if kind == UNIFORM else _gram(A.array)
-    w = _weights(gram) if kind == PROPORTIONAL else None
-    return _draw_pair(A.n, kind, rng, gram, w)[0]
+    w = None if kind == UNIFORM else _weights(_gram(A.array))
+    return _draw_pair(A.n, kind, rng, w)[0]
 
 
 def _uniform_pairs(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -178,15 +175,14 @@ class _ChainStack:
     potential. While on_inv[r] holds, inv[r] is its A^-1 (rows contiguous)
     and row_sq[r] the squared norms of those rows; on the projection path
     both are stale, and a step keeps d[r] and recomputes only d_j by one QR.
-    gram[r] is A^H A for the proportional and greedy samplers (gram is None
-    for uniform), w[r] its weights _weights(gram[r]) for the proportional
-    sampler (None otherwise), both updated in row and column i from one
-    product per step, and since[r] counts the steps since the last full
-    recompute. The counters, per chain: refreshes, the full recomputes made
-    by steps; fallbacks, the steps whose distances came from the projection
-    path; worst_drift, the largest |phi_kept - phi_full| seen at a refresh,
-    on either path; uniform_fallbacks, the proportional draws that fell
-    back to uniform. A degenerate pair clears live[r] and keeps its
+    w[r] is _weights(A^H A) for the proportional and greedy samplers (w is
+    None for uniform), updated in row and column i from one product per
+    step, and since[r] counts the steps since the last full recompute. The
+    counters, per chain: refreshes, the full recomputes made by steps;
+    fallbacks, the steps whose distances came from the projection path;
+    worst_drift, the largest |phi_kept - phi_full| seen at a refresh, on
+    either path; uniform_fallbacks, the proportional draws that fell back
+    to uniform. A degenerate pair clears live[r] and keeps its
     DegeneratePairError in aborts[r], with chain r untouched.
     """
 
@@ -201,30 +197,25 @@ class _ChainStack:
         self.phi = np.empty(count)
         self.since = np.empty(count, dtype=np.intp)
         self.on_inv = np.empty(count, dtype=bool)
-        self.gram = None if kind == UNIFORM else np.empty((count, n, n), dtype=dtype)
-        self.w = np.empty((count, n, n)) if kind == PROPORTIONAL else None
+        self.w = None if kind == UNIFORM else np.empty((count, n, n))
         self.refreshes = np.zeros(count, dtype=np.intp)
         self.fallbacks = np.zeros(count, dtype=np.intp)
         self.worst_drift = np.zeros(count)
         self.uniform_fallbacks = np.zeros(count, dtype=np.intp)
         self.live = np.ones(count, dtype=bool)
         self.aborts: dict[int, DegeneratePairError] = {}
-        # chain r's matrix, d, inv, row_sq, gram and w: views, made once,
-        # that the scalar code updates in place
+        # chain r's matrix, d, inv, row_sq and w: views, made once, that the
+        # scalar code updates in place
         self.rows = [
             (self.cols[r].T, self.d[r], self.inv[r], self.row_sq[r],
-             None if self.gram is None else self.gram[r],
              None if self.w is None else self.w[r])
             for r in range(count)
         ]
         # every chain starts from A0: recompute once, copy the rest
         self._recompute(0)
         kept = [self.inv, self.row_sq, self.d, self.phi, self.since, self.on_inv]
-        if self.gram is not None:
-            self.gram[0] = _gram(self.cols[0].T)
-            kept.append(self.gram)
         if self.w is not None:
-            self.w[0] = _weights(self.gram[0])
+            self.w[0] = _weights(_gram(self.cols[0].T))
             kept.append(self.w)
         for values in kept:
             values[1:] = values[0]
@@ -256,16 +247,13 @@ class _ChainStack:
         column j and update its kept values; returns (c, c2, nu) of
         _orth_column. A degenerate pair raises DegeneratePairError before
         the chain is touched."""
-        arr, d, inv, row_sq, gram, w = self.rows[r]
+        arr, d, inv, row_sq, w = self.rows[r]
         new_col, c, c2, nu = _orth_column(arr, i, j)
         arr[:, i] = new_col
-        if gram is not None:
-            row = arr[:, i].conj() @ arr
-            gram[i, :] = row
-            gram[:, i] = row.conj()
         if w is not None:
-            # row and column i of _weights(gram), bit for bit: |conj(z)| = |z|
-            row_w = np.abs(row)
+            # row i of A^H A, so row and column i of _weights(A^H A), bit for
+            # bit: |conj(z)| = |z|
+            row_w = np.abs(arr[:, i].conj() @ arr)
             row_w *= row_w
             row_w[i] = 0.0
             w[i, :] = row_w
@@ -315,7 +303,7 @@ class _ChainStack:
         orth on its own row.
         """
         scalar = range(self.count)
-        if self.count >= STACK_MIN_REPLICATES and self.gram is None:
+        if self.count >= STACK_MIN_REPLICATES and self.w is None:
             on_inv = self.live & self.on_inv
             a = np.flatnonzero(on_inv)
             if a.size >= STACK_MIN_REPLICATES:
@@ -385,8 +373,9 @@ class Trajectory:
     phi[t] is the potential after t steps (steps + 1 entries, t = 0 the
     start); pairs[t - 1] is the ordered pair drawn at step t and
     inner_abs[t - 1] the magnitude |c| of its projection coefficient.
-    snapshots[k] is the full diagnostic snapshot at step grid[k] of the
-    record grid. The trajectory of an aborted chain holds the prefix
+    sigma_min[k], kappa[k] and gram_offdiag[k] are the smallest singular
+    value, the condition number and ||A^H A - I||_F after step grid[k] of
+    the record grid. The trajectory of an aborted chain holds the prefix
     recorded before the abort. t_star, monotonicity_violations and
     worst_phi_rise are read off phi. inverse_refreshes, projection_fallbacks,
     worst_refresh_drift and uniform_fallbacks are the step kernel's counters
@@ -402,7 +391,9 @@ class Trajectory:
     pairs: np.ndarray
     inner_abs: np.ndarray
     grid: list[int]
-    snapshots: list[MetricsSnapshot]
+    sigma_min: np.ndarray
+    kappa: np.ndarray
+    gram_offdiag: np.ndarray
     final_matrix: ColumnMatrix | None = None
     inverse_refreshes: int = 0
     projection_fallbacks: int = 0
@@ -437,7 +428,7 @@ def detect_t_star(traj: Trajectory) -> int | None:
 
 
 def _record_grid(steps: int, stride: int, stride_name: str = "metrics_stride") -> list[int]:
-    """Steps that get a full snapshot: every multiple of stride, and the last.
+    """Steps whose condition is recorded: every multiple of stride, and the last.
 
     stride_name is how a bad stride is named in the error.
     """
@@ -458,7 +449,7 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
     grid = _record_grid(steps, metrics_stride)
     if kind not in SAMPLER_KINDS:
         raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
-    on_grid = set(grid)
+    on_grid = {t: k for k, t in enumerate(grid)}
     n, count = A0.n, len(seeds)
     rngs = [make_rng(seed) for seed in seeds]
     pairs = np.empty((count, steps, 2), dtype=np.intp)
@@ -469,15 +460,24 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
     inner_abs = np.empty((count, steps))
     stack = _ChainStack(A0, count, kind)
     phi[:, 0] = stack.phi
-    snapshots = [[snapshot(stack.matrix(r))] for r in range(count)]
+    # sigma_min, kappa and gram_offdiag of each chain at each grid point
+    records = np.empty((3, count, len(grid)))
+
+    def record(r: int, k: int) -> None:
+        A = stack.matrix(r)
+        kappa, sigma = condition_number(A)
+        records[:, r, k] = sigma[-1], kappa, gram_offdiag_fro(A)
+
+    # every chain starts from A0: record once, copy the rest
+    record(0, 0)
+    records[:, 1:, 0] = records[:, :1, 0]
     aborted_at: dict[int, int] = {}
     for t in range(1, steps + 1):
         if kind != UNIFORM:
             for r in range(count):
                 if not stack.live[r]:
                     continue
-                *_, gram, w = stack.rows[r]
-                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], gram, w)
+                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.rows[r][-1])
                 stack.uniform_fallbacks[r] += fell_back
         stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
         phi[:, t] = stack.phi
@@ -486,14 +486,15 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
                 aborted_at.setdefault(r, t)
         if t in on_grid:
             for r in np.flatnonzero(stack.live):
-                snapshots[r].append(snapshot(stack.matrix(r)))
+                record(r, on_grid[t])
     results = []
     for r in range(count):
         # an aborted chain keeps the prefix recorded before its failing step
         last = aborted_at.get(r, steps + 1) - 1
+        k = bisect.bisect_right(grid, last)
         result = Trajectory(
-            n, phi[r, : last + 1], pairs[r, :last], inner_abs[r, :last],
-            grid[: len(snapshots[r])], snapshots[r], stack.matrix(r), *stack.counters(r),
+            n, phi[r, : last + 1], pairs[r, :last], inner_abs[r, :last], grid[:k],
+            *records[:, r, :k], stack.matrix(r), *stack.counters(r),
         )
         if r in stack.aborts:
             exc = stack.aborts[r]
@@ -522,11 +523,12 @@ def run_chain(
     return result
 
 
-def _replicate_bytes(n: int, steps: int, snapshots: int) -> int:
+def _replicate_bytes(n: int, steps: int, grid_points: int) -> int:
     """The record of one replicate: phi, the pair and inner_abs of each
-    step, 32 bytes, and each snapshot, measured at 16 n + 420 bytes and
-    counted as 16 n + 512."""
-    return 32 * steps + (16 * n + 512) * snapshots
+    step, 32 bytes; sigma_min, kappa, gram_offdiag and the grid entry of
+    each grid point, 32 bytes; and the final matrix, 16 n^2 bytes complex
+    (half that real)."""
+    return 32 * (steps + grid_points) + 16 * n * n
 
 
 def _ensemble_chunks(replicates: int, kind: str, replicate_bytes: int) -> list[range]:
@@ -618,7 +620,7 @@ def run_ensemble(
             if trajectory_sink is not None:
                 trajectory_sink(r, traj)
             phi_rows.append(traj.phi[grid])
-            log_kappa_rows.append([np.log(s.kappa) for s in traj.snapshots])
+            log_kappa_rows.append(np.log(traj.kappa))
             t_stars.append(traj.t_star)
             violations += traj.monotonicity_violations
             refreshes += traj.inverse_refreshes

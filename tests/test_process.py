@@ -8,11 +8,14 @@ from pairorth import (
     ChainAbortError,
     UsageError,
     build_unit_column_matrix,
+    condition_number,
     derive_replicate_seed,
     detect_t_star,
     generate,
+    gram_offdiag_fro,
     inflection,
     make_rng,
+    potential_phi,
     run_chain,
     run_ensemble,
     sample_pair,
@@ -223,15 +226,24 @@ class TestRunChain:
         assert len(traj.phi) == 21
         # t = 0 draws no pair: pairs[t - 1] belongs to step t
         assert traj.pairs.shape == (20, 2) and traj.inner_abs.shape == (20,)
-        # snapshots at t = 0, on the stride grid and at the final step
-        assert traj.grid == [0, 7, 14, 20] and len(traj.snapshots) == 4
+        # records at t = 0, on the stride grid and at the final step
+        assert traj.grid == [0, 7, 14, 20]
+        assert len(traj.sigma_min) == len(traj.kappa) == len(traj.gram_offdiag) == 4
 
     def test_snapshot_grid_is_record_grid(self):
         # 7 does not divide 20, so the final step is added to the grid
-        traj = run_chain(random_state(4, 5), steps=20, seed=1, metrics_stride=7)
+        A = random_state(4, 5)
+        traj = run_chain(A, steps=20, seed=1, metrics_stride=7)
         assert traj.grid == _record_grid(20, 7) == [0, 7, 14, 20]
-        snap_phi = [s.phi for s in traj.snapshots]
-        assert snap_phi == pytest.approx(traj.phi[traj.grid].tolist(), rel=1e-12)
+        for k, t in enumerate(traj.grid):
+            # the chain's state after step t: the kept phi against a full
+            # recompute, the recorded columns bit for bit
+            M = run_chain(A, t, seed=1).final_matrix
+            assert traj.phi[t] == pytest.approx(potential_phi(M), rel=1e-12)
+            kappa, sigma = condition_number(M)
+            assert (traj.sigma_min[k], traj.kappa[k], traj.gram_offdiag[k]) == (
+                sigma[-1], kappa, gram_offdiag_fro(M)
+            )
 
     def test_reproducible_bit_identical(self):
         A = random_state(5, 8)
@@ -267,7 +279,8 @@ class TestRunChain:
         assert err.value.step == 4
         assert len(partial.phi) == err.value.step
         assert len(partial.pairs) == len(partial.inner_abs) == err.value.step - 1
-        assert partial.grid == [0, 2] and len(partial.snapshots) == 2
+        assert partial.grid == [0, 2]
+        assert len(partial.sigma_min) == len(partial.kappa) == len(partial.gram_offdiag) == 2
         assert err.value.pair == (0, 1) and err.value.inner_abs == 0.9999999999999952
         # the matrix before the failing step, and the counters up to it
         assert np.array_equal(partial.final_matrix.array, [
@@ -293,7 +306,8 @@ class TestDetectTStar:
         steps = len(phis) - 1
         return Trajectory(
             n=n, phi=np.array(phis),
-            pairs=np.tile([0, 1], (steps, 1)), inner_abs=np.zeros(steps), grid=[], snapshots=[],
+            pairs=np.tile([0, 1], (steps, 1)), inner_abs=np.zeros(steps), grid=[],
+            sigma_min=np.empty(0), kappa=np.empty(0), gram_offdiag=np.empty(0),
         )
 
     def test_immediate_when_starting_low(self):
@@ -394,12 +408,9 @@ def ensemble_trajectories(A, steps, replicates, base_seed, stride):
 
 
 def assert_same_trajectory(a, b):
-    for name in ("phi", "pairs", "inner_abs"):
+    for name in ("phi", "pairs", "inner_abs", "sigma_min", "kappa", "gram_offdiag"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.grid == b.grid and len(a.snapshots) == len(b.snapshots)
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        assert np.array_equal(sa.d, sb.d) and np.array_equal(sa.sigma, sb.sigma)
-        assert (sa.phi, sa.kappa, sa.gram_offdiag) == (sb.phi, sb.kappa, sb.gram_offdiag)
+    assert a.grid == b.grid
     assert np.array_equal(a.final_matrix.array, b.final_matrix.array)
     counters = ("inverse_refreshes", "projection_fallbacks", "worst_refresh_drift",
                 "uniform_fallbacks")
@@ -496,8 +507,12 @@ class TestStackedEnsemble:
         assert _ensemble_chunks(50, UNIFORM, budget)[0] == range(0, 4)
         # past the budget for STACK_MIN_REPLICATES, chunks of one
         assert _ensemble_chunks(50, UNIFORM, budget + 1) == ones
-        # snapshots count: 20,000 steps fit at stride 100, not at stride 1
-        assert _replicate_bytes(8, 20_000, 201) < budget < _replicate_bytes(8, 20_000, 20_001)
+        # grid points count: 200,000 steps fit at stride 100, not at stride 1
+        assert _replicate_bytes(8, 200_000, 2_001) < budget < _replicate_bytes(8, 200_000, 200_001)
+
+    def test_default_stride_fits_one_stack(self):
+        # 15,000 steps recorded at every step: four replicates step as one stack
+        assert _ensemble_chunks(4, UNIFORM, _replicate_bytes(8, 15_000, 15_001)) == [range(4)]
 
     def test_budget_exceeding_steps_take_the_scalar_loop(self, monkeypatch):
         A = random_state(4, 31)

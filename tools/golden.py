@@ -67,6 +67,12 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "near_singular", "--n", "12", "--eta", "1e-10",
         "--steps", "1200", "--stride", "300", "--replicates", "6", "--seed", "11", *EMIT,
     ]
+    # the default stride 1 records every step: with one record per grid
+    # point small enough, the 4 replicates still step as one stack
+    cases["run-stride-1-stacked"] = [
+        "run", "--gen", "near_singular", "--n", "8", "--eta", "1e-6",
+        "--steps", "15000", "--replicates", "4", "--seed", "7", *EMIT,
+    ]
     # 3 of the 8 replicates hit a degenerate pair on the projection path:
     # above the 1% budget, so the run exits 2 after the kept trajectories
     cases["run-aborts"] = [
