@@ -10,7 +10,8 @@ needed.
 
 run_cosolve advances the matrix as a one-chain stack of the step kernel
 of pairorth.process, and applies the same right-hand-side and Kaczmarz
-updates as the one-op functions orth_with_rhs and kaczmarz_step.
+updates as the one-op functions orth_with_rhs and kaczmarz_step. It draws
+pairs and rows as one block each, and carries the error over orth ops.
 """
 
 from __future__ import annotations
@@ -134,9 +135,11 @@ def run_cosolve(
     cycle: list[str] = [ORTH] * p + [KACZ] * q
     cycles, rest = divmod(steps, p + q)
     pairs = iter(_uniform_pairs(A0.n, rng_pairs, cycles * p + min(rest, p)).tolist())
+    rows = iter(rng_rows.integers(A0.n, size=cycles * q + max(rest - p, 0)).tolist())
     chain = _ChainStack(A0, 1)
-    b = np.array(state.b)
-    x = state.x
+    arr = chain.cols[0].T
+    b, x = np.array(state.b), state.x
+    err_norm = float(np.linalg.norm(x - state.x_true))
     history: list[CosolveRecord] = []
     for step in range(1, steps + 1):
         kind = cycle[(step - 1) % len(cycle)]
@@ -145,8 +148,8 @@ def run_cosolve(
             c, c2, nu = chain.orth(0, i, j)
             _update_rhs(b, i, j, c, c2, nu)
         else:
-            x = _kaczmarz(chain.cols[0].T, b, x, int(rng_rows.integers(A0.n)))
-        err_norm = float(np.linalg.norm(x - state.x_true))
+            x = _kaczmarz(arr, b, x, next(rows))
+            err_norm = float(np.linalg.norm(x - state.x_true))
         history.append(CosolveRecord(step, kind, err_norm, float(chain.phi[0])))
     refreshes, fallbacks, worst_drift, _ = chain.counters(0)
     final = replace(

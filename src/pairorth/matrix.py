@@ -176,6 +176,19 @@ def gram_offdiag_fro(A: ColumnMatrix) -> float:
     sqrt(sum over i != j of |<a_i, a_j>|^2): the total pairwise
     non-orthogonality.
     """
-    g = A._array.conj().T @ A._array
-    g[np.diag_indices(A.n)] -= 1.0
-    return float(np.linalg.norm(g))
+    return float(_gram_offdiag_fro(A._array.T[None])[0])
+
+
+def _gram_offdiag_fro(cols: np.ndarray) -> np.ndarray:
+    """gram_offdiag_fro of each cols[k].T, from one stacked Gram."""
+    n = cols.shape[-1]
+    g = (cols.conj() @ cols.mT).reshape(len(cols), n * n)
+    g[:, :: n + 1] -= 1.0  # the diagonal
+    return np.sqrt(_sq_norms(g))
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(row) ** 2 of each row of x, bit for bit."""
+    if np.iscomplexobj(x):
+        return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+    return np.vecdot(x, x)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import SingularityError, UsageError
-from .matrix import ColumnMatrix, gram_offdiag_fro
+from .matrix import ColumnMatrix, _sq_norms, gram_offdiag_fro
 
 PROJECTION = "projection"
 INVERSE_ROWS = "inverse-rows"
@@ -81,22 +81,27 @@ def _phi_from_distances(d: np.ndarray) -> float:
     return float(-np.log(d).sum() + 0.0)
 
 
-def _distances_full(arr: np.ndarray):
-    """The auto rule, recomputed from scratch: (inverse, row norms, d).
-
-    d comes from the inverse rows, or from projection, with inverse and
-    row norms None, when the inverse is singular or its estimate of kappa
-    exceeds DISTANCE_FALLBACK_KAPPA.
-    """
+def _distances_full(arrs: np.ndarray):
+    """The auto rule for each matrix of a stack, recomputed from scratch
+    with each matrix's bits alone: (inverses, row norms, d, on_inv). d comes
+    from the inverse rows where on_inv (finite, nonzero rows and a kappa
+    estimate at most DISTANCE_FALLBACK_KAPPA), elsewhere from projection."""
     try:
-        inv, row_norms, d = _distances_inverse_rows(arr)
-    except SingularityError:
-        return None, None, _distances_projection(arr)
-    # sqrt(n) * ||A^-1||_F bounds kappa from above and is free here.
-    kappa_est = math.sqrt(arr.shape[0]) * float(np.linalg.norm(inv))
-    if kappa_est > tol.DISTANCE_FALLBACK_KAPPA:
-        return None, None, _distances_projection(arr)
-    return inv, row_norms, d
+        inv = np.linalg.inv(arrs)
+    except np.linalg.LinAlgError:
+        if len(arrs) > 1:  # find the singular ones one by one
+            return tuple(map(np.concatenate, zip(*(_distances_full(a[None]) for a in arrs))))
+        inv = np.full_like(arrs, np.nan)
+    row_norms = np.linalg.norm(inv, axis=2)
+    # sqrt(n) * ||A^-1||_F bounds kappa from above and is free here; a NaN
+    # or infinite row makes it NaN or infinite, so not below
+    kappa_est = math.sqrt(arrs.shape[1]) * np.sqrt(_sq_norms(inv.reshape(len(inv), -1)))
+    on_inv = row_norms.all(axis=1) & (kappa_est <= tol.DISTANCE_FALLBACK_KAPPA)
+    # d_j <= 1 holds exactly in real arithmetic; trim roundoff overshoot
+    d = np.minimum(1.0 / row_norms, 1.0)
+    for k in np.flatnonzero(~on_inv):
+        d[k] = _distances_projection(arrs[k])
+    return inv, row_norms, d, on_inv
 
 
 def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
@@ -113,7 +118,7 @@ def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
     if method == PROJECTION:
         return _distances_projection(A.array)
     if method == AUTO:
-        return _distances_full(A.array)[2]
+        return _distances_full(A.array[None])[2][0]
     raise UsageError(f"unknown distance method {method!r}")
 
 

@@ -16,9 +16,11 @@ distances alone and recomputes d_j by one QR per step. Its step updates
 the uniform chains on the inverse path as one vectorized step when enough
 of them are, with the scalar code's reductions row by row, and runs the
 scalar code on each other chain's row, so every chain gets the same bits
-either way. The update rules, the
-refresh policy, the measured drift, the selection rule and the
-proportional draw are in README, "How the step kernel keeps phi".
+either way. The chains due for a refresh recompute by one stacked inv, and
+a record-grid point is one stacked SVD and one stacked Gram over the live
+chains; each chain gets the bits of the call on its matrix alone. The
+update rules, the refresh policy, the measured drift, the selection rule
+and the proportional draw are in README, "How the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
@@ -39,8 +41,8 @@ import numpy as np
 from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
-from .matrix import REAL, ColumnMatrix, PairIndex, _orth_column, gram_offdiag_fro
-from .metrics import _distances_full, _distances_projection, _phi_from_distances, condition_number
+from .matrix import REAL, ColumnMatrix, PairIndex, _gram_offdiag_fro, _orth_column, _sq_norms
+from .metrics import _distances_full, _distances_projection, _phi_from_distances
 
 UNIFORM = "uniform"
 PROPORTIONAL = "proportional"
@@ -212,7 +214,7 @@ class _ChainStack:
             for r in range(count)
         ]
         # every chain starts from A0: recompute once, copy the rest
-        self._recompute(0)
+        self._recompute(slice(0, 1))
         kept = [self.inv, self.row_sq, self.d, self.phi, self.since, self.on_inv]
         if self.w is not None:
             self.w[0] = _weights(_gram(self.cols[0].T))
@@ -228,15 +230,19 @@ class _ChainStack:
         return (int(self.refreshes[r]), int(self.fallbacks[r]), float(self.worst_drift[r]),
                 int(self.uniform_fallbacks[r]))
 
-    def _recompute(self, r: int) -> None:
-        inv, row_norms, d = _distances_full(self.cols[r].T)
-        self.on_inv[r] = inv is not None
-        if inv is not None:
-            self.inv[r] = inv
-            self.row_sq[r] = row_norms * row_norms
-        self.d[r] = d
-        self.phi[r] = _phi_from_distances(d)
-        self.since[r] = 0
+    def _recompute(self, rs) -> None:
+        # chains rs (indices, or a slice for one chain: a view, where an index
+        # copy slows inv at n = 128); off the inverse path, inv is stale
+        inv, row_norms, d, on_inv = _distances_full(self.cols[rs].mT)
+        self.inv[rs], self.row_sq[rs], self.on_inv[rs] = inv, row_norms * row_norms, on_inv
+        self.d[rs], self.phi[rs], self.since[rs] = d, -np.log(d).sum(axis=1) + 0.0, 0
+
+    def _refresh(self, rs) -> None:
+        phi_kept = self.phi[rs].copy()
+        self._recompute(rs)
+        self.refreshes[rs] += 1
+        # fmax keeps a NaN phi out of the drift, as max() did
+        self.worst_drift[rs] = np.fmax(self.worst_drift[rs], np.abs(phi_kept - self.phi[rs]))
 
     def _retire(self, r: int, exc: DegeneratePairError) -> None:
         self.live[r] = False
@@ -287,10 +293,7 @@ class _ChainStack:
         # infinite estimate (it is not below)
         below = math.sqrt(self.n * sum_sq) <= tol.DISTANCE_FALLBACK_KAPPA
         if self.since[r] >= tol.INVERSE_REFRESH_STEPS or below != self.on_inv[r]:
-            phi_kept = self.phi[r]
-            self._recompute(r)
-            self.refreshes[r] += 1
-            self.worst_drift[r] = max(self.worst_drift[r], abs(phi_kept - self.phi[r]))
+            self._refresh(slice(r, r + 1))
         if not self.on_inv[r]:
             self.fallbacks[r] += 1
 
@@ -331,14 +334,10 @@ class _ChainStack:
         w = a_i - c[:, None] * a_j
         c2 = np.vecdot(a_j, w)
         w -= c2[:, None] * a_j
-        if self.field == REAL:
-            nu = np.sqrt(np.vecdot(w, w))
-            c_abs = np.abs(c)
-        else:
-            nu = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
-            # abs() of a complex scalar is hypot; np.abs of an array may
-            # differ from it in the last bit
-            c_abs = np.hypot(c.real, c.imag)
+        nu = np.sqrt(_sq_norms(w))
+        # abs() of a complex scalar is hypot; np.abs of an array may differ
+        # from it in the last bit
+        c_abs = np.abs(c) if self.field == REAL else np.hypot(c.real, c.imag)
         ok = (c_abs < 1.0 - tol.DEGENERATE_PAIR_GUARD) & (nu > 0.0) & np.isfinite(nu)
         if not ok.all():
             for k in np.flatnonzero(~ok):
@@ -357,12 +356,12 @@ class _ChainStack:
         self.phi[a] = -np.log(d[a]).sum(axis=1) + 0.0
         sum_sq = row_sq[a].sum(axis=1)
         self.since[a] += 1
-        # exactly the chains whose _settle refreshes
-        due = (self.since[a] >= tol.INVERSE_REFRESH_STEPS) | ~(
-            np.sqrt(self.n * sum_sq) <= tol.DISTANCE_FALLBACK_KAPPA
-        )
-        for k in np.flatnonzero(due):
-            self._settle(a[k], float(sum_sq[k]))
+        # _settle's rule, with the chains it refreshes as one stack
+        below = np.sqrt(self.n * sum_sq) <= tol.DISTANCE_FALLBACK_KAPPA
+        due = a[(self.since[a] >= tol.INVERSE_REFRESH_STEPS) | ~below]
+        if due.size:
+            self._refresh(due)
+            self.fallbacks[due] += ~self.on_inv[due]
         inner_abs[a] = c_abs
 
 
@@ -463,13 +462,13 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
     # sigma_min, kappa and gram_offdiag of each chain at each grid point
     records = np.empty((3, count, len(grid)))
 
-    def record(r: int, k: int) -> None:
-        A = stack.matrix(r)
-        kappa, sigma = condition_number(A)
-        records[:, r, k] = sigma[-1], kappa, gram_offdiag_fro(A)
+    def record(rs, k: int) -> None:
+        cols = stack.cols[rs]
+        sigma = np.linalg.svd(cols.mT, compute_uv=False)
+        records[:, rs, k] = sigma[:, -1], sigma[:, 0] / sigma[:, -1], _gram_offdiag_fro(cols)
 
     # every chain starts from A0: record once, copy the rest
-    record(0, 0)
+    record([0], 0)
     records[:, 1:, 0] = records[:, :1, 0]
     aborted_at: dict[int, int] = {}
     for t in range(1, steps + 1):
@@ -485,8 +484,7 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
             for r in stack.aborts:
                 aborted_at.setdefault(r, t)
         if t in on_grid:
-            for r in np.flatnonzero(stack.live):
-                record(r, on_grid[t])
+            record(np.flatnonzero(stack.live), on_grid[t])
     results = []
     for r in range(count):
         # an aborted chain keeps the prefix recorded before its failing step

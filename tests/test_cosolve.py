@@ -217,3 +217,36 @@ class TestRunCosolve:
         assert np.array_equal(final.b, state.b)
         assert np.array_equal(final.x, state.x)
         assert len(history) == steps
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 100])
+    def test_block_row_draws_match_one_draw_per_op(self, n):
+        # run_cosolve draws its Kaczmarz rows in one block
+        block = make_rng(5).integers(n, size=5000)
+        rng = make_rng(5)
+        assert block.tolist() == [int(rng.integers(n)) for _ in range(5000)]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_run_ending_mid_cycle_matches_replay(self, field):
+        # 203 = 40 cycles of 2 orth and 3 Kaczmarz ops, then 2 orth and 1
+        # Kaczmarz op: the block row draw and the error carried over orth
+        # ops must still give the bits of one op at a time
+        A, x_true = random_instance(5, 12, field)
+        history, final = run_cosolve(A, x_true, interleave=(2, 3), steps=203, seed=7)
+        kinds = ([ORTH] * 2 + [KACZ] * 3) * 40 + [ORTH, ORTH, KACZ]
+        assert [rec.kind for rec in history] == kinds
+        chain_phi = run_chain(A, kinds.count(ORTH), UNIFORM, derive_replicate_seed(7, 0)).phi
+        rng_pairs = make_rng(derive_replicate_seed(7, 0))
+        rng_rows = make_rng(derive_replicate_seed(7, 1))
+        state = initial_state(A, x_true)
+        orth_done = 0
+        for rec, kind in zip(history, kinds):
+            if kind == ORTH:
+                state = orth_with_rhs(state, sample_pair(state.A, "uniform", rng_pairs))
+                orth_done += 1
+            else:
+                state = kaczmarz_step(state, int(rng_rows.integers(A.n)))
+            assert rec.err_norm == state.error()
+            assert rec.phi == chain_phi[orth_done]
+        assert np.array_equal(final.A.array, state.A.array)
+        assert np.array_equal(final.b, state.b)
+        assert np.array_equal(final.x, state.x)

@@ -16,7 +16,7 @@ from pairorth import (
     snapshot,
 )
 from pairorth.generators import GeneratorSpec
-from pairorth.metrics import INVERSE_ROWS, PROJECTION, _distances_inverse_rows
+from pairorth.metrics import INVERSE_ROWS, PROJECTION, _distances_full, _distances_inverse_rows
 
 SQ3 = np.sqrt(3.0)
 PHI_PI3 = 0.2876820724517809  # -2 log(sqrt(3)/2)
@@ -61,6 +61,30 @@ class TestDistances:
         arr = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(SingularityError):
             _distances_inverse_rows(arr)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stacked_auto_rule_matches_each_matrix_alone(self, field):
+        # a refresh recomputes the chains due as one stack: mixed with
+        # projection-path matrices, each must get the auto rule's d alone
+        mats = [random_state(6, field, seed) for seed in range(3)] + [
+            generate(GeneratorSpec("near_singular", n=6, field=field, seed=seed, eta=1e-10))[0]
+            for seed in range(2)
+        ]
+        inv, row_norms, d, on_inv = _distances_full(np.stack([A.array for A in mats]))
+        assert on_inv.tolist() == [True] * 3 + [False] * 2
+        for k, A in enumerate(mats):
+            method = INVERSE_ROWS if on_inv[k] else PROJECTION
+            assert np.array_equal(d[k], leave_one_out_distances(A, method))
+            if on_inv[k]:
+                assert np.array_equal(inv[k], np.linalg.inv(A.array))
+                assert np.array_equal(row_norms[k], np.linalg.norm(inv[k], axis=1))
+
+    def test_singular_matrix_in_a_stack_fails_as_alone(self):
+        # the stacked inv fails as a whole; each matrix then goes alone, and
+        # the singular one fails projection as it would by itself
+        good = build_unit_column_matrix(np.eye(2)).array
+        with pytest.raises(SingularityError):
+            _distances_full(np.stack([good, np.array([[1.0, 1.0], [0.0, 0.0]])]))
 
 
 class TestPotential:

@@ -24,6 +24,7 @@ from pairorth import process
 from pairorth import tolerances as tol
 from pairorth.errors import PairOrthError
 from pairorth.generators import GeneratorSpec
+from pairorth.matrix import _gram_offdiag_fro, _sq_norms
 from pairorth.process import (
     GREEDY,
     PROPORTIONAL,
@@ -433,6 +434,40 @@ def assert_stack_matches_run_chain(A, steps, replicates, base_seed, stride):
         assert_same_trajectory(stacked[r], alone)
     assert list(stacked) == kept
     return stacked, error
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n,count", [(2, 5), (8, 50), (32, 20), (128, 4)])
+def test_stacked_lapack_calls_match_per_matrix_calls(n, count, field):
+    """A stack's refresh and grid record make one call over its chains'
+    matrices, and each chain must get the bits of the call on its matrix
+    alone: np.linalg.inv (with the row norms and the Frobenius norm the
+    refresh rule reads off it), np.linalg.svd(compute_uv=False) and the
+    Gram off-diagonal norm. numpy does not guarantee this. It holds because
+    LAPACK (and BLAS) runs once per matrix in a loop over the batch, as it
+    does with numpy 2.4 and its bundled OpenBLAS 0.3.31. Where it fails,
+    stacked results leave the bits of per-matrix calls, and the golden
+    outputs with them."""
+    # the kernel's layout: chain k's columns are the rows of cols[k]
+    cols = np.stack([
+        generate(GeneratorSpec("gaussian_normalized", n=n, field=field, seed=s))[0].array.T
+        for s in range(count)
+    ])
+    inv = np.linalg.inv(cols.mT)
+    sigma = np.linalg.svd(cols.mT, compute_uv=False)
+    row_norms = np.linalg.norm(inv, axis=2)
+    inv_fro = np.sqrt(_sq_norms(inv.reshape(count, n * n)))
+    offdiag = _gram_offdiag_fro(cols)
+    for k in range(count):
+        A = np.array(cols[k].T, order="F")
+        inv_k = np.linalg.inv(A)
+        assert np.array_equal(inv[k], inv_k)
+        assert np.array_equal(row_norms[k], np.linalg.norm(inv_k, axis=1))
+        assert inv_fro[k] == np.linalg.norm(inv_k)
+        assert np.array_equal(sigma[k], np.linalg.svd(A, compute_uv=False))
+        g = A.conj().T @ A
+        g[np.diag_indices(n)] -= 1.0
+        assert offdiag[k] == np.linalg.norm(g)
 
 
 class TestStackedEnsemble:

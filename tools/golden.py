@@ -84,6 +84,12 @@ def _cases() -> dict[str, list[str]]:
             "cosolve", "--gen", "prescribed", "--n", "8", "--sigma", SIGMA, "--field", field,
             "--interleave", "1:1", "--steps", "4000", "--seed", "9",
         ]
+    # 2003 = 400 cycles of 2 orth and 3 Kaczmarz ops, then 2 orth and 1
+    # Kaczmarz: the run ends mid-cycle
+    cases["cosolve-2-3-partial"] = [
+        "cosolve", "--gen", "prescribed", "--n", "8", "--sigma", SIGMA,
+        "--interleave", "2:3", "--steps", "2003", "--seed", "9",
+    ]
     cases["cosolve-0-1"] = [
         "cosolve", "--gen", "prescribed", "--n", "8", "--sigma", SIGMA,
         "--interleave", "0:1", "--steps", "2000", "--seed", "9",
