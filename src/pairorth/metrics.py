@@ -55,23 +55,29 @@ def _distances_inverse_rows(arr: np.ndarray):
     return inv, row_norms, np.minimum(1.0 / row_norms, 1.0)
 
 
-def _distances_projection(arr: np.ndarray, cols=None) -> np.ndarray:
-    """d_j for each j in cols (default every column), one QR of the other
-    columns per j."""
-    cols = range(arr.shape[1]) if cols is None else cols
-    d = np.empty(len(cols))
-    for k, j in enumerate(cols):
-        others = np.delete(arr, j, axis=1)
-        q, _ = np.linalg.qr(others)
-        a_j = arr[:, j]
-        r = a_j - q @ (q.conj().T @ a_j)
-        r = r - q @ (q.conj().T @ r)  # second pass recovers lost orthogonality
-        d[k] = np.linalg.norm(r)
-        if d[k] == 0.0 or not np.isfinite(d[k]):
-            raise SingularityError(
-                f"column {j} is numerically in the span of the others", column=j
-            )
-    return np.minimum(d, 1.0)
+def _pair_distances(arr: np.ndarray, i: int, j: int) -> tuple[float, float]:
+    """(d_i, d_j) from one R-only Householder QR with i then j moved behind
+    the other columns. The trailing 2x2 block [[r11, r12], [0, r22]] of R
+    holds a_i and a_j off the span of the others: d_j = |r22|, and d_i, the
+    distance of (r11, 0) to the line through (r12, r22), is
+    |r11| |r22| / hypot(r12, r22)."""
+    order = [k for k in range(arr.shape[1]) if k != i and k != j]
+    # mode "raw" leaves R^T in its lower triangle: the bits of mode "r"
+    # without its triu copy, and Q is never formed
+    rt = np.linalg.qr(arr[:, order + [i, j]], mode="raw")[0]
+    r11, r12, r22 = abs(rt[-2, -2]), abs(rt[-1, -2]), abs(rt[-1, -1])
+    d_i = r11 * (r22 / math.hypot(r12, r22)) if r22 else 0.0
+    for k, d_k in ((j, r22), (i, d_i)):
+        if not 0.0 < d_k < math.inf:  # zero or not finite
+            raise SingularityError(f"column {k} is numerically in the span of the others", column=k)
+    # d <= 1 holds exactly in real arithmetic; trim roundoff overshoot
+    return min(d_i, 1.0), min(r22, 1.0)
+
+
+def _distances_projection(arr: np.ndarray) -> np.ndarray:
+    """d_j for every column j: the d_j of _pair_distances(arr, j - 1, j)."""
+    n = arr.shape[1]
+    return np.array([_pair_distances(arr, (j - 1) % n, j)[1] for j in range(n)])
 
 
 def _phi_from_distances(d: np.ndarray) -> float:
@@ -108,10 +114,10 @@ def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
     """Distance from each column to the span of the other columns.
 
     method "inverse-rows" uses one factorization (d_j is the reciprocal
-    norm of row j of the inverse); "projection" orthonormalizes the other
-    columns and measures the residual per column; "auto" (default) uses
-    inverse rows and falls back to projection when the estimated condition
-    number exceeds 1e8.
+    norm of row j of the inverse); "projection" runs one R-only Householder
+    QR per column, with that column last, and reads d_j = |r_nn|; "auto"
+    (default) uses inverse rows and falls back to projection when the
+    estimated condition number exceeds 1e8.
     """
     if method == INVERSE_ROWS:
         return _distances_inverse_rows(A.array)[2]

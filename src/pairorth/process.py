@@ -12,15 +12,16 @@ runs one stack per chunk of replicates, and the Kaczmarz co-solver drives
 a stack of one. Per chain it keeps the inverse (two rows move per step),
 the distances and, for the proportional and greedy samplers, the weights
 |G|^2 of the Gram matrix G. Above the 1e8 condition estimate it keeps the
-distances alone and recomputes d_j by one QR per step. Its step updates
-the uniform chains on the inverse path as one vectorized step when enough
-of them are, with the scalar code's reductions row by row, and runs the
-scalar code on each other chain's row, so every chain gets the same bits
-either way. The chains due for a refresh recompute by one stacked inv, and
-a record-grid point is one stacked SVD and one stacked Gram over the live
-chains; each chain gets the bits of the call on its matrix alone. The
-update rules, the refresh policy, the measured drift, the selection rule
-and the proportional draw are in README, "How the step kernel keeps phi".
+distances alone and reads d_i and d_j off one R-only QR per step. Its
+step updates the uniform chains on the inverse path as one vectorized
+step when enough of them are, with the scalar code's reductions row by
+row, and runs the scalar code on each other chain's row, so every chain
+gets the same bits either way. The chains due for a refresh recompute by
+one stacked inv, and a record-grid point is one stacked SVD and one
+stacked Gram over the live chains; each chain gets the bits of the call
+on its matrix alone. The update rules, the refresh policy, the measured
+drift, the selection rule and the proportional draw are in README, "How
+the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
@@ -42,7 +43,7 @@ from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
 from .matrix import REAL, ColumnMatrix, PairIndex, _gram_offdiag_fro, _orth_column, _sq_norms
-from .metrics import _distances_full, _distances_projection, _phi_from_distances
+from .metrics import _distances_full, _pair_distances, _phi_from_distances
 
 UNIFORM = "uniform"
 PROPORTIONAL = "proportional"
@@ -128,10 +129,6 @@ def _draw_pair(n: int, kind: str, rng: np.random.Generator, w=None) -> tuple[Pai
     raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
 
 
-def _gram(arr: np.ndarray) -> np.ndarray:
-    return arr.conj().T @ arr
-
-
 def sample_pair(A: ColumnMatrix, kind: str, rng: np.random.Generator) -> PairIndex:
     """Draw one ordered pair (i, j); column i is the one to replace.
 
@@ -148,7 +145,7 @@ def sample_pair(A: ColumnMatrix, kind: str, rng: np.random.Generator) -> PairInd
     (rng.random()), the one rng.choice(n * n, p=...) would take, or the
     uniform integer when it falls back.
     """
-    w = None if kind == UNIFORM else _weights(_gram(A.array))
+    w = None if kind == UNIFORM else _weights(A.array.conj().T @ A.array)
     return _draw_pair(A.n, kind, rng, w)[0]
 
 
@@ -176,10 +173,11 @@ class _ChainStack:
     matrix, updated in place. d[r] are its distances and phi[r] their
     potential. While on_inv[r] holds, inv[r] is its A^-1 (rows contiguous)
     and row_sq[r] the squared norms of those rows; on the projection path
-    both are stale, and a step keeps d[r] and recomputes only d_j by one QR.
+    both are stale, and a step keeps d[r] but d_i and d_j, read off one QR.
     w[r] is _weights(A^H A) for the proportional and greedy samplers (w is
     None for uniform), updated in row and column i from one product per
-    step, and since[r] counts the steps since the last full recompute. The
+    step; since[r] counts the steps since the last full recompute, and
+    est0[r] is the condition estimate sqrt(n sum_k 1 / d_k^2) there. The
     counters, per chain: refreshes, the full recomputes made by steps;
     fallbacks, the steps whose distances came from the projection path;
     worst_drift, the largest |phi_kept - phi_full| seen at a refresh, on
@@ -194,16 +192,13 @@ class _ChainStack:
         self.cols = np.empty((count, n, n), dtype=dtype)
         self.cols[:] = A0.array.T
         self.inv = np.empty((count, n, n), dtype=dtype)
-        self.row_sq = np.empty((count, n))
-        self.d = np.empty((count, n))
-        self.phi = np.empty(count)
+        self.row_sq, self.d = np.empty((count, n)), np.empty((count, n))
+        self.phi, self.est0 = np.empty(count), np.empty(count)
         self.since = np.empty(count, dtype=np.intp)
         self.on_inv = np.empty(count, dtype=bool)
         self.w = None if kind == UNIFORM else np.empty((count, n, n))
-        self.refreshes = np.zeros(count, dtype=np.intp)
-        self.fallbacks = np.zeros(count, dtype=np.intp)
+        self.refreshes, self.fallbacks, self.uniform_fallbacks = np.zeros((3, count), dtype=np.intp)
         self.worst_drift = np.zeros(count)
-        self.uniform_fallbacks = np.zeros(count, dtype=np.intp)
         self.live = np.ones(count, dtype=bool)
         self.aborts: dict[int, DegeneratePairError] = {}
         # chain r's matrix, d, inv, row_sq and w: views, made once, that the
@@ -215,9 +210,9 @@ class _ChainStack:
         ]
         # every chain starts from A0: recompute once, copy the rest
         self._recompute(slice(0, 1))
-        kept = [self.inv, self.row_sq, self.d, self.phi, self.since, self.on_inv]
+        kept = [self.inv, self.row_sq, self.d, self.phi, self.since, self.est0, self.on_inv]
         if self.w is not None:
-            self.w[0] = _weights(_gram(self.cols[0].T))
+            self.w[0] = _weights(self.cols[0].conj() @ self.cols[0].T)
             kept.append(self.w)
         for values in kept:
             values[1:] = values[0]
@@ -236,6 +231,7 @@ class _ChainStack:
         inv, row_norms, d, on_inv = _distances_full(self.cols[rs].mT)
         self.inv[rs], self.row_sq[rs], self.on_inv[rs] = inv, row_norms * row_norms, on_inv
         self.d[rs], self.phi[rs], self.since[rs] = d, -np.log(d).sum(axis=1) + 0.0, 0
+        self.est0[rs] = np.sqrt(self.n * (1.0 / (d * d)).sum(axis=1))
 
     def _refresh(self, rs) -> None:
         phi_kept = self.phi[rs].copy()
@@ -262,8 +258,7 @@ class _ChainStack:
             row_w = np.abs(arr[:, i].conj() @ arr)
             row_w *= row_w
             row_w[i] = 0.0
-            w[i, :] = row_w
-            w[:, i] = row_w
+            w[i, :] = w[:, i] = row_w
         self.since[r] += 1
         if self.on_inv[r]:
             inv[j] += (c + c2) * inv[i]
@@ -273,11 +268,8 @@ class _ChainStack:
                 d[k] = min(1.0 / math.sqrt(row_sq[k]), 1.0)
             sum_sq = float(row_sq.sum())
         else:
-            # span{a_i', a_j} = span{a_i, a_j}, so d_k for k not in {i, j}
-            # stays; a_j is one of i's other columns, so d_i scales by 1/nu;
-            # only d_j, whose other columns now hold a_i', needs a QR
-            d[i] = min(d[i] / nu, 1.0)
-            d[j] = _distances_projection(arr, (j,))[0]
+            # span{a_i', a_j} = span{a_i, a_j}: d_k for k not in {i, j} stays
+            d[i], d[j] = _pair_distances(arr, i, j)
             sum_sq = float(np.sum(1.0 / (d * d)))
         self.phi[r] = _phi_from_distances(d)
         self._settle(r, sum_sq)
@@ -285,14 +277,16 @@ class _ChainStack:
 
     def _settle(self, r: int, sum_sq: float) -> None:
         """End a step of chain r whose kept distances give
-        sum_sq = sum_k 1 / d_k^2: refresh on the interval or at a crossing,
-        count a projection step."""
-        # sqrt(n) ||A^-1||_F, read off the inverse rows or, on the
-        # projection path, off ||row k of A^-1|| = 1 / d_k; a crossing
-        # either way refreshes, and on the inverse path so does a NaN or
-        # infinite estimate (it is not below)
-        below = math.sqrt(self.n * sum_sq) <= tol.DISTANCE_FALLBACK_KAPPA
-        if self.since[r] >= tol.INVERSE_REFRESH_STEPS or below != self.on_inv[r]:
+        sum_sq = sum_k 1 / d_k^2: refresh, count a projection step."""
+        # sqrt(n) ||A^-1||_F, off the inverse rows, or off ||row k of A^-1||
+        # = 1 / d_k on the projection path. A crossing either way refreshes,
+        # on the inverse path so does a NaN or infinite estimate (it is not
+        # below), and on the projection path a fall below est0 / n: a kept
+        # d_k errs by about eps kappa at est0, the slack is n eps kappa now
+        est = math.sqrt(self.n * sum_sq)
+        below = est <= tol.DISTANCE_FALLBACK_KAPPA
+        fell = not self.on_inv[r] and self.n * est < self.est0[r]
+        if self.since[r] >= tol.INVERSE_REFRESH_STEPS or below != self.on_inv[r] or fell:
             self._refresh(slice(r, r + 1))
         if not self.on_inv[r]:
             self.fallbacks[r] += 1

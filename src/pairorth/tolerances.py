@@ -33,15 +33,15 @@ MONOTONE_ABS = 1e-10
 DISTANCE_METHOD_REL = 1e-8
 
 # Condition estimate sqrt(n) ||A^-1||_F above which the distances come
-# from per-column projection instead of inverse rows. The step kernel reads
-# the estimate off its kept state; above it, a step keeps the distances
-# and recomputes d_j alone by one QR, and a crossing either way refreshes.
+# from one R-only QR per column instead of inverse rows. The step kernel
+# reads the estimate off its kept state; above it, a step reads d_i and d_j
+# off one R-only QR, and a crossing either way refreshes.
 DISTANCE_FALLBACK_KAPPA = 1e8
 
-# The step kernel keeps its distances (two inverse rows per step, or on the
-# projection path one QR per step) and recomputes them in full every this
-# many steps, bounding their drift. Measured drift and cost are in README,
-# "How the step kernel keeps phi".
+# The step kernel recomputes its kept distances in full every this many
+# steps, on either path, and on the projection path also when the estimate
+# falls below 1/n of its value at the last recompute. Measured drift and
+# cost are in README, "How the step kernel keeps phi".
 INVERSE_REFRESH_STEPS = 64
 
 # Slack for the exact one-step expectation against the iterative map.

@@ -16,7 +16,13 @@ from pairorth import (
     snapshot,
 )
 from pairorth.generators import GeneratorSpec
-from pairorth.metrics import INVERSE_ROWS, PROJECTION, _distances_full, _distances_inverse_rows
+from pairorth.metrics import (
+    INVERSE_ROWS,
+    PROJECTION,
+    _distances_full,
+    _distances_inverse_rows,
+    _pair_distances,
+)
 
 SQ3 = np.sqrt(3.0)
 PHI_PI3 = 0.2876820724517809  # -2 log(sqrt(3)/2)
@@ -85,6 +91,24 @@ class TestDistances:
         good = build_unit_column_matrix(np.eye(2)).array
         with pytest.raises(SingularityError):
             _distances_full(np.stack([good, np.array([[1.0, 1.0], [0.0, 0.0]])]))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_pair_read_off_matches_projection(self, field):
+        # d_i off the trailing 2x2 block and d_j = |r22| of one QR, against
+        # the QRs of PROJECTION, which put each column last in another order
+        for seed in range(5):
+            A = random_state(6, field, seed)
+            d = leave_one_out_distances(A, PROJECTION)
+            for i, j in ((0, 1), (5, 2), (3, 4)):
+                assert np.allclose(_pair_distances(A.array, i, j), d[[i, j]], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 2), (2, 1)])
+    def test_pair_read_off_of_a_dependent_matrix_raises(self, pair):
+        # columns 0 and 2 are equal and the last row is zero: R has an exact
+        # zero at its corner, whichever pair goes last
+        arr = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SingularityError):
+            _pair_distances(arr, *pair)
 
 
 class TestPotential:

@@ -73,6 +73,13 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "near_singular", "--n", "8", "--eta", "1e-6",
         "--steps", "15000", "--replicates", "4", "--seed", "7", *EMIT,
     ]
+    # planted distance 1e-12 at n = 4: kappa falls through the projection
+    # path by more than a factor n between interval refreshes, so the
+    # kernel also refreshes at those falls
+    cases["run-projection-path-kappa-falls"] = [
+        "run", "--gen", "near_singular", "--n", "4", "--eta", "1e-12",
+        "--steps", "200", "--stride", "20", "--replicates", "1", "--seed", "3", *EMIT,
+    ]
     # 3 of the 8 replicates hit a degenerate pair on the projection path:
     # above the 1% budget, so the run exits 2 after the kept trajectories
     cases["run-aborts"] = [
