@@ -9,6 +9,7 @@ of row j of the inverse, which gives the fast computation path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,16 +56,22 @@ def _distances_inverse_rows(arr: np.ndarray):
     return inv, row_norms, np.minimum(1.0 / row_norms, 1.0)
 
 
+@functools.cache
+def _pair_order(n: int, i: int, j: int) -> np.ndarray:
+    """The column order of _pair_distances: others ascending, i, j. Cached:
+    at most n (n - 1) arrays of n indices, 0.26 MB at n = 32, 17 MB at 128."""
+    return np.array([k for k in range(n) if k != i and k != j] + [i, j])
+
+
 def _pair_distances(arr: np.ndarray, i: int, j: int) -> tuple[float, float]:
     """(d_i, d_j) from one R-only Householder QR with i then j moved behind
     the other columns. The trailing 2x2 block [[r11, r12], [0, r22]] of R
     holds a_i and a_j off the span of the others: d_j = |r22|, and d_i, the
     distance of (r11, 0) to the line through (r12, r22), is
     |r11| |r22| / hypot(r12, r22)."""
-    order = [k for k in range(arr.shape[1]) if k != i and k != j]
     # mode "raw" leaves R^T in its lower triangle: the bits of mode "r"
     # without its triu copy, and Q is never formed
-    rt = np.linalg.qr(arr[:, order + [i, j]], mode="raw")[0]
+    rt = np.linalg.qr(arr[:, _pair_order(arr.shape[1], i, j)], mode="raw")[0]
     r11, r12, r22 = abs(rt[-2, -2]), abs(rt[-1, -2]), abs(rt[-1, -1])
     d_i = r11 * (r22 / math.hypot(r12, r22)) if r22 else 0.0
     for k, d_k in ((j, r22), (i, d_i)):
@@ -75,9 +82,11 @@ def _pair_distances(arr: np.ndarray, i: int, j: int) -> tuple[float, float]:
 
 
 def _distances_projection(arr: np.ndarray) -> np.ndarray:
-    """d_j for every column j: the d_j of _pair_distances(arr, j - 1, j)."""
+    """d_j for every column j: both distances of _pair_distances(arr, k, k + 1)
+    for k = 0, 2, 4, ..., and for odd n the d_j of (n - 2, n - 1)."""
     n = arr.shape[1]
-    return np.array([_pair_distances(arr, (j - 1) % n, j)[1] for j in range(n)])
+    d = [d_k for k in range(0, n - 1, 2) for d_k in _pair_distances(arr, k, k + 1)]
+    return np.array(d + [_pair_distances(arr, n - 2, n - 1)[1]] if n % 2 else d)
 
 
 def _phi_from_distances(d: np.ndarray) -> float:
@@ -114,8 +123,8 @@ def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
     """Distance from each column to the span of the other columns.
 
     method "inverse-rows" uses one factorization (d_j is the reciprocal
-    norm of row j of the inverse); "projection" runs one R-only Householder
-    QR per column, with that column last, and reads d_j = |r_nn|; "auto"
+    norm of row j of the inverse); "projection" reads two distances off
+    each of ceil(n / 2) R-only Householder QRs, pair by pair; "auto"
     (default) uses inverse rows and falls back to projection when the
     estimated condition number exceeds 1e8.
     """

@@ -478,7 +478,8 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
             for r in stack.aborts:
                 aborted_at.setdefault(r, t)
         if t in on_grid:
-            record(np.flatnonzero(stack.live), on_grid[t])
+            # a slice while all are live: a stack of one records a view, not a copy
+            record(slice(None) if stack.live.all() else np.flatnonzero(stack.live), on_grid[t])
     results = []
     for r in range(count):
         # an aborted chain keeps the prefix recorded before its failing step

@@ -36,7 +36,7 @@ from pairorth.generators import (
     GeneratorSpec,
 )
 from pairorth.matrix import COMPLEX, REAL
-from pairorth.metrics import AUTO, PROJECTION
+from pairorth.metrics import AUTO, PROJECTION, _distances_projection, _pair_distances
 from pairorth.process import (
     GREEDY,
     PROPORTIONAL,
@@ -221,6 +221,31 @@ def test_projection_path_keeps_distances(field, n, eta, seed):
             d_mp = _mp_distances(state.arr)
             assert np.max(np.abs(np.log(state.d) - np.log(d_mp))) <= _slack(now)
     assert state.fallbacks > 0
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("eta", [1e-10, 1e-12])
+def test_pair_read_off_recompute_matches_50_digits(field, n, eta):
+    # the full recompute of the projection path reads two distances per QR,
+    # pair by pair, and the odd column off one more; it must agree with the
+    # 50-digit inverse rows, the brute-force oracle and the read-off of d_j
+    # alone, with j last, within the slack of the property above
+    for seed in range(3):
+        if n == 2:
+            # the generator refuses n = 2, whose only pair is degenerate
+            c = np.exp(1j * seed) if field == COMPLEX else 1.0
+            A = ColumnMatrix._wrap(np.array([[1.0, c * np.cos(eta)], [0.0, np.sin(eta)]]), field)
+        else:
+            A, _ = generate(GeneratorSpec(NEAR_SINGULAR, n=n, field=field, seed=seed, eta=eta))
+        log_d = np.log(_distances_projection(A.array))
+        one_per_column = [_pair_distances(A.array, (j - 1) % n, j)[1] for j in range(n)]
+        for ref in (
+            _mp_distances(A.array),
+            [brute_force_distance(A, j) for j in range(n)],
+            one_per_column,
+        ):
+            assert np.max(np.abs(log_d - np.log(ref))) <= _slack(A)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

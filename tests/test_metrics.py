@@ -1,5 +1,7 @@
 """Leave-one-out distances, the potential, kappa, and the inequality reports."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from pairorth.metrics import (
     PROJECTION,
     _distances_full,
     _distances_inverse_rows,
+    _distances_projection,
     _pair_distances,
+    _pair_order,
 )
 
 SQ3 = np.sqrt(3.0)
@@ -109,6 +113,59 @@ class TestDistances:
         arr = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SingularityError):
             _pair_distances(arr, *pair)
+
+    @pytest.mark.parametrize(
+        "columns,dependent",
+        [
+            # even n: a_2 = a_0 + a_1, with no zero row
+            ([[3, 4, 0, 0], [0, 0, 1, 0], [3, 4, 1, 0], [0, 0, 0, 1]], {0, 1, 2}),
+            # odd n, a dependency on the unpaired last column: a_2 = a_0 + a_1
+            # at n = 3, a_4 = a_3 at n = 5
+            ([[3, 4, 0], [0, 0, 1], [3, 4, 1]], {0, 1, 2}),
+            ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 3, 4],
+              [0, 0, 0, 3, 4]], {3, 4}),
+        ],
+    )
+    def test_projection_of_a_dependent_matrix_names_a_dependent_column(self, columns, dependent):
+        with pytest.raises(SingularityError) as info:
+            _distances_projection(np.array(columns, dtype=float).T)
+        assert info.value.column in dependent
+
+    def test_dependency_only_the_first_d_i_read_off_sees(self):
+        # a_0 = a_2 = e_0: the first pair's QR, columns in the order (2, 3, 0,
+        # 1), has r11 = 0 and r22 = 1, so d_1 passes and d_0 = 0 raises
+        arr = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float).T
+        r = np.linalg.qr(arr[:, [2, 3, 0, 1]], mode="r")
+        assert r[2, 2] == 0.0 and r[3, 3] == 1.0
+        with pytest.raises(SingularityError) as info:
+            _distances_projection(arr)
+        assert info.value.column == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_cached_pair_order_is_the_listed_order(self, n):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    listed = [k for k in range(n) if k != i and k != j] + [i, j]
+                    assert _pair_order(n, i, j).tolist() == listed
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_pair_read_off_keeps_the_bits_of_a_listed_gather(self, field):
+        # a step's (d_i, d_j) has the bits of the same read-off on a gather by
+        # a Python list, as steps made it before the order was cached
+        def listed_read_off(arr, i, j):
+            order = [k for k in range(arr.shape[1]) if k != i and k != j]
+            rt = np.linalg.qr(arr[:, order + [i, j]], mode="raw")[0]
+            r11, r12, r22 = abs(rt[-2, -2]), abs(rt[-1, -2]), abs(rt[-1, -1])
+            return min(r11 * (r22 / math.hypot(r12, r22)), 1.0), min(r22, 1.0)
+
+        for seed in range(3):
+            A, _ = generate(GeneratorSpec("near_singular", n=6, field=field, seed=seed, eta=1e-10))
+            arr = np.asfortranarray(A.array)  # the layout of a chain's matrix
+            for i in range(6):
+                for j in range(6):
+                    if i != j:
+                        assert _pair_distances(arr, i, j) == listed_read_off(arr, i, j)
 
 
 class TestPotential:

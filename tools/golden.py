@@ -80,6 +80,13 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "near_singular", "--n", "4", "--eta", "1e-12",
         "--steps", "200", "--stride", "20", "--replicates", "1", "--seed", "3", *EMIT,
     ]
+    # odd n: a full recompute reads the last column off its own QR, with
+    # columns 5 and 6 last; every step of the 4 replicates stays on the
+    # projection path (600 of 600), through 12 refreshes
+    cases["run-projection-path-odd"] = [
+        "run", "--gen", "near_singular", "--n", "7", "--eta", "1e-12",
+        "--steps", "150", "--stride", "50", "--replicates", "4", "--seed", "2", *EMIT,
+    ]
     # 3 of the 8 replicates hit a degenerate pair on the projection path:
     # above the 1% budget, so the run exits 2 after the kept trajectories
     cases["run-aborts"] = [
