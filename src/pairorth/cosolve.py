@@ -81,8 +81,7 @@ def orth_with_rhs(state: CosolveState, pair: PairIndex) -> CosolveState:
     """
     i, j = validate_pair(state.A.n, pair)
     arr = np.array(state.A.array, order="F")
-    new_col, c, c2, nu = _orth_column(arr, i, j)
-    arr[:, i] = new_col
+    c, c2, nu = _orth_column(arr, i, j)
     b = np.array(state.b)
     _update_rhs(b, i, j, c, c2, nu)
     return replace(state, A=ColumnMatrix._wrap(arr, state.A.field), b=b)

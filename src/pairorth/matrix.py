@@ -8,6 +8,8 @@ every other column is left untouched.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tolerances as tol
@@ -44,10 +46,11 @@ class ColumnMatrix:
     """Square matrix with unit-length, linearly independent columns.
 
     Values are immutable once constructed: the underlying array is marked
-    read-only and every update returns a new instance.
+    read-only and every update returns a new instance. _sigma keeps the
+    singular values of the rank check (read-only; None when built by _wrap).
     """
 
-    __slots__ = ("_array", "n", "field")
+    __slots__ = ("_array", "_sigma", "n", "field")
 
     def __init__(self, entries, *, normalize: bool = False):
         arr = np.array(entries, order="F")
@@ -74,18 +77,17 @@ class ColumnMatrix:
                 f"(pass normalize=True to rescale)"
             )
 
-        smin = np.linalg.svd(arr, compute_uv=False)[-1]
+        sigma = np.linalg.svd(arr, compute_uv=False)
         floor = tol.RANK_FLOOR_COEFF * n
-        if not smin > floor:
+        if not sigma[-1] > floor:
             raise ConstructionError(
                 f"columns are numerically dependent: smallest singular value "
-                f"{float(smin)!r} is below the rank floor {floor!r}"
+                f"{float(sigma[-1])!r} is below the rank floor {floor!r}"
             )
 
         arr.setflags(write=False)
-        self._array = arr
-        self.n = n
-        self.field = field
+        sigma.setflags(write=False)
+        self._array, self._sigma, self.n, self.field = arr, sigma, n, field
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, field: str) -> "ColumnMatrix":
@@ -96,9 +98,7 @@ class ColumnMatrix:
         """
         self = object.__new__(cls)
         arr.setflags(write=False)
-        self._array = arr
-        self.n = arr.shape[0]
-        self.field = field
+        self._array, self._sigma, self.n, self.field = arr, None, arr.shape[0], field
         return self
 
     @property
@@ -134,10 +134,11 @@ def validate_pair(n: int, pair: PairIndex) -> PairIndex:
 
 
 def _orth_column(arr: np.ndarray, i: int, j: int):
-    """Orthogonalize column i of arr against column j.
+    """Orthogonalize column i of arr against column j, in place, or raise
+    DegeneratePairError with arr untouched.
 
-    Returns (new_column, c, c2, nu) where the update actually performed is
-    new_column = (a_i - (c + c2) * a_j) / nu and c = <a_i, a_j>. The second
+    Returns (c, c2, nu) where the update written into arr[:, i] is
+    a_i <- (a_i - (c + c2) * a_j) / nu and c = <a_i, a_j>. The second
     projection pass (coefficient c2, order eps) removes the residual the
     single pass leaves when the pair is close to the degeneracy guard;
     callers that co-update a right-hand side must fold both passes in.
@@ -149,11 +150,13 @@ def _orth_column(arr: np.ndarray, i: int, j: int):
         raise DegeneratePairError((i, j), abs(c))
     w = a_i - c * a_j
     c2 = np.vdot(a_j, w)
-    w = w - c2 * a_j
-    nu = np.linalg.norm(w)
-    if nu <= 0.0 or not np.isfinite(nu):
+    w -= c2 * a_j
+    # np.linalg.norm(w) bit for bit: the sqrt of a dot (of .real and .imag if complex)
+    nu = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag) if w.dtype.kind == "c" else w.dot(w))
+    if not 0.0 < nu < math.inf:  # zero or not finite
         raise DegeneratePairError((i, j), abs(c))
-    return w / nu, c, c2, nu
+    np.divide(w, nu, out=a_i)
+    return c, c2, nu
 
 
 def orth_step(A: ColumnMatrix, pair: PairIndex) -> ColumnMatrix:
@@ -163,9 +166,8 @@ def orth_step(A: ColumnMatrix, pair: PairIndex) -> ColumnMatrix:
     DegeneratePairError when |<a_i, a_j>| >= 1 - 1e-12.
     """
     i, j = validate_pair(A.n, pair)
-    new_col, _, _, _ = _orth_column(A._array, i, j)
     out = np.array(A._array, order="F")
-    out[:, i] = new_col
+    _orth_column(out, i, j)
     return ColumnMatrix._wrap(out, A.field)
 
 

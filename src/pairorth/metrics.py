@@ -71,11 +71,15 @@ def _pair_distances(arr: np.ndarray, i: int, j: int) -> tuple[float, float]:
     |r11| |r22| / hypot(r12, r22)."""
     # mode "raw" leaves R^T in its lower triangle: the bits of mode "r"
     # without its triu copy, and Q is never formed
-    rt = np.linalg.qr(arr[:, _pair_order(arr.shape[1], i, j)], mode="raw")[0]
+    order = _pair_order(arr.shape[1], i, j)
+    rt = np.linalg.qr(arr[:, order], mode="raw")[0]
     r11, r12, r22 = abs(rt[-2, -2]), abs(rt[-1, -2]), abs(rt[-1, -1])
     d_i = r11 * (r22 / math.hypot(r12, r22)) if r22 else 0.0
     for k, d_k in ((j, r22), (i, d_i)):
         if not 0.0 < d_k < math.inf:  # zero or not finite
+            # a zero pivot ahead of a_j's names its column: what follows measures nothing
+            lead = rt.diagonal()[:-1]
+            k = k if lead.all() else int(order[np.argmin(lead != 0.0)])
             raise SingularityError(f"column {k} is numerically in the span of the others", column=k)
     # d <= 1 holds exactly in real arithmetic; trim roundoff overshoot
     return min(d_i, 1.0), min(r22, 1.0)
@@ -90,10 +94,10 @@ def _distances_projection(arr: np.ndarray) -> np.ndarray:
 
 
 def _phi_from_distances(d: np.ndarray) -> float:
-    # Sum of logs, never log of the product: phi far above 700 must not
-    # underflow through an intermediate product. The + 0.0 turns the
-    # negative zero of an exactly orthonormal state into plain zero.
-    return float(-np.log(d).sum() + 0.0)
+    # Sum of logs (np.add.reduce: the pairwise sum of .sum() without its
+    # wrapper), never log of the product: phi far above 700 must not underflow
+    # through it. + 0.0 turns the -0.0 of an orthonormal state into 0.0.
+    return float(-np.add.reduce(np.log(d)) + 0.0)
 
 
 def _distances_full(arrs: np.ndarray):

@@ -113,10 +113,12 @@ def _draw_pair(n: int, kind: str, rng: np.random.Generator, w=None) -> tuple[Pai
         k = int(np.argmax(w[rows, cols]))
         return (int(rows[k]), int(cols[k])), False
     if kind == PROPORTIONAL:
-        # sqrt(fl(g * g)) == g, so this is the check max |g| < 1e-15
-        if math.sqrt(w.max()) < tol.PROPORTIONAL_FALLBACK_ABS:
-            return _draw_pair(n, UNIFORM, rng)[0], True
         row_cdf = w.sum(axis=1).cumsum()
+        # sqrt(fl(g * g)) == g, so the fallback is max |g| < 1e-15; such a w sums
+        # below 4 n^2 1e-30 and a NaN fails both, so w.max() is read only there
+        small = tol.PROPORTIONAL_FALLBACK_ABS
+        if row_cdf[-1] < 4 * n * n * small * small and math.sqrt(w.max()) < small:
+            return _draw_pair(n, UNIFORM, rng)[0], True
         # u < 1 rounds u * total below total, so the row search stays
         # inside; a search lands where its cdf rises, on a positive weight
         x = rng.random() * row_cdf[-1]
@@ -250,8 +252,7 @@ class _ChainStack:
         _orth_column. A degenerate pair raises DegeneratePairError before
         the chain is touched."""
         arr, d, inv, row_sq, w = self.rows[r]
-        new_col, c, c2, nu = _orth_column(arr, i, j)
-        arr[:, i] = new_col
+        c, c2, nu = _orth_column(arr, i, j)
         if w is not None:
             # row i of A^H A, so row and column i of _weights(A^H A), bit for
             # bit: |conj(z)| = |z|
@@ -261,16 +262,17 @@ class _ChainStack:
             w[i, :] = w[:, i] = row_w
         self.since[r] += 1
         if self.on_inv[r]:
-            inv[j] += (c + c2) * inv[i]
-            inv[i] *= nu
-            for k in (i, j):
-                row_sq[k] = np.vdot(inv[k], inv[k]).real
-                d[k] = min(1.0 / math.sqrt(row_sq[k]), 1.0)
-            sum_sq = float(row_sq.sum())
+            inv_i, inv_j = inv[i], inv[j]
+            inv_j += (c + c2) * inv_i
+            inv_i *= nu
+            for k, inv_k in ((i, inv_i), (j, inv_j)):
+                row_sq[k] = sq = np.vdot(inv_k, inv_k).real
+                d[k] = min(1.0 / math.sqrt(sq), 1.0)
+            sum_sq = float(np.add.reduce(row_sq))
         else:
             # span{a_i', a_j} = span{a_i, a_j}: d_k for k not in {i, j} stays
             d[i], d[j] = _pair_distances(arr, i, j)
-            sum_sq = float(np.sum(1.0 / (d * d)))
+            sum_sq = float(np.add.reduce(1.0 / (d * d)))
         self.phi[r] = _phi_from_distances(d)
         self._settle(r, sum_sq)
         return c, c2, nu
@@ -456,13 +458,14 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
     # sigma_min, kappa and gram_offdiag of each chain at each grid point
     records = np.empty((3, count, len(grid)))
 
-    def record(rs, k: int) -> None:
+    def record(rs, k: int, sigma=None) -> None:
         cols = stack.cols[rs]
-        sigma = np.linalg.svd(cols.mT, compute_uv=False)
+        sigma = np.linalg.svd(cols.mT, compute_uv=False) if sigma is None else sigma
         records[:, rs, k] = sigma[:, -1], sigma[:, 0] / sigma[:, -1], _gram_offdiag_fro(cols)
 
-    # every chain starts from A0: record once, copy the rest
-    record([0], 0)
+    # every chain starts from A0: record once, from its rank check's SVD if
+    # it kept one (the same bits), and copy the rest
+    record(slice(0, 1), 0, None if A0._sigma is None else A0._sigma[None])
     records[:, 1:, 0] = records[:, :1, 0]
     aborted_at: dict[int, int] = {}
     for t in range(1, steps + 1):

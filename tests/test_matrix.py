@@ -1,5 +1,7 @@
 """Core matrix type, inner product convention, and the orth update."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from pairorth import (
 )
 from pairorth import tolerances as tol
 from pairorth.generators import GeneratorSpec
+from pairorth.matrix import _orth_column
 
 SQ3 = np.sqrt(3.0)
 
@@ -157,6 +160,80 @@ class TestOrthStep:
             for pair in [(0, 1), (3, 2), (4, 0)]:
                 B = orth_step(A, pair)
                 assert np.max(np.abs(B.array - A.array)) <= tol.FIXED_POINT_ABS
+
+
+def norm_formula_orth_column(arr, i, j):
+    """The column update as it was written with np.linalg.norm and
+    np.isfinite: (new column, c, c2, nu), arr untouched."""
+    a_i, a_j = arr[:, i], arr[:, j]
+    c = np.vdot(a_j, a_i)
+    if abs(c) >= 1.0 - tol.DEGENERATE_PAIR_GUARD:
+        raise DegeneratePairError((i, j), abs(c))
+    w = a_i - c * a_j
+    c2 = np.vdot(a_j, w)
+    w = w - c2 * a_j
+    nu = np.linalg.norm(w)
+    if nu <= 0.0 or not np.isfinite(nu):
+        raise DegeneratePairError((i, j), abs(c))
+    return w / nu, c, c2, nu
+
+
+def outcome(update, arr, i, j):
+    """What an update does to a copy of arr: ("raised", pair, inner_abs)
+    with the copy untouched, or ("done", column i, c, c2, nu)."""
+    work = np.array(arr, order="F")
+    try:
+        result = update(work, i, j)
+    except DegeneratePairError as exc:
+        assert np.array_equal(work, arr, equal_nan=True)
+        return ("raised", exc.pair, exc.inner_abs)
+    if update is _orth_column:
+        c, c2, nu = result
+        new_col = work[:, i]
+        assert np.array_equal(np.delete(work, i, axis=1), np.delete(arr, i, axis=1))
+    else:
+        new_col, c, c2, nu = result
+    return ("done", new_col.tobytes(), c, c2, nu)
+
+
+class TestOrthColumnBits:
+    """_orth_column, the one scalar update, against the formula it replaced."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_random_pairs(self, field):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 8, 32, 128):
+            for seed in range(3):
+                A = random_state(n, field, seed=seed)
+                for _ in range(20):
+                    i, j = rng.choice(n, size=2, replace=False).tolist()
+                    new = outcome(_orth_column, A.array, i, j)
+                    assert new == outcome(norm_formula_orth_column, A.array, i, j)
+                    assert new[0] == "done"
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_guard_cases(self, dtype):
+        guard = 1.0 - tol.DEGENERATE_PAIR_GUARD
+        cases = []
+        for c in (guard, np.nextafter(guard, 0.0), np.nextafter(guard, 2.0), 1.0):
+            # unit a_1 with <a_0, a_1> = c, at and either side of the guard
+            cases.append([[1.0, c], [0.0, math.sqrt(max(0.0, 1.0 - c * c))]])
+        cases.append([[1.0, 0.5], [0.0, 0.0]])  # nu = 0 at (1, 0): a_1 = a_0 / 2
+        cases.append([[np.nan, 0.0], [0.0, 1.0]])  # nu is NaN
+        cases.append([[1.0, np.nan], [0.0, 1.0]])  # c is NaN
+        cases.append([[np.inf, 0.0], [0.0, 1.0]])  # nu is infinite
+        cases.append([[1e300, 0.0], [0.0, 1.0]])  # c = 0 and nu overflows
+        for entries in cases:
+            arr = np.array(entries, dtype=dtype, order="F")
+            if dtype is complex:
+                arr *= np.exp(0.3j)
+            for i, j in ((0, 1), (1, 0)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    new = outcome(_orth_column, arr, i, j)
+                    old = outcome(norm_formula_orth_column, arr, i, j)
+                assert len(new) == len(old) and all(
+                    a == b or (a != a and b != b) for a, b in zip(new, old)
+                )
 
 
 class TestGramOffdiag:

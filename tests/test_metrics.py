@@ -109,10 +109,12 @@ class TestDistances:
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 2), (2, 1)])
     def test_pair_read_off_of_a_dependent_matrix_raises(self, pair):
         # columns 0 and 2 are equal and the last row is zero: R has an exact
-        # zero at its corner, whichever pair goes last
+        # zero pivot, whichever pair goes last, and the column named is one
+        # of the two equal ones
         arr = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError) as info:
             _pair_distances(arr, *pair)
+        assert info.value.column in {0, 2}
 
     @pytest.mark.parametrize(
         "columns,dependent",
@@ -124,6 +126,9 @@ class TestDistances:
             ([[3, 4, 0], [0, 0, 1], [3, 4, 1]], {0, 1, 2}),
             ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 3, 4],
               [0, 0, 0, 3, 4]], {3, 4}),
+            # a_2 = a_0 and a zero last row: the first pair's QR, columns in
+            # the order (2, 0, 1), has a zero pivot at a_0 and a_1 after it
+            ([[1, 0, 0], [0, 1, 0], [1, 0, 0]], {0, 2}),
         ],
     )
     def test_projection_of_a_dependent_matrix_names_a_dependent_column(self, columns, dependent):

@@ -1,11 +1,14 @@
 """Pair samplers, chain runs, stopping-time detection, ensembles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from pairorth import (
     ChainAbortError,
+    ColumnMatrix,
     UsageError,
     build_unit_column_matrix,
     condition_number,
@@ -168,6 +171,42 @@ class TestProportionalDraw:
             np.fill_diagonal(w, 0.0)
             assert _draw_pair(3, PROPORTIONAL, make_rng(0), w=w)[1] == falls_back
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 128])
+    def test_fallback_guard_on_the_row_total(self, n):
+        # w.max() is read only when the total is below 4 n^2 1e-30: weights
+        # on one pair either side of that bound, and all-equal weights either
+        # side of the fallback rule, decide as max |g| < 1e-15 alone does
+        bound = 4 * n * n * tol.PROPORTIONAL_FALLBACK_ABS**2
+        inputs = []
+        for total in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, 1.0)):
+            w = np.zeros((n, n))
+            w[0, 1] = w[1, 0] = total / 2
+            inputs.append(w)
+        for g in (np.nextafter(1e-15, 0.0), 1e-15):
+            w = np.full((n, n), g * g)
+            np.fill_diagonal(w, 0.0)
+            inputs.append(w)
+        for w in inputs:
+            falls_back = math.sqrt(w.max()) < tol.PROPORTIONAL_FALLBACK_ABS
+            rng, twin = make_rng(n), make_rng(n)
+            pair, fell_back = _draw_pair(n, PROPORTIONAL, rng, w=w)
+            assert fell_back == falls_back
+            if falls_back:
+                assert pair == _draw_pair(n, UNIFORM, twin)[0]
+            else:
+                assert pair == reference_pick(w, twin.random())
+            assert rng.random() == twin.random()
+        assert [math.sqrt(w.max()) < 1e-15 for w in inputs] == [False] * 3 + [True, False]
+
+    def test_nan_weight_does_not_fall_back(self):
+        # a NaN weight fails max |g| < 1e-15 and the total's bound alike; the
+        # draw takes its double (FixedDouble has no uniform draw to fall back
+        # on), and the search of a NaN then runs off the table
+        w = np.full((3, 3), 1e-40)
+        w[0, 1] = np.nan
+        with pytest.raises(IndexError):
+            _draw_pair(3, PROPORTIONAL, FixedDouble(0.5), w=w)
+
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
     def test_roundoff_clamp_lands_on_a_positive_weight(self, u):
         # at u = 1 - 2^-53 the column search of some of these runs past the
@@ -300,6 +339,25 @@ class TestRunChain:
             run_chain(A, steps=1, seed=1, metrics_stride=0)
         with pytest.raises(UsageError):
             run_chain(A, steps=1, kind="roundrobin", seed=1)
+
+
+class TestStartRecord:
+    """The t = 0 record reads the singular values a validated start kept
+    from its rank check; a wrapped start takes the SVD of the stack."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_kept_sigma_gives_the_bits_of_the_stack_svd(self, n, field):
+        for seed in range(2):
+            A = random_state(n, seed, field)
+            wrapped = ColumnMatrix._wrap(np.array(A.array, order="F"), A.field)
+            assert A._sigma is not None and not A._sigma.flags.writeable
+            assert wrapped._sigma is None
+            for kind in (UNIFORM, PROPORTIONAL):
+                kept = run_chain(A, steps=3, kind=kind, seed=seed)
+                fresh = run_chain(wrapped, steps=3, kind=kind, seed=seed)
+                for name in ("phi", "pairs", "sigma_min", "kappa", "gram_offdiag"):
+                    assert np.array_equal(getattr(kept, name), getattr(fresh, name))
 
 
 class TestDetectTStar:
