@@ -24,8 +24,6 @@ from .metrics import (
     PROJECTION,
     hadamard_report,
     leave_one_out_distances,
-    potential_phi,
-    snapshot,
 )
 from .oracle import exact_one_step_expectation, verify_lemma3
 from .process import UNIFORM, derive_replicate_seed, make_rng, run_ensemble
@@ -47,8 +45,8 @@ def _random_state(seed: int, trial: int, n_values, fields=(REAL, COMPLEX)):
     n = n_values[trial % len(n_values)]
     fld = fields[(trial // len(n_values)) % len(fields)]
     spec = GeneratorSpec(GAUSSIAN, n=n, field=fld, seed=derive_replicate_seed(seed, trial))
-    A, _ = generate(spec)
-    return A, spec
+    A, s = generate(spec)
+    return A, spec, s
 
 
 # Each trial function draws one instance and returns
@@ -60,7 +58,7 @@ def _lemma3_trial(seed: int, trial: int):
     """Per-step monotonicity: no d_k decreases, the replaced column's
     distance grows by at least the predicted ratio, and phi does not
     increase. Slack 1e-10."""
-    A, spec = _random_state(seed, trial, (2, 3, 4, 5, 6))
+    A, spec, _ = _random_state(seed, trial, (2, 3, 4, 5, 6))
     rng = make_rng(spec.seed ^ 0x9E37)
     i = int(rng.integers(A.n))
     j = int((i + 1 + rng.integers(A.n - 1)) % A.n)
@@ -75,8 +73,7 @@ def _lemma3_trial(seed: int, trial: int):
 def _lemma10_trial(seed: int, trial: int):
     """Gram residual lower bound ||A*A - I||_F^2 >= (n/(n-1))(1 - sigma_n^2)^2,
     slack 1e-9."""
-    A, spec = _random_state(seed, trial, tuple(range(2, 11)))
-    s = snapshot(A)
+    A, spec, s = _random_state(seed, trial, tuple(range(2, 11)))
     lhs = s.gram_offdiag**2
     rhs = A.n / (A.n - 1) * (1.0 - s.sigma[-1] ** 2) ** 2
     margin = lhs - rhs
@@ -86,9 +83,9 @@ def _lemma10_trial(seed: int, trial: int):
 def _onestep_trial(seed: int, trial: int):
     """Exact expectation over all ordered pairs stays at or below the
     one-step map f(phi), slack 1e-9."""
-    A, spec = _random_state(seed, trial, (2, 3, 4, 5, 6))
+    A, spec, s = _random_state(seed, trial, (2, 3, 4, 5, 6))
     expectation = exact_one_step_expectation(A)
-    margin = f_map(potential_phi(A), A.n) - expectation
+    margin = f_map(s.phi, A.n) - expectation
     return margin, margin >= -tol.ONE_STEP_EXPECTATION_ABS, spec.seed, A
 
 
@@ -116,7 +113,7 @@ def _eq9_trial(seed: int, trial: int):
 def _hadamard_trial(seed: int, trial: int):
     """All four determinant / operator-norm inequalities, relative slack 1e-9.
     The pass rule is the report's own flags, not the sign of the margin."""
-    A, spec = _random_state(seed, trial, tuple(range(2, 9)))
+    A, spec, _ = _random_state(seed, trial, tuple(range(2, 9)))
     rep = hadamard_report(A)
     margin = min(
         (rep.det_bound - rep.det_abs) / rep.det_bound,
@@ -130,8 +127,7 @@ def _hadamard_trial(seed: int, trial: int):
 def _kappa_sandwich_trial(seed: int, trial: int):
     """Measured kappa against exp(phi/n) from below and both upper bounds,
     slack 1e-9 absolute."""
-    A, spec = _random_state(seed, trial, tuple(range(2, 9)))
-    s = snapshot(A)
+    A, spec, s = _random_state(seed, trial, tuple(range(2, 9)))
     lower, upper_loose, upper_tight = kappa_bounds_from_phi(s.phi, A.n)
     upper = upper_loose if upper_tight is None else min(upper_loose, upper_tight)
     margin = min(s.kappa - lower, upper - s.kappa)

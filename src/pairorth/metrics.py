@@ -42,20 +42,6 @@ class MetricsSnapshot:
     gram_offdiag: float
 
 
-def _distances_inverse_rows(arr: np.ndarray):
-    """(inverse, row norms, distances) with d_j the reciprocal norm of inverse row j."""
-    try:
-        inv = np.linalg.inv(arr)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"matrix is numerically singular: {exc}") from exc
-    row_norms = np.linalg.norm(inv, axis=1)
-    if not np.all(np.isfinite(row_norms)) or np.any(row_norms == 0.0):
-        j = int(np.argmax(~np.isfinite(row_norms)))
-        raise SingularityError(f"inverse row {j} is not finite", column=j)
-    # d_j <= 1 holds exactly in real arithmetic; trim roundoff overshoot.
-    return inv, row_norms, np.minimum(1.0 / row_norms, 1.0)
-
-
 @functools.cache
 def _pair_order(n: int, i: int, j: int) -> np.ndarray:
     """The column order of _pair_distances: others ascending, i, j. Cached:
@@ -100,24 +86,30 @@ def _phi_from_distances(d: np.ndarray) -> float:
     return float(-np.add.reduce(np.log(d)) + 0.0)
 
 
+def _inverse_rows(arrs: np.ndarray):
+    """(inverses, row norms, d_j the reciprocal row norms) of each matrix of
+    a stack, each from its own bits; a singular matrix gets a NaN inverse."""
+    try:
+        inv = np.linalg.inv(arrs)
+    except np.linalg.LinAlgError:
+        if len(arrs) > 1:  # find the singular ones one by one
+            return tuple(map(np.concatenate, zip(*(_inverse_rows(a[None]) for a in arrs))))
+        inv = np.full_like(arrs, np.nan)
+    row_norms = np.linalg.norm(inv, axis=2)
+    # d_j <= 1 holds exactly in real arithmetic; trim roundoff overshoot
+    return inv, row_norms, np.minimum(1.0 / row_norms, 1.0)
+
+
 def _distances_full(arrs: np.ndarray):
     """The auto rule for each matrix of a stack, recomputed from scratch
     with each matrix's bits alone: (inverses, row norms, d, on_inv). d comes
     from the inverse rows where on_inv (finite, nonzero rows and a kappa
     estimate at most DISTANCE_FALLBACK_KAPPA), elsewhere from projection."""
-    try:
-        inv = np.linalg.inv(arrs)
-    except np.linalg.LinAlgError:
-        if len(arrs) > 1:  # find the singular ones one by one
-            return tuple(map(np.concatenate, zip(*(_distances_full(a[None]) for a in arrs))))
-        inv = np.full_like(arrs, np.nan)
-    row_norms = np.linalg.norm(inv, axis=2)
+    inv, row_norms, d = _inverse_rows(arrs)
     # sqrt(n) * ||A^-1||_F bounds kappa from above and is free here; a NaN
     # or infinite row makes it NaN or infinite, so not below
     kappa_est = math.sqrt(arrs.shape[1]) * np.sqrt(_sq_norms(inv.reshape(len(inv), -1)))
     on_inv = row_norms.all(axis=1) & (kappa_est <= tol.DISTANCE_FALLBACK_KAPPA)
-    # d_j <= 1 holds exactly in real arithmetic; trim roundoff overshoot
-    d = np.minimum(1.0 / row_norms, 1.0)
     for k in np.flatnonzero(~on_inv):
         d[k] = _distances_projection(arrs[k])
     return inv, row_norms, d, on_inv
@@ -133,7 +125,13 @@ def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
     estimated condition number exceeds 1e8.
     """
     if method == INVERSE_ROWS:
-        return _distances_inverse_rows(A.array)[2]
+        _, row_norms, d = _inverse_rows(A.array[None])
+        ok = (0.0 < row_norms[0]) & (row_norms[0] < math.inf)  # NaN fails both
+        if not ok.all():
+            j = int(np.argmin(ok)) if ok.any() else None  # None: inv itself failed
+            what = "no inverse" if j is None else f"inverse row {j} is zero or not finite"
+            raise SingularityError(f"matrix is numerically singular: {what}", column=j)
+        return d[0]
     if method == PROJECTION:
         return _distances_projection(A.array)
     if method == AUTO:
@@ -147,8 +145,10 @@ def potential_phi(A: ColumnMatrix, method: str = AUTO) -> float:
 
 
 def condition_number(A: ColumnMatrix):
-    """Return (kappa, sigma) with singular values descending."""
-    sigma = np.linalg.svd(A.array, compute_uv=False)
+    """Return (kappa, sigma) with singular values descending: those a
+    validated matrix kept from its rank check (the bits of a new SVD), or
+    one SVD for a matrix built by _wrap."""
+    sigma = np.linalg.svd(A.array, compute_uv=False) if A._sigma is None else A._sigma
     return float(sigma[0] / sigma[-1]), sigma
 
 

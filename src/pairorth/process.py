@@ -43,7 +43,7 @@ from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
 from .matrix import REAL, ColumnMatrix, PairIndex, _gram_offdiag_fro, _orth_column, _sq_norms
-from .metrics import _distances_full, _pair_distances, _phi_from_distances
+from .metrics import _distances_full, _pair_distances, _phi_from_distances, condition_number
 
 UNIFORM = "uniform"
 PROPORTIONAL = "proportional"
@@ -463,9 +463,9 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
         sigma = np.linalg.svd(cols.mT, compute_uv=False) if sigma is None else sigma
         records[:, rs, k] = sigma[:, -1], sigma[:, 0] / sigma[:, -1], _gram_offdiag_fro(cols)
 
-    # every chain starts from A0: record once, from its rank check's SVD if
-    # it kept one (the same bits), and copy the rest
-    record(slice(0, 1), 0, None if A0._sigma is None else A0._sigma[None])
+    # every chain starts from A0: record once, from the singular values of
+    # condition_number (the bits of the stacked SVD), and copy the rest
+    record(slice(0, 1), 0, condition_number(A0)[1][None])
     records[:, 1:, 0] = records[:, :1, 0]
     aborted_at: dict[int, int] = {}
     for t in range(1, steps + 1):
@@ -527,19 +527,12 @@ def _replicate_bytes(n: int, steps: int, grid_points: int) -> int:
     return 32 * (steps + grid_points) + 16 * n * n
 
 
-def _ensemble_chunks(replicates: int, kind: str, replicate_bytes: int) -> list[range]:
-    """Replicate index ranges in order, each run as one _ChainStack.
-
-    Uniform replicates are split into the fewest chunks of near-equal size
-    whose records fit STACK_BYTES. Every other sampler, whose chains step
-    one by one, and records too large for STACK_MIN_REPLICATES replicates
-    to fit, take chunks of one.
-    """
-    cap = STACK_BYTES // replicate_bytes
-    if kind != UNIFORM or cap < STACK_MIN_REPLICATES:
-        size = 1
-    else:
-        size = -(-replicates // -(-replicates // cap))  # ceil(R / ceil(R / cap))
+def _ensemble_chunks(replicates: int, replicate_bytes: int) -> list[range]:
+    """Replicate index ranges in order, each run as one _ChainStack: the
+    fewest chunks of near-equal size whose records fit STACK_BYTES, for
+    every sampler, or chunks of one when a single record does not fit."""
+    cap = max(STACK_BYTES // replicate_bytes, 1)
+    size = -(-replicates // -(-replicates // cap))  # ceil(R / ceil(R / cap))
     return [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
 
 
@@ -589,10 +582,10 @@ def run_ensemble(
 
     Replicate r runs with seed derive_replicate_seed(base_seed, r) and
     gives the trajectory run_chain gives for that seed, bit for bit.
-    Replicates run in chunks, in index order, each as one stack: uniform
-    chunks are sized so that a stack's records fit STACK_BYTES, and every
-    other sampler runs in chunks of one. Aborted replicates are excluded
-    and counted; more than 1% aborting fails the whole run.
+    Replicates run in chunks, in index order, each as one stack, whatever
+    the sampler: chunks are sized so that a stack's records fit
+    STACK_BYTES. Aborted replicates are excluded and counted; more than 1%
+    aborting fails the whole run.
     trajectory_sink, when given, receives (replicate_index, trajectory) for
     each kept replicate, in index order, as each chunk finishes.
     """
@@ -607,7 +600,7 @@ def run_ensemble(
     refreshes = fallbacks = uniform_fallbacks = 0
     worst_drift = 0.0
     record = _replicate_bytes(A0.n, steps, len(grid))
-    for chunk in _ensemble_chunks(replicates, kind, record):
+    for chunk in _ensemble_chunks(replicates, record):
         seeds = [derive_replicate_seed(base_seed, r) for r in chunk]
         for r, traj in zip(chunk, _run_stack(A0, steps, kind, seeds, metrics_stride)):
             if isinstance(traj, ChainAbortError):

@@ -159,7 +159,10 @@ def test_kept_distances_match_full_recompute_and_oracle(A, sampler, seed):
 )
 def test_kept_gram_and_picks_match_a_fresh_product(kind, field, n, sampler, seed):
     eta = 1e-6 if kind == NEAR_SINGULAR else None
-    A, _ = generate(GeneratorSpec(kind, n=n, field=field, seed=seed, eta=eta))
+    try:
+        A, _ = generate(GeneratorSpec(kind, n=n, field=field, seed=seed, eta=eta))
+    except ConstructionError:
+        reject()  # a draw the generator refuses, as in instances()
     state = _ChainState(np.array(A.array, order="F"), sampler)
     rng_kernel, rng_fresh = make_rng(seed), make_rng(seed)
     in_step = True
@@ -201,7 +204,10 @@ def _mp_distances(arr: np.ndarray) -> np.ndarray:
 @example(field=REAL, n=16, eta=1e-10, seed=1)
 @example(field=COMPLEX, n=16, eta=1e-12, seed=2)
 def test_projection_path_keeps_distances(field, n, eta, seed):
-    A, _ = generate(GeneratorSpec(NEAR_SINGULAR, n=n, field=field, seed=seed, eta=eta))
+    try:
+        A, _ = generate(GeneratorSpec(NEAR_SINGULAR, n=n, field=field, seed=seed, eta=eta))
+    except ConstructionError:
+        reject()  # a draw the generator refuses, as in instances()
     state = _ChainState(np.array(A.array, order="F"), UNIFORM)
     rng = make_rng(seed)
     steps = tol.INVERSE_REFRESH_STEPS + 6

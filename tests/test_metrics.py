@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pairorth import (
+    ColumnMatrix,
     SingularityError,
     UsageError,
     build_unit_column_matrix,
@@ -22,7 +23,6 @@ from pairorth.metrics import (
     INVERSE_ROWS,
     PROJECTION,
     _distances_full,
-    _distances_inverse_rows,
     _distances_projection,
     _pair_distances,
     _pair_order,
@@ -68,9 +68,9 @@ class TestDistances:
             assert np.all(d > 0.0) and np.all(d <= 1.0)
 
     def test_singular_array_raises(self):
-        arr = np.array([[1.0, 1.0], [0.0, 0.0]])
+        A = ColumnMatrix._wrap(np.array([[1.0, 1.0], [0.0, 0.0]]), "real")
         with pytest.raises(SingularityError):
-            _distances_inverse_rows(arr)
+            leave_one_out_distances(A, INVERSE_ROWS)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_stacked_auto_rule_matches_each_matrix_alone(self, field):

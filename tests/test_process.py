@@ -342,8 +342,9 @@ class TestRunChain:
 
 
 class TestStartRecord:
-    """The t = 0 record reads the singular values a validated start kept
-    from its rank check; a wrapped start takes the SVD of the stack."""
+    """condition_number, and through it the t = 0 record, reads the singular
+    values a validated start kept from its rank check; a wrapped start
+    takes one SVD."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("n", [2, 8, 32, 128])
@@ -358,6 +359,30 @@ class TestStartRecord:
                 fresh = run_chain(wrapped, steps=3, kind=kind, seed=seed)
                 for name in ("phi", "pairs", "sigma_min", "kappa", "gram_offdiag"):
                     assert np.array_equal(getattr(kept, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_condition_number_of_kept_and_wrapped_agree(self, n, field):
+        for seed in range(2):
+            A = random_state(n, seed, field)
+            wrapped = ColumnMatrix._wrap(np.array(A.array, order="F"), A.field)
+            kappa, sigma = condition_number(A)
+            kappa_wrapped, sigma_wrapped = condition_number(wrapped)
+            assert sigma is A._sigma and kappa == kappa_wrapped
+            assert np.array_equal(sigma, sigma_wrapped)
+
+    @pytest.mark.parametrize("kind", ["haar_orthonormal", "gaussian_normalized",
+                                      "prescribed_spectrum", "near_singular"])
+    def test_generate_takes_one_svd(self, kind, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        params = {"prescribed_spectrum": {"sigma": (1.0, 0.5, 0.1, 0.01)},
+                  "near_singular": {"eta": 1e-6}}.get(kind, {})
+        for field in ("real", "complex"):
+            A, s = generate(GeneratorSpec(kind, n=4, field=field, seed=3, **params))
+            assert s.sigma is A._sigma
+        assert len(calls) == 2
 
 
 class TestDetectTStar:
@@ -454,12 +479,12 @@ class TestUniformFallbacks:
         assert run_chain(A, steps=30, kind=PROPORTIONAL, seed=2).uniform_fallbacks > 0
 
 
-def ensemble_trajectories(A, steps, replicates, base_seed, stride):
+def ensemble_trajectories(A, steps, replicates, base_seed, stride, kind=UNIFORM):
     """{r: trajectory} of the kept replicates, in the order the sink saw
     them, and the PairOrthError the ensemble raised, if any."""
     seen = {}
     try:
-        run_ensemble(A, steps, UNIFORM, replicates, base_seed, stride,
+        run_ensemble(A, steps, kind, replicates, base_seed, stride,
                      trajectory_sink=lambda r, traj: seen.setdefault(r, traj))
     except PairOrthError as exc:
         return seen, str(exc)
@@ -476,16 +501,16 @@ def assert_same_trajectory(a, b):
     assert [getattr(a, k) for k in counters] == [getattr(b, k) for k in counters]
 
 
-def assert_stack_matches_run_chain(A, steps, replicates, base_seed, stride):
-    """Each replicate of a stacked run_ensemble against run_chain alone on
-    its seed; returns the stacked trajectories."""
+def assert_stack_matches_run_chain(A, steps, replicates, base_seed, stride, kind=UNIFORM):
+    """Each replicate of a stacked run_ensemble with the sampler kind
+    against run_chain alone on its seed; returns the stacked trajectories."""
     record = _replicate_bytes(A.n, steps, len(_record_grid(steps, stride)))
-    assert _ensemble_chunks(replicates, UNIFORM, record) == [range(replicates)]
-    stacked, error = ensemble_trajectories(A, steps, replicates, base_seed, stride)
+    assert _ensemble_chunks(replicates, record) == [range(replicates)]
+    stacked, error = ensemble_trajectories(A, steps, replicates, base_seed, stride, kind)
     kept = []
     for r in range(replicates):
         try:
-            alone = run_chain(A, steps, UNIFORM, derive_replicate_seed(base_seed, r), stride)
+            alone = run_chain(A, steps, kind, derive_replicate_seed(base_seed, r), stride)
         except ChainAbortError:
             continue
         kept.append(r)
@@ -529,8 +554,8 @@ def test_stacked_lapack_calls_match_per_matrix_calls(n, count, field):
 
 
 class TestStackedEnsemble:
-    """run_ensemble steps uniform chunks as one stack; every replicate must
-    get the bits run_chain gives its seed."""
+    """run_ensemble steps each chunk as one stack, whatever the sampler;
+    every replicate must get the bits run_chain gives its seed."""
 
     @pytest.mark.parametrize("replicates", [7, 50])
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -565,6 +590,27 @@ class TestStackedEnsemble:
         assert all(t.projection_fallbacks > 0 for t in stacked.values())
         assert sum(t.projection_fallbacks < steps for t in stacked.values()) == crossed
 
+    @pytest.mark.parametrize("kind", [PROPORTIONAL, GREEDY])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_weighted_samplers_bit_identical_to_run_chain(self, n, field, kind):
+        # the chains of a stack keep their own weights and step one by one
+        stacked, error = assert_stack_matches_run_chain(
+            random_state(n, n, field), 150, 7, 17, 40, kind
+        )
+        assert error is None and len(stacked) == 7
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_weighted_projection_path_start_crosses_back(self, field):
+        # planted distance 1e-10: each proportional replicate leaves the
+        # projection path after 66 to 141 steps, so for a while one stack
+        # holds projection-path and inverse-path chains, each with its weights
+        A, _ = generate(GeneratorSpec("near_singular", n=8, field=field, seed=7, eta=1e-10))
+        stacked, error = assert_stack_matches_run_chain(A, 200, 7, 9, 50, PROPORTIONAL)
+        assert error is None and len(stacked) == 7
+        fallbacks = [t.projection_fallbacks for t in stacked.values()]
+        assert 0 < min(fallbacks) < max(fallbacks) < 200
+
     def test_retired_replicates_match_the_scalar_loop(self, monkeypatch):
         # 3 of the 7 replicates hit a degenerate pair on the projection path
         A, _ = generate(GeneratorSpec("near_singular", n=5, field="real", seed=3, eta=1e-10))
@@ -587,25 +633,26 @@ class TestStackedEnsemble:
     def test_chunk_rule(self):
         budget = STACK_BYTES // STACK_MIN_REPLICATES
         ones = [range(r, r + 1) for r in range(50)]
-        assert _ensemble_chunks(50, UNIFORM, 1000) == [range(50)]
+        assert _ensemble_chunks(50, 1000) == [range(50)]
         # a stack smaller than STACK_MIN_REPLICATES steps its chains one by one
-        assert _ensemble_chunks(STACK_MIN_REPLICATES - 1, UNIFORM, 1000) == [
+        assert _ensemble_chunks(STACK_MIN_REPLICATES - 1, 1000) == [
             range(STACK_MIN_REPLICATES - 1)
         ]
-        for kind in (PROPORTIONAL, GREEDY):
-            assert _ensemble_chunks(50, kind, 1000) == ones
         # the fewest near-equal chunks whose records fit the budget
-        chunks = _ensemble_chunks(50, UNIFORM, STACK_BYTES // 20)
+        chunks = _ensemble_chunks(50, STACK_BYTES // 20)
         assert chunks == [range(0, 17), range(17, 34), range(34, 50)]
-        assert _ensemble_chunks(50, UNIFORM, budget)[0] == range(0, 4)
-        # past the budget for STACK_MIN_REPLICATES, chunks of one
-        assert _ensemble_chunks(50, UNIFORM, budget + 1) == ones
+        assert _ensemble_chunks(50, budget)[0] == range(0, 4)
+        # past the budget for STACK_MIN_REPLICATES, chunks of 3 (and a last 2)
+        assert _ensemble_chunks(50, budget + 1) == [range(lo, min(lo + 3, 50))
+                                                    for lo in range(0, 50, 3)]
+        # past the budget for one replicate, chunks of one
+        assert _ensemble_chunks(50, STACK_BYTES + 1) == ones
         # grid points count: 200,000 steps fit at stride 100, not at stride 1
         assert _replicate_bytes(8, 200_000, 2_001) < budget < _replicate_bytes(8, 200_000, 200_001)
 
     def test_default_stride_fits_one_stack(self):
         # 15,000 steps recorded at every step: four replicates step as one stack
-        assert _ensemble_chunks(4, UNIFORM, _replicate_bytes(8, 15_000, 15_001)) == [range(4)]
+        assert _ensemble_chunks(4, _replicate_bytes(8, 15_000, 15_001)) == [range(4)]
 
     def test_budget_exceeding_steps_take_the_scalar_loop(self, monkeypatch):
         A = random_state(4, 31)
@@ -618,7 +665,7 @@ class TestStackedEnsemble:
         within = run_ensemble(A, 60, UNIFORM, 8, 3, 20)
         assert stacks == [4, 4]  # two chunks of 4
         beyond = run_ensemble(A, 61, UNIFORM, 8, 3, 20)
-        assert stacks == [4, 4] + [1] * 8
+        assert stacks == [4, 4] + [3, 3, 2]  # below STACK_MIN_REPLICATES: one by one
         alone = [run_chain(A, 61, UNIFORM, derive_replicate_seed(3, r), 20) for r in range(8)]
         assert np.array_equal(beyond.mean_phi, np.mean([t.phi[beyond.t] for t in alone], axis=0))
         assert within.replicates == beyond.replicates == 8

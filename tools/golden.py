@@ -48,6 +48,18 @@ def _cases() -> dict[str, list[str]]:
             "run", "--gen", "gaussian", "--n", "6", "--sampler", sampler,
             "--steps", "300", "--stride", "50", "--replicates", "4", "--seed", "5", *EMIT,
         ]
+    # weighted samplers stacked: the 6 proportional replicates leave the
+    # projection path between steps 54 and 123, so one stack holds chains on
+    # both paths, each with its kept weights; greedy on complex columns
+    cases["run-proportional-projection-path"] = [
+        "run", "--gen", "near_singular", "--n", "8", "--eta", "1e-10", "--sampler",
+        "proportional", "--steps", "200", "--stride", "50", "--replicates", "6",
+        "--seed", "7", *EMIT,
+    ]
+    cases["run-greedy-complex"] = [
+        "run", "--gen", "gaussian", "--n", "8", "--field", "complex", "--sampler", "greedy",
+        "--steps", "300", "--stride", "50", "--replicates", "6", "--seed", "5", *EMIT,
+    ]
     # the proportional sampler on complex columns, over a larger weight matrix
     cases["run-proportional-complex"] = [
         "run", "--gen", "gaussian", "--n", "32", "--field", "complex", "--sampler",

@@ -1,16 +1,20 @@
-"""µs per chain step of run_chain, with the machine and versions it ran on.
+"""µs per chain step of run_chain and run_ensemble, with the machine and
+versions it ran on.
 
 Usage: python tools/step_cost.py CHECKOUT [--repeats K]
 
-Times run_chain of the package in CHECKOUT/src, one chain from a
-gaussian_normalized start (seed 1), for n in {4, 8, 32, 128}, both fields,
-the uniform and the proportional sampler. Each cell runs K times (default
-5) with the record grid at t = 0 and the last step only, and prints the
-median wall time over the steps in µs/step, so the start's recompute and
-its two records are in it. Above the table it prints what the numbers
-depend on: nproc, Python, numpy, the BLAS and the threads it runs, and the
-package version. BLAS runs one thread unless OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS say otherwise, as in perfbench.
+Times the package in CHECKOUT/src from a gaussian_normalized start (seed
+1), in both fields. The first table is run_chain, one chain, for n in
+{4, 8, 32, 128} and the uniform and the proportional sampler. The second
+is run_ensemble with R = 50 replicates, for n in {8, 32} and all three
+samplers. Each cell runs K times (default 5) with the record grid at t = 0
+and the last step only, and prints the median wall time over the steps
+(over R x steps chain-steps for run_ensemble) in µs, so the start's
+recompute and its two records are in it. Above the tables it prints what
+the numbers depend on: nproc, Python, numpy, the BLAS and the threads it
+runs, and the package version. BLAS runs one thread unless
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS say otherwise, as
+in perfbench.
 """
 
 from __future__ import annotations
@@ -30,6 +34,34 @@ import numpy as np  # noqa: E402
 STEPS = {4: 2000, 8: 2000, 32: 1000, 128: 200}
 FIELDS = ("real", "complex")
 KINDS = ("uniform", "proportional")
+ENSEMBLE_STEPS = {8: 200, 32: 100}
+SAMPLERS = ("uniform", "proportional", "greedy")
+REPLICATES = 50
+
+
+def _table(pairorth, repeats: int, steps_by_n: dict, kinds: tuple, replicates=None) -> None:
+    """Print one table: run_chain cells, or with replicates the run_ensemble
+    cells of that many chains, in µs per chain-step."""
+    from pairorth.generators import GeneratorSpec
+
+    print("| n | steps | " + " | ".join(f"{f} {k}" for f in FIELDS for k in kinds) + " |")
+    print("| --- " * (2 + len(FIELDS) * len(kinds)) + "|")
+    for n, steps in steps_by_n.items():
+        cells = []
+        for field in FIELDS:
+            A0, _ = pairorth.generate(GeneratorSpec("gaussian_normalized", n=n, field=field, seed=1))
+            for kind in kinds:
+                times = []
+                for _ in range(repeats):
+                    start = time.perf_counter()
+                    if replicates is None:
+                        pairorth.run_chain(A0, steps, kind, seed=2, metrics_stride=steps)
+                    else:
+                        pairorth.run_ensemble(A0, steps, kind, replicates, base_seed=2,
+                                              metrics_stride=steps)
+                    times.append(time.perf_counter() - start)
+                cells.append(f"{1e6 * statistics.median(times) / (steps * (replicates or 1)):.1f}")
+        print(f"| {n} | {steps} | " + " | ".join(cells) + " |")
 
 
 def main() -> int:
@@ -42,27 +74,15 @@ def main() -> int:
                                                            "perfbench")]
     import pairorth
     from harness import blas_threads_in_use
-    from pairorth.generators import GeneratorSpec
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     print(f"nproc {os.cpu_count()}, python {platform.python_version()}, numpy {np.__version__}, "
           f"{blas.get('name')} {blas.get('version')} on {blas_threads_in_use()} thread(s), "
           f"pairorth {pairorth.__version__} from {root}")
     print(f"median of {args.repeats} run_chain calls, µs/step")
-    print("| n | steps | " + " | ".join(f"{f} {k}" for f in FIELDS for k in KINDS) + " |")
-    print("| --- " * (2 + len(FIELDS) * len(KINDS)) + "|")
-    for n, steps in STEPS.items():
-        cells = []
-        for field in FIELDS:
-            A0, _ = pairorth.generate(GeneratorSpec("gaussian_normalized", n=n, field=field, seed=1))
-            for kind in KINDS:
-                times = []
-                for _ in range(args.repeats):
-                    start = time.perf_counter()
-                    pairorth.run_chain(A0, steps, kind, seed=2, metrics_stride=steps)
-                    times.append(time.perf_counter() - start)
-                cells.append(f"{1e6 * statistics.median(times) / steps:.1f}")
-        print(f"| {n} | {steps} | " + " | ".join(cells) + " |")
+    _table(pairorth, args.repeats, STEPS, KINDS)
+    print(f"\nmedian of {args.repeats} run_ensemble calls, R = {REPLICATES}, µs per chain-step")
+    _table(pairorth, args.repeats, ENSEMBLE_STEPS, SAMPLERS, REPLICATES)
     return 0
 
 
