@@ -64,6 +64,7 @@ from .oracle import (
 )
 from .process import (
     EnsembleStats,
+    KernelStats,
     Trajectory,
     derive_replicate_seed,
     detect_t_star,
@@ -87,6 +88,7 @@ __all__ = [
     "EnsembleStats",
     "GeneratorSpec",
     "HadamardReport",
+    "KernelStats",
     "MetricsSnapshot",
     "PairIndex",
     "PairOrthError",

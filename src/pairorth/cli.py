@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from . import certify, io
 from .bounds import (
@@ -189,12 +190,9 @@ def _cmd_run(args) -> int:
         "stride": stride,
         "seed": args.seed,
     }
-    if spec.theta is not None:
-        resolved["theta"] = io.format_float(spec.theta)
-    if spec.eta is not None:
-        resolved["eta"] = io.format_float(spec.eta)
-    if spec.sigma is not None:
-        resolved["sigma"] = ",".join(io.format_float(s) for s in spec.sigma)
+    for key in ("theta", "eta", "sigma"):
+        if getattr(spec, key) is not None:
+            resolved[key] = getattr(spec, key)
     io.atomic_write_text(os.path.join(out_dir, "config.txt"), io.emit_config(resolved))
 
     if "summary" in emit:
@@ -207,21 +205,18 @@ def _cmd_run(args) -> int:
             "replicates": stats.replicates,
             "stride": stride,
             "base_seed": args.seed,
-            "phi0": io.format_float(stats.phi0),
-            "kappa0": io.format_float(achieved.kappa),
+            "phi0": stats.phi0,
+            "kappa0": achieved.kappa,
             "t_star_crossed": len(observed),
             "t_star_min": min(observed) if observed else "",
             "t_star_max": max(observed) if observed else "",
-            "t_star_mean": io.format_float(sum(observed) / len(observed)) if observed else "",
-            "final_mean_phi": io.format_float(stats.mean_phi[-1]),
-            "final_mean_log_kappa": io.format_float(stats.mean_log_kappa[-1]),
+            "t_star_mean": sum(observed) / len(observed) if observed else "",
+            "final_mean_phi": stats.mean_phi[-1],
+            "final_mean_log_kappa": stats.mean_log_kappa[-1],
             "exceed_count": int(stats.exceed.sum()),
             "aborts": stats.aborts,
             "monotonicity_violations": stats.monotonicity_violations,
-            "inverse_refreshes": stats.inverse_refreshes,
-            "projection_fallbacks": stats.projection_fallbacks,
-            "worst_refresh_drift": io.format_float(stats.worst_refresh_drift),
-            "uniform_fallbacks": stats.uniform_fallbacks,
+            **asdict(stats.kernel),
         }
         io.write_summary(os.path.join(out_dir, "summary.txt"), summary)
 
@@ -321,14 +316,12 @@ def _cmd_cosolve(args) -> int:
             "interleave": f"{interleave[0]}:{interleave[1]}",
             "steps": steps,
             "seed": args.seed,
-            "kappa0": io.format_float(achieved.kappa),
-            "phi0": io.format_float(achieved.phi),
-            "final_err": io.format_float(final.error()),
-            "final_phi": io.format_float(history[-1].phi if history else achieved.phi),
-            "final_residual": io.format_float(final.residual()),
-            "inverse_refreshes": final.inverse_refreshes,
-            "projection_fallbacks": final.projection_fallbacks,
-            "worst_refresh_drift": io.format_float(final.worst_refresh_drift),
+            "kappa0": achieved.kappa,
+            "phi0": achieved.phi,
+            "final_err": final.error(),
+            "final_phi": history[-1].phi if history else achieved.phi,
+            "final_residual": final.residual(),
+            **asdict(final.kernel),
         },
     )
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .matrix import ColumnMatrix, PairIndex, _orth_column, validate_pair
-from .process import _ChainStack, _uniform_pairs, derive_replicate_seed, make_rng
+from .process import KernelStats, _ChainStack, _uniform_pairs, derive_replicate_seed, make_rng
 
 ORTH = "orth"
 KACZ = "kacz"
@@ -34,17 +34,14 @@ class CosolveState:
 
     x_true is held for verification only; the defining contract is that
     ||A* x_true - b|| stays within 1e-8 after every step of either kind.
-    inverse_refreshes, projection_fallbacks and worst_refresh_drift are the
-    step kernel's counters over a run_cosolve (see process._ChainStack).
+    kernel is the step kernel's record over a run_cosolve.
     """
 
     A: ColumnMatrix
     b: np.ndarray
     x: np.ndarray
     x_true: np.ndarray
-    inverse_refreshes: int = 0
-    projection_fallbacks: int = 0
-    worst_refresh_drift: float = 0.0
+    kernel: KernelStats = KernelStats()
 
     def residual(self) -> float:
         return float(np.linalg.norm(self.A.array.conj().T @ self.x_true - self.b))
@@ -150,9 +147,4 @@ def run_cosolve(
             x = _kaczmarz(arr, b, x, next(rows))
             err_norm = float(np.linalg.norm(x - state.x_true))
         history.append(CosolveRecord(step, kind, err_norm, float(chain.phi[0])))
-    refreshes, fallbacks, worst_drift, _ = chain.counters(0)
-    final = replace(
-        state, A=chain.matrix(0), b=b, x=x, inverse_refreshes=refreshes,
-        projection_fallbacks=fallbacks, worst_refresh_drift=worst_drift,
-    )
-    return history, final
+    return history, replace(state, A=chain.matrix(0), b=b, x=x, kernel=chain.counters(0))

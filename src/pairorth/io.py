@@ -163,8 +163,15 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(_format_value, value))
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
 def emit_config(values: dict) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in values.items())
+    """key = value lines; floats (numpy's too) at 17 digits, tuples comma-joined."""
+    return "".join(f"{key} = {_format_value(value)}\n" for key, value in values.items())
 
 
 def write_summary(path: str, values: dict) -> None:

@@ -186,8 +186,7 @@ def _exp_or_inf(x: float) -> float:
 
 def hadamard_report(A: ColumnMatrix) -> HadamardReport:
     """Evaluate all four determinant/norm inequalities for one matrix."""
-    s = snapshot(A)
-    phi, sigma = s.phi, s.sigma
+    phi, sigma = potential_phi(A), condition_number(A)[1]
     _, logdet = np.linalg.slogdet(A.array)
     det_abs = math.exp(logdet)
     inv_det_abs = _exp_or_inf(-logdet)

@@ -101,10 +101,7 @@ def _draw_pair(n: int, kind: str, rng: np.random.Generator, w=None) -> tuple[Pai
     sums.
     """
     if kind == UNIFORM:
-        k = int(rng.integers(n * (n - 1)))
-        i = k // (n - 1)
-        j = k % (n - 1)
-        return (i, j + 1 if j >= i else j), False
+        return _uniform_pairs(n, rng), False
     if kind == GREEDY:
         # w is symmetric, so a row-major argmax over the strict upper
         # triangle breaks ties by smallest i then j and never lands on the
@@ -151,11 +148,13 @@ def sample_pair(A: ColumnMatrix, kind: str, rng: np.random.Generator) -> PairInd
     return _draw_pair(A.n, kind, rng, w)[0]
 
 
-def _uniform_pairs(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count uniform pairs as a (count, 2) array, from one block of draws:
-    the integers of count calls of _draw_pair(n, UNIFORM, rng)."""
-    i, j = np.divmod(rng.integers(n * (n - 1), size=count), n - 1)
-    return np.stack((i, j + (j >= i)), axis=-1)
+def _uniform_pairs(n: int, rng: np.random.Generator, count: int | None = None):
+    """count uniform pairs as a (count, 2) array, or one pair (i, j) for count
+    None, from the integers k of count one-draw calls: i = k // (n - 1) and
+    j = k % (n - 1), plus one where j >= i."""
+    i, j = divmod(rng.integers(n * (n - 1), size=count), n - 1)
+    j += j >= i
+    return (int(i), int(j)) if count is None else np.stack((i, j), axis=-1)
 
 
 # A step updates the chains on the inverse path as one vectorized step once
@@ -163,9 +162,30 @@ def _uniform_pairs(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
 # in README, "One state for one chain or many".
 STACK_MIN_REPLICATES = 4
 
-# A stack holds every chain's record until the run ends (see
-# _replicate_bytes); ensemble chunks are sized to keep that under this budget.
+# Ensemble chunks are sized so that a stack's working arrays and records
+# (_replicate_bytes per chain) fit this budget.
 STACK_BYTES = 32 * 2**20
+
+
+@dataclass(frozen=True)
+class KernelStats:
+    """What the step kernel did to keep phi, for one chain or summed over
+    many: its full recomputes, its steps whose distances came from the
+    projection path, the largest |phi_kept - phi_full| seen at a refresh
+    (either path), and the proportional draws that fell back to uniform."""
+
+    inverse_refreshes: int = 0
+    projection_fallbacks: int = 0
+    worst_refresh_drift: float = 0.0
+    uniform_fallbacks: int = 0
+
+    @classmethod
+    def total(cls, parts: list[KernelStats]) -> KernelStats:
+        """The counts summed and the largest drift over parts; zeros for none."""
+        return cls(sum(p.inverse_refreshes for p in parts),
+                   sum(p.projection_fallbacks for p in parts),
+                   max((p.worst_refresh_drift for p in parts), default=0.0),
+                   sum(p.uniform_fallbacks for p in parts))
 
 
 class _ChainStack:
@@ -179,12 +199,9 @@ class _ChainStack:
     w[r] is _weights(A^H A) for the proportional and greedy samplers (w is
     None for uniform), updated in row and column i from one product per
     step; since[r] counts the steps since the last full recompute, and
-    est0[r] is the condition estimate sqrt(n sum_k 1 / d_k^2) there. The
-    counters, per chain: refreshes, the full recomputes made by steps;
-    fallbacks, the steps whose distances came from the projection path;
-    worst_drift, the largest |phi_kept - phi_full| seen at a refresh, on
-    either path; uniform_fallbacks, the proportional draws that fell back
-    to uniform. A degenerate pair clears live[r] and keeps its
+    est0[r] is the condition estimate sqrt(n sum_k 1 / d_k^2) there;
+    refreshes, fallbacks, worst_drift and uniform_fallbacks hold the fields
+    of counters(r). A degenerate pair clears live[r] and keeps its
     DegeneratePairError in aborts[r], with chain r untouched.
     """
 
@@ -222,10 +239,9 @@ class _ChainStack:
     def matrix(self, r: int) -> ColumnMatrix:
         return ColumnMatrix._wrap(np.array(self.cols[r].T, order="F"), self.field)
 
-    def counters(self, r: int) -> tuple[int, int, float, int]:
-        """Chain r's refreshes, fallbacks, worst_drift and uniform_fallbacks."""
-        return (int(self.refreshes[r]), int(self.fallbacks[r]), float(self.worst_drift[r]),
-                int(self.uniform_fallbacks[r]))
+    def counters(self, r: int) -> KernelStats:
+        return KernelStats(int(self.refreshes[r]), int(self.fallbacks[r]),
+                           float(self.worst_drift[r]), int(self.uniform_fallbacks[r]))
 
     def _recompute(self, rs) -> None:
         # chains rs (indices, or a slice for one chain: a view, where an index
@@ -372,9 +388,7 @@ class Trajectory:
     value, the condition number and ||A^H A - I||_F after step grid[k] of
     the record grid. The trajectory of an aborted chain holds the prefix
     recorded before the abort. t_star, monotonicity_violations and
-    worst_phi_rise are read off phi. inverse_refreshes, projection_fallbacks,
-    worst_refresh_drift and uniform_fallbacks are the step kernel's counters
-    (see _ChainStack).
+    worst_phi_rise are read off phi; kernel is the chain's KernelStats.
 
     monotonicity_violations counts rises above the absolute 1e-10 slack.
     On projection-path chains phi is accurate only to about n^2 eps kappa,
@@ -390,10 +404,7 @@ class Trajectory:
     kappa: np.ndarray
     gram_offdiag: np.ndarray
     final_matrix: ColumnMatrix | None = None
-    inverse_refreshes: int = 0
-    projection_fallbacks: int = 0
-    worst_refresh_drift: float = 0.0
-    uniform_fallbacks: int = 0
+    kernel: KernelStats = KernelStats()
 
     @property
     def t_star(self) -> int | None:
@@ -490,7 +501,7 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
         k = bisect.bisect_right(grid, last)
         result = Trajectory(
             n, phi[r, : last + 1], pairs[r, :last], inner_abs[r, :last], grid[:k],
-            *records[:, r, :k], stack.matrix(r), *stack.counters(r),
+            *records[:, r, :k], stack.matrix(r), stack.counters(r),
         )
         if r in stack.aborts:
             exc = stack.aborts[r]
@@ -520,17 +531,17 @@ def run_chain(
 
 
 def _replicate_bytes(n: int, steps: int, grid_points: int) -> int:
-    """The record of one replicate: phi, the pair and inner_abs of each
+    """What a stack holds per replicate: phi, the pair and inner_abs of each
     step, 32 bytes; sigma_min, kappa, gram_offdiag and the grid entry of
-    each grid point, 32 bytes; and the final matrix, 16 n^2 bytes complex
-    (half that real)."""
-    return 32 * (steps + grid_points) + 16 * n * n
+    each grid point, 32 bytes; the final matrix, cols and inv, 16 n^2 bytes
+    each, and w, 8 n^2: all at the complex size and for every sampler."""
+    return 32 * (steps + grid_points) + 56 * n * n
 
 
 def _ensemble_chunks(replicates: int, replicate_bytes: int) -> list[range]:
     """Replicate index ranges in order, each run as one _ChainStack: the
     fewest chunks of near-equal size whose records fit STACK_BYTES, for
-    every sampler, or chunks of one when a single record does not fit."""
+    every sampler, or chunks of one when a single replicate does not fit."""
     cap = max(STACK_BYTES // replicate_bytes, 1)
     size = -(-replicates // -(-replicates // cap))  # ceil(R / ceil(R / cap))
     return [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
@@ -546,8 +557,8 @@ class EnsembleStats:
     errors is the Monte Carlo allowance). The comparison carries a 1e-12
     float allowance: at t = 0 both sides equal phi0 analytically but are
     computed by different double-precision routes, and a strict
-    comparison would flag ulp-level noise. The kernel counters are summed
-    over the kept replicates, the refresh drift is their maximum.
+    comparison would flag ulp-level noise. kernel is the KernelStats.total
+    of the kept replicates' records.
     """
 
     replicates: int
@@ -563,10 +574,7 @@ class EnsembleStats:
     t_stars: list[int | None]
     aborts: int
     monotonicity_violations: int
-    inverse_refreshes: int
-    projection_fallbacks: int
-    worst_refresh_drift: float
-    uniform_fallbacks: int
+    kernel: KernelStats
 
 
 def run_ensemble(
@@ -595,10 +603,8 @@ def run_ensemble(
     phi_rows = []
     log_kappa_rows = []
     t_stars: list[int | None] = []
-    aborts = 0
-    violations = 0
-    refreshes = fallbacks = uniform_fallbacks = 0
-    worst_drift = 0.0
+    aborts = violations = 0
+    kernels = []
     record = _replicate_bytes(A0.n, steps, len(grid))
     for chunk in _ensemble_chunks(replicates, record):
         seeds = [derive_replicate_seed(base_seed, r) for r in chunk]
@@ -612,10 +618,7 @@ def run_ensemble(
             log_kappa_rows.append(np.log(traj.kappa))
             t_stars.append(traj.t_star)
             violations += traj.monotonicity_violations
-            refreshes += traj.inverse_refreshes
-            fallbacks += traj.projection_fallbacks
-            uniform_fallbacks += traj.uniform_fallbacks
-            worst_drift = max(worst_drift, traj.worst_refresh_drift)
+            kernels.append(traj.kernel)
 
     if aborts / replicates > tol.ENSEMBLE_ABORT_FRACTION:
         raise PairOrthError(
@@ -646,8 +649,5 @@ def run_ensemble(
         t_stars=t_stars,
         aborts=aborts,
         monotonicity_violations=violations,
-        inverse_refreshes=refreshes,
-        projection_fallbacks=fallbacks,
-        worst_refresh_drift=worst_drift,
-        uniform_fallbacks=uniform_fallbacks,
+        kernel=KernelStats.total(kernels),
     )

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, emitted files."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from pairorth import certify, io
+from pairorth import certify, cli, io, run_cosolve, run_ensemble
 from pairorth.cli import main
 
 
@@ -101,6 +103,25 @@ class TestRun:
         )
         assert code == 0
         assert read_summary(tmp_path / "summary.txt")["uniform_fallbacks"] == "20"
+
+    def test_summary_carries_the_kernel_record(self, tmp_path, monkeypatch):
+        # every KernelStats field, with the values of the run's record; this
+        # run makes all four nonzero
+        runs = []
+        monkeypatch.setattr(cli, "run_ensemble",
+                            lambda *args, **kw: runs.append(run_ensemble(*args, **kw)) or runs[-1])
+        code = main(
+            ["run", "--gen", "near_singular", "--n", "6", "--eta", "1e-10", "--sampler",
+             "proportional", "--steps", "600", "--stride", "50", "--replicates", "3",
+             "--seed", "7", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        summary = read_summary(tmp_path / "summary.txt")
+        kernel = asdict(runs[0].kernel)
+        assert all(kernel.values())
+        assert list(summary)[-4:] == list(kernel)
+        for key, value in kernel.items():
+            assert type(value)(summary[key]) == value, key
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "exp.cfg"
@@ -297,6 +318,24 @@ class TestCosolve:
         assert int(summary["inverse_refreshes"]) == 0  # 20 orth steps, no refresh due
         assert int(summary["projection_fallbacks"]) == 0
         assert float(summary["worst_refresh_drift"]) == 0.0
+
+    def test_summary_carries_the_kernel_record(self, tmp_path, monkeypatch):
+        # the projection-path start makes refreshes, projection steps and
+        # drift nonzero; a co-solve never draws proportionally
+        runs = []
+        monkeypatch.setattr(cli, "run_cosolve",
+                            lambda *args, **kw: runs.append(run_cosolve(*args, **kw)) or runs[-1])
+        code = main(
+            ["cosolve", "--gen", "near_singular", "--n", "12", "--eta", "1e-10",
+             "--interleave", "1:1", "--steps", "300", "--seed", "9", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        summary = read_summary(tmp_path / "cosolve_summary.txt")
+        kernel = asdict(runs[0][1].kernel)
+        assert list(kernel.values())[:3] != [0, 0, 0.0] and kernel["uniform_fallbacks"] == 0
+        assert list(summary)[-4:] == list(kernel)
+        for key, value in kernel.items():
+            assert type(value)(summary[key]) == value, key
 
     def test_config_rejects_run_only_keys(self, tmp_path, capsys):
         # sampler, replicates, stride and emit belong to run; cosolve has

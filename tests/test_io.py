@@ -74,6 +74,17 @@ class TestConfigFormat:
         values = {"steps": "100", "sampler": "uniform", "theta": "0.5"}
         assert io.parse_config(io.emit_config(values)) == values
 
+    def test_values_formatted_by_type(self):
+        # floats, numpy's included, at the 17 digits of format_float; tuples
+        # as comma lists; anything else by str
+        text = io.emit_config(
+            {"a": 0.1, "b": np.float64(1.0) / 3.0, "c": 3, "d": "x", "e": (0.1, 1.0), "f": ""}
+        )
+        assert text == (
+            "a = 0.10000000000000001\nb = 0.33333333333333331\nc = 3\nd = x\n"
+            "e = 0.10000000000000001,1\nf = \n"
+        )
+
     def test_bad_line_rejected(self):
         with pytest.raises(UsageError, match="key = value"):
             io.parse_config("steps 100\n")

@@ -18,6 +18,7 @@ from pairorth import (
     potential_phi,
     snapshot,
 )
+from pairorth import metrics
 from pairorth.generators import GeneratorSpec
 from pairorth.metrics import (
     INVERSE_ROWS,
@@ -227,6 +228,28 @@ class TestHadamardReport:
         for trial in range(150):
             A = random_state(2 + trial % 7, field, seed=3000 + trial)
             assert hadamard_report(A).all_ok
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_reads_phi_and_sigma_only(self, field, monkeypatch):
+        # the report takes phi and the singular values, never the Gram
+        # residual, and its fields keep the bits of the snapshot's values
+        starts = [
+            random_state(8, field, 5),
+            generate(GeneratorSpec("near_singular", n=8, field=field, seed=7, eta=1e-10))[0],
+        ]
+        starts += [ColumnMatrix._wrap(np.array(A.array, order="F"), field) for A in starts]
+        expected = [snapshot(A) for A in starts]
+
+        def no_gram(A):
+            raise AssertionError("hadamard_report took the Gram residual")
+
+        monkeypatch.setattr(metrics, "gram_offdiag_fro", no_gram)
+        for A, s in zip(starts, expected):
+            rep = hadamard_report(A)
+            assert rep.phi == s.phi
+            assert rep.norm == s.sigma[0] and rep.inv_norm == 1.0 / s.sigma[-1]
+            assert rep.inv_det_bound == math.exp(s.phi)
+            assert rep.inv_norm_bound == math.sqrt(8) * math.exp(s.phi)
 
     def test_flags_detect_violation(self):
         rep = hadamard_report(angle_matrix())

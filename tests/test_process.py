@@ -1,6 +1,8 @@
 """Pair samplers, chain runs, stopping-time detection, ensembles."""
 
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from pairorth import (
     run_ensemble,
     sample_pair,
 )
+import pairorth
 from pairorth import process
 from pairorth import tolerances as tol
 from pairorth.errors import PairOrthError
@@ -31,6 +34,7 @@ from pairorth.matrix import _gram_offdiag_fro, _sq_norms
 from pairorth.process import (
     GREEDY,
     PROPORTIONAL,
+    KernelStats,
     STACK_BYTES,
     STACK_MIN_REPLICATES,
     UNIFORM,
@@ -39,6 +43,7 @@ from pairorth.process import (
     _ensemble_chunks,
     _record_grid,
     _replicate_bytes,
+    _uniform_pairs,
     _weights,
 )
 
@@ -76,6 +81,20 @@ class TestUniformSampler:
         for _ in range(1000):
             i, j = sample_pair(A, UNIFORM, rng)
             assert i != j
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 128])
+    def test_block_draw_gives_the_scalar_draws(self, n):
+        # one block of k draws takes the integers of k one-draw calls: those
+        # of sample_pair, and raw rng.integers(n (n - 1)) under the map
+        # k -> (k // (n - 1), k % (n - 1), plus one where that is >= i)
+        A = build_unit_column_matrix(np.eye(n))
+        for seed in range(5):
+            block = _uniform_pairs(n, make_rng(seed), 50).tolist()
+            rng = make_rng(seed)
+            assert block == [list(sample_pair(A, UNIFORM, rng)) for _ in range(50)]
+            rng = make_rng(seed)
+            raw = [divmod(int(rng.integers(n * (n - 1))), n - 1) for _ in range(50)]
+            assert block == [[i, j + (j >= i)] for i, j in raw]
 
 
 class TestProportionalSampler:
@@ -328,8 +347,7 @@ class TestRunChain:
             [4.705881007612464e-09, 9.999999999999982e-08, 0.21693042681035887],
             [2.1176467710726454e-08, 0.0, 0.9761870670746847],
         ])
-        assert (partial.inverse_refreshes, partial.projection_fallbacks,
-                partial.worst_refresh_drift, partial.uniform_fallbacks) == (0, 0, 0.0, 0)
+        assert partial.kernel == KernelStats(0, 0, 0.0, 0)
 
     def test_usage_errors(self):
         A = angle_matrix()
@@ -434,17 +452,17 @@ class TestKernelCounters:
     def test_refresh_every_interval_on_a_well_conditioned_chain(self):
         steps = 2 * tol.INVERSE_REFRESH_STEPS + 5
         traj = run_chain(random_state(4, 31), steps, UNIFORM, seed=3)
-        assert traj.inverse_refreshes == 2
-        assert traj.projection_fallbacks == 0
-        assert 0.0 <= traj.worst_refresh_drift <= 1e-12
+        assert traj.kernel.inverse_refreshes == 2
+        assert traj.kernel.projection_fallbacks == 0
+        assert 0.0 <= traj.kernel.worst_refresh_drift <= 1e-12
 
     def test_ill_conditioned_steps_take_the_projection_path(self):
         A, _ = generate(GeneratorSpec("near_singular", n=8, field="real", seed=7, eta=1e-10))
         traj = run_chain(A, 20, UNIFORM, seed=3)
-        assert traj.projection_fallbacks > 0
+        assert traj.kernel.projection_fallbacks > 0
         # every step keeps the distances and recomputes d_j by projection;
         # 20 steps reach neither the refresh interval nor the 1e8 crossing
-        assert (traj.projection_fallbacks, traj.inverse_refreshes) == (20, 0)
+        assert (traj.kernel.projection_fallbacks, traj.kernel.inverse_refreshes) == (20, 0)
 
     def test_ensemble_sums_counts_and_keeps_worst_drift(self):
         A, _ = generate(GeneratorSpec("near_singular", n=8, field="real", seed=7, eta=1e-8))
@@ -453,30 +471,47 @@ class TestKernelCounters:
         trajs = [
             run_chain(A, steps, UNIFORM, derive_replicate_seed(5, r), steps) for r in range(3)
         ]
-        assert stats.inverse_refreshes == sum(t.inverse_refreshes for t in trajs)
-        assert stats.projection_fallbacks == sum(t.projection_fallbacks for t in trajs)
-        assert stats.worst_refresh_drift == max(t.worst_refresh_drift for t in trajs)
+        kernels = [t.kernel for t in trajs]
+        assert stats.kernel.inverse_refreshes == sum(k.inverse_refreshes for k in kernels)
+        assert stats.kernel.projection_fallbacks == sum(k.projection_fallbacks for k in kernels)
+        assert stats.kernel.worst_refresh_drift == max(k.worst_refresh_drift for k in kernels)
         # each replicate starts on the projection path and returns to the
         # inverse path within its first 64 steps (after 59, 42 and 62
         # projection steps): one refresh at that crossing, one 64 steps later
-        assert (stats.projection_fallbacks, stats.inverse_refreshes) == (59 + 42 + 62, 3 * 2)
+        assert (stats.kernel.projection_fallbacks, stats.kernel.inverse_refreshes) == (
+            59 + 42 + 62, 3 * 2
+        )
+
+    def test_record_fields_in_summary_order(self):
+        assert pairorth.KernelStats is KernelStats
+        assert [f.name for f in fields(KernelStats)] == [
+            "inverse_refreshes", "projection_fallbacks", "worst_refresh_drift",
+            "uniform_fallbacks",
+        ]
+
+    def test_total_of_no_parts_is_zeros(self):
+        assert KernelStats.total([]) == KernelStats(0, 0, 0.0, 0)
+
+    def test_total_sums_counts_and_keeps_the_largest_drift(self):
+        parts = [KernelStats(3, 0, 1e-12, 0), KernelStats(0, 5, 4e-9, 2), KernelStats(1, 1, 0.0, 7)]
+        assert KernelStats.total(parts) == KernelStats(4, 6, 4e-9, 9)
 
 
 class TestUniformFallbacks:
     def test_proportional_chain_from_the_identity_falls_back_every_step(self):
         A = build_unit_column_matrix(np.eye(3))
-        assert run_chain(A, steps=20, kind=PROPORTIONAL, seed=1).uniform_fallbacks == 20
+        assert run_chain(A, steps=20, kind=PROPORTIONAL, seed=1).kernel.uniform_fallbacks == 20
         stats = run_ensemble(A, steps=20, kind=PROPORTIONAL, replicates=3, base_seed=1)
-        assert stats.uniform_fallbacks == 60
+        assert stats.kernel.uniform_fallbacks == 60
 
     def test_counts_only_proportional_fallbacks(self):
         A = random_state(4, 5)
         for kind in (UNIFORM, GREEDY):
-            assert run_chain(A, steps=30, kind=kind, seed=2).uniform_fallbacks == 0
+            assert run_chain(A, steps=30, kind=kind, seed=2).kernel.uniform_fallbacks == 0
         # far from orthonormal the proportional sampler keeps its law; near
         # it every inner product drops below 1e-15 and it falls back
-        assert run_chain(A, steps=3, kind=PROPORTIONAL, seed=2).uniform_fallbacks == 0
-        assert run_chain(A, steps=30, kind=PROPORTIONAL, seed=2).uniform_fallbacks > 0
+        assert run_chain(A, steps=3, kind=PROPORTIONAL, seed=2).kernel.uniform_fallbacks == 0
+        assert run_chain(A, steps=30, kind=PROPORTIONAL, seed=2).kernel.uniform_fallbacks > 0
 
 
 def ensemble_trajectories(A, steps, replicates, base_seed, stride, kind=UNIFORM):
@@ -496,9 +531,7 @@ def assert_same_trajectory(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.grid == b.grid
     assert np.array_equal(a.final_matrix.array, b.final_matrix.array)
-    counters = ("inverse_refreshes", "projection_fallbacks", "worst_refresh_drift",
-                "uniform_fallbacks")
-    assert [getattr(a, k) for k in counters] == [getattr(b, k) for k in counters]
+    assert a.kernel == b.kernel
 
 
 def assert_stack_matches_run_chain(A, steps, replicates, base_seed, stride, kind=UNIFORM):
@@ -566,7 +599,7 @@ class TestStackedEnsemble:
         )
         assert error is None and len(stacked) == replicates
         # the inverse path throughout, refreshed every 64 steps
-        assert all(t.projection_fallbacks == 0 and t.inverse_refreshes == 2
+        assert all(t.kernel.projection_fallbacks == 0 and t.kernel.inverse_refreshes == 2
                    for t in stacked.values())
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -576,7 +609,7 @@ class TestStackedEnsemble:
         A, _ = generate(GeneratorSpec("near_singular", n=8, field=field, seed=7, eta=1e-6))
         stacked, error = assert_stack_matches_run_chain(A, 200, 50, 42, 100)
         assert error is None and len(stacked) == 50
-        assert all(t.projection_fallbacks == 0 for t in stacked.values())
+        assert all(t.kernel.projection_fallbacks == 0 for t in stacked.values())
 
     @pytest.mark.parametrize("field,seed,base_seed,steps,crossed", [
         ("real", 2, 9, 200, 7), ("complex", 2, 10, 120, 6),
@@ -587,8 +620,8 @@ class TestStackedEnsemble:
         A, _ = generate(GeneratorSpec("near_singular", n=6, field=field, seed=seed, eta=1e-10))
         stacked, error = assert_stack_matches_run_chain(A, steps, 7, base_seed, 50)
         assert error is None and len(stacked) == 7
-        assert all(t.projection_fallbacks > 0 for t in stacked.values())
-        assert sum(t.projection_fallbacks < steps for t in stacked.values()) == crossed
+        assert all(t.kernel.projection_fallbacks > 0 for t in stacked.values())
+        assert sum(t.kernel.projection_fallbacks < steps for t in stacked.values()) == crossed
 
     @pytest.mark.parametrize("kind", [PROPORTIONAL, GREEDY])
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -608,7 +641,7 @@ class TestStackedEnsemble:
         A, _ = generate(GeneratorSpec("near_singular", n=8, field=field, seed=7, eta=1e-10))
         stacked, error = assert_stack_matches_run_chain(A, 200, 7, 9, 50, PROPORTIONAL)
         assert error is None and len(stacked) == 7
-        fallbacks = [t.projection_fallbacks for t in stacked.values()]
+        fallbacks = [t.kernel.projection_fallbacks for t in stacked.values()]
         assert 0 < min(fallbacks) < max(fallbacks) < 200
 
     def test_retired_replicates_match_the_scalar_loop(self, monkeypatch):
@@ -649,6 +682,22 @@ class TestStackedEnsemble:
         assert _ensemble_chunks(50, STACK_BYTES + 1) == ones
         # grid points count: 200,000 steps fit at stride 100, not at stride 1
         assert _replicate_bytes(8, 200_000, 2_001) < budget < _replicate_bytes(8, 200_000, 200_001)
+
+    @pytest.mark.parametrize("kind", [UNIFORM, PROPORTIONAL])
+    def test_large_n_stacks_stay_near_the_budget(self, kind):
+        # 127 complex chains at n = 128, 2 steps: their working arrays (cols,
+        # inv and w, 56 n^2 bytes each), not their records, set the chunks
+        A = random_state(128, 1, "complex")
+        assert [len(c) for c in _ensemble_chunks(127, _replicate_bytes(128, 2, 2))] == [
+            32, 32, 32, 31
+        ]
+        tracemalloc.start()
+        try:
+            run_ensemble(A, 2, kind, 127, 3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * STACK_BYTES
 
     def test_default_stride_fits_one_stack(self):
         # 15,000 steps recorded at every step: four replicates step as one stack

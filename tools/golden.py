@@ -18,6 +18,8 @@ pairs, counts), text (the operation kind), keys, rows or files present on
 one side only, and any change to stdout, stderr or an exit code. A value
 is a float when it parses as one and either side is written with a point,
 an exponent, inf or nan. The exit code is 1 when anything was flagged.
+Output piped into a reader that stops early, such as `head`, ends quietly,
+and the exit code is still that of the whole comparison.
 """
 
 from __future__ import annotations
@@ -129,6 +131,17 @@ def _cases() -> dict[str, list[str]]:
     return cases
 
 
+def _print(*lines: str) -> None:
+    """Print lines; once the reader of stdout has gone, send the rest to
+    devnull, so that the run goes on to its exit code without a traceback."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _delta(a: str, b: str) -> float | None:
     """|a - b| for two float fields, None for anything else (integers such
     as steps, pairs and counts, text, or a difference that is not finite)."""
@@ -200,7 +213,7 @@ def compare(out_a: str, out_b: str) -> int:
     same = 0
     for rel in sorted(files_a | files_b):
         if rel not in files_a or rel not in files_b:
-            print(f"{rel}\n  FLAG only in {'A' if rel in files_a else 'B'}")
+            _print(rel, f"  FLAG only in {'A' if rel in files_a else 'B'}")
             flagged = True
             continue
         path_a, path_b = os.path.join(out_a, rel), os.path.join(out_b, rel)
@@ -210,8 +223,8 @@ def compare(out_a: str, out_b: str) -> int:
                 continue
         report, file_flagged = _compare_file(path_a, path_b)
         flagged |= file_flagged
-        print(rel, *report, sep="\n")
-    print(f"{same} of {len(files_a | files_b)} files identical")
+        _print(rel, *report)
+    _print(f"{same} of {len(files_a | files_b)} files identical")
     return 1 if flagged else 0
 
 
@@ -241,7 +254,7 @@ def main(argv=None) -> int:
                 handle.write(text)
         with open(os.path.join(case_dir, "exit_code.txt"), "w") as handle:
             handle.write(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}")
+        _print(f"{name}: exit {proc.returncode}")
     return 0
 
 
