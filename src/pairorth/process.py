@@ -16,12 +16,13 @@ distances alone and reads d_i and d_j off one R-only QR per step. Its
 step updates the uniform chains on the inverse path as one vectorized
 step when enough of them are, with the scalar code's reductions row by
 row, and runs the scalar code on each other chain's row, so every chain
-gets the same bits either way. The chains due for a refresh recompute by
-one stacked inv, and a record-grid point is one stacked SVD and one
-stacked Gram over the live chains; each chain gets the bits of the call
-on its matrix alone. The update rules, the refresh policy, the measured
-drift, the selection rule and the proportional draw are in README, "How
-the step kernel keeps phi".
+gets the same bits either way. A chain refreshes when a running bound on
+its rounding comes due, or on the projection path every
+INVERSE_REFRESH_STEPS steps; the chains due recompute by one stacked inv.
+A record-grid point is one stacked SVD and one stacked Gram over the live
+chains; each chain gets the bits of the call on its matrix alone. The
+update rules, the refresh policy, the measured drift, the selection rule
+and the proportional draw are in README, "How the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
@@ -35,7 +36,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +51,8 @@ PROPORTIONAL = "proportional"
 GREEDY = "greedy"
 
 SAMPLER_KINDS = (UNIFORM, PROPORTIONAL, GREEDY)
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_seed(seed: int) -> int:
@@ -170,22 +173,22 @@ STACK_BYTES = 32 * 2**20
 @dataclass(frozen=True)
 class KernelStats:
     """What the step kernel did to keep phi, for one chain or summed over
-    many: its full recomputes, its steps whose distances came from the
-    projection path, the largest |phi_kept - phi_full| seen at a refresh
-    (either path), and the proportional draws that fell back to uniform."""
+    many: full recomputes, steps on the projection path, the largest
+    |phi_kept - phi_full| at a refresh (either path), proportional draws
+    that fell back to uniform, and the largest inverse-path drift bound."""
 
     inverse_refreshes: int = 0
     projection_fallbacks: int = 0
     worst_refresh_drift: float = 0.0
     uniform_fallbacks: int = 0
+    worst_drift_bound: float = 0.0
 
     @classmethod
     def total(cls, parts: list[KernelStats]) -> KernelStats:
-        """The counts summed and the largest drift over parts; zeros for none."""
-        return cls(sum(p.inverse_refreshes for p in parts),
-                   sum(p.projection_fallbacks for p in parts),
-                   max((p.worst_refresh_drift for p in parts), default=0.0),
-                   sum(p.uniform_fallbacks for p in parts))
+        """The counts summed, the largest drift and bound over parts; zeros for none."""
+        return cls(*(max((getattr(p, f.name) for p in parts), default=0.0)
+                     if isinstance(f.default, float) else sum(getattr(p, f.name) for p in parts)
+                     for f in fields(cls)))
 
 
 class _ChainStack:
@@ -198,11 +201,11 @@ class _ChainStack:
     both are stale, and a step keeps d[r] but d_i and d_j, read off one QR.
     w[r] is _weights(A^H A) for the proportional and greedy samplers (w is
     None for uniform), updated in row and column i from one product per
-    step; since[r] counts the steps since the last full recompute, and
-    est0[r] is the condition estimate sqrt(n sum_k 1 / d_k^2) there;
-    refreshes, fallbacks, worst_drift and uniform_fallbacks hold the fields
-    of counters(r). A degenerate pair clears live[r] and keeps its
-    DegeneratePairError in aborts[r], with chain r untouched.
+    step; since[r] counts the steps since the last full recompute, est0[r] is
+    the condition estimate sqrt(n sum_k 1 / d_k^2) there and est_sum[r] sums
+    it over the inverse-path steps since; refreshes, fallbacks, worst_drift,
+    uniform_fallbacks and worst_bound make counters(r). A degenerate pair
+    clears live[r] and keeps its DegeneratePairError in aborts[r], with chain r untouched.
     """
 
     def __init__(self, A0: ColumnMatrix, count: int, kind: str = UNIFORM):
@@ -217,7 +220,7 @@ class _ChainStack:
         self.on_inv = np.empty(count, dtype=bool)
         self.w = None if kind == UNIFORM else np.empty((count, n, n))
         self.refreshes, self.fallbacks, self.uniform_fallbacks = np.zeros((3, count), dtype=np.intp)
-        self.worst_drift = np.zeros(count)
+        self.worst_drift, self.worst_bound, self.est_sum = np.zeros((3, count))
         self.live = np.ones(count, dtype=bool)
         self.aborts: dict[int, DegeneratePairError] = {}
         # chain r's matrix, d, inv, row_sq and w: views, made once, that the
@@ -241,7 +244,8 @@ class _ChainStack:
 
     def counters(self, r: int) -> KernelStats:
         return KernelStats(int(self.refreshes[r]), int(self.fallbacks[r]),
-                           float(self.worst_drift[r]), int(self.uniform_fallbacks[r]))
+                           float(self.worst_drift[r]), int(self.uniform_fallbacks[r]),
+                           float(np.fmax(self.worst_bound[r], _EPS * self.est_sum[r])))
 
     def _recompute(self, rs) -> None:
         # chains rs (indices, or a slice for one chain: a view, where an index
@@ -249,13 +253,14 @@ class _ChainStack:
         inv, row_norms, d, on_inv = _distances_full(self.cols[rs].mT)
         self.inv[rs], self.row_sq[rs], self.on_inv[rs] = inv, row_norms * row_norms, on_inv
         self.d[rs], self.phi[rs], self.since[rs] = d, -np.log(d).sum(axis=1) + 0.0, 0
-        self.est0[rs] = np.sqrt(self.n * (1.0 / (d * d)).sum(axis=1))
+        self.est0[rs], self.est_sum[rs] = np.sqrt(self.n * (1.0 / (d * d)).sum(axis=1)), 0.0
 
     def _refresh(self, rs) -> None:
         phi_kept = self.phi[rs].copy()
+        self.worst_bound[rs] = np.fmax(self.worst_bound[rs], _EPS * self.est_sum[rs])
         self._recompute(rs)
         self.refreshes[rs] += 1
-        # fmax keeps a NaN phi out of the drift, as max() did
+        # fmax keeps a NaN phi out of the drift, as max() did, and a NaN est_sum out of the bound
         self.worst_drift[rs] = np.fmax(self.worst_drift[rs], np.abs(phi_kept - self.phi[rs]))
 
     def _retire(self, r: int, exc: DegeneratePairError) -> None:
@@ -297,17 +302,32 @@ class _ChainStack:
         """End a step of chain r whose kept distances give
         sum_sq = sum_k 1 / d_k^2: refresh, count a projection step."""
         # sqrt(n) ||A^-1||_F, off the inverse rows, or off ||row k of A^-1||
-        # = 1 / d_k on the projection path. A crossing either way refreshes,
-        # on the inverse path so does a NaN or infinite estimate (it is not
-        # below), and on the projection path a fall below est0 / n: a kept
-        # d_k errs by about eps kappa at est0, the slack is n eps kappa now
+        # = 1 / d_k on the projection path. A crossing either way refreshes;
+        # on the inverse path so does a NaN or infinite estimate (not below)
+        # or a bound come due, on the projection path every K steps or a fall
+        # below est0 / n: a kept d_k errs by eps kappa at est0, the slack is n eps kappa
         est = math.sqrt(self.n * sum_sq)
         below = est <= tol.DISTANCE_FALLBACK_KAPPA
-        fell = not self.on_inv[r] and self.n * est < self.est0[r]
-        if self.since[r] >= tol.INVERSE_REFRESH_STEPS or below != self.on_inv[r] or fell:
+        if self.on_inv[r]:
+            self.est_sum[r] += est
+            due = not below or self._comes_due(r, est)
+        else:
+            due = below or self.since[r] >= tol.INVERSE_REFRESH_STEPS or self.n * est < self.est0[r]
+        if due:
             self._refresh(slice(r, r + 1))
         if not self.on_inv[r]:
             self.fallbacks[r] += 1
+
+    def _comes_due(self, rs, est):
+        # B = eps est_sum bounds the drift of the kept log d_k (a step's rounding moves
+        # them by about eps est); at a multiple of K = INVERSE_REFRESH_STEPS steps since
+        # the recompute, due if B (since + K) / since reaches n max(1e-8, n eps est)
+        since = self.since[rs]
+        at = since % tol.INVERSE_REFRESH_STEPS == 0
+        if not at.any():
+            return at
+        slack = self.n * np.maximum(tol.DISTANCE_METHOD_REL, self.n * _EPS * est)
+        return at & (_EPS * self.est_sum[rs] * (since + tol.INVERSE_REFRESH_STEPS) >= since * slack)
 
     def step(self, pairs: np.ndarray, inner_abs: np.ndarray) -> None:
         """Step every live chain r with the pair pairs[r] and write |c| into
@@ -366,11 +386,11 @@ class _ChainStack:
             row_sq[a, k] = sq
             d[a, k] = np.minimum(1.0 / np.sqrt(sq), 1.0)
         self.phi[a] = -np.log(d[a]).sum(axis=1) + 0.0
-        sum_sq = row_sq[a].sum(axis=1)
+        est = np.sqrt(self.n * row_sq[a].sum(axis=1))
+        self.est_sum[a] += est
         self.since[a] += 1
         # _settle's rule, with the chains it refreshes as one stack
-        below = np.sqrt(self.n * sum_sq) <= tol.DISTANCE_FALLBACK_KAPPA
-        due = a[(self.since[a] >= tol.INVERSE_REFRESH_STEPS) | ~below]
+        due = a[~(est <= tol.DISTANCE_FALLBACK_KAPPA) | self._comes_due(a, est)]
         if due.size:
             self._refresh(due)
             self.fallbacks[due] += ~self.on_inv[due]

@@ -170,14 +170,18 @@ class TestRunCosolve:
         mixed_errs = [r.err_norm for r in h_mixed if r.kind == KACZ]
         assert plain_errs == pytest.approx(mixed_errs, rel=1e-9)
 
-    @pytest.mark.parametrize("kind,eta", [("gaussian_normalized", None), ("near_singular", 1e-10)])
+    @pytest.mark.parametrize("kind,eta", [
+        ("gaussian_normalized", None), ("near_singular", 1e-6), ("near_singular", 1e-10),
+    ])
     def test_kernel_counters_match_run_chain(self, kind, eta):
-        # the same kernel on the same pair draws: the near-singular start
-        # runs on the projection path, the Gaussian one on the inverse path
+        # the same kernel on the same pair draws: the 1e-10 start runs on the
+        # projection path, refreshed every 64 steps, the others on the inverse
+        # path, where the 1e-6 start's running bound comes due once and the
+        # Gaussian one's never
         A, _ = generate(GeneratorSpec(kind, n=8, field="real", seed=4, eta=eta))
         _, final = run_cosolve(A, np.ones(8), interleave=(1, 1), steps=300, seed=11)
         traj = run_chain(A, 150, UNIFORM, derive_replicate_seed(11, 0))
-        assert traj.kernel.inverse_refreshes >= 2
+        assert traj.kernel.inverse_refreshes == {None: 0, 1e-6: 1, 1e-10: 2}[eta]
         assert final.kernel == traj.kernel
 
     @pytest.mark.parametrize("field,interleave", [("real", (1, 1)), ("complex", (2, 1))])

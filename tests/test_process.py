@@ -47,6 +47,8 @@ from pairorth.process import (
     _weights,
 )
 
+EPS = float(np.finfo(float).eps)
+
 
 def angle_matrix(theta=np.pi / 3):
     return build_unit_column_matrix([[1.0, np.cos(theta)], [0.0, np.sin(theta)]])
@@ -347,7 +349,9 @@ class TestRunChain:
             [4.705881007612464e-09, 9.999999999999982e-08, 0.21693042681035887],
             [2.1176467710726454e-08, 0.0, 0.9761870670746847],
         ])
-        assert partial.kernel == KernelStats(0, 0, 0.0, 0)
+        # no refresh came due in three steps; the running bound is eps times
+        # the sum of their condition estimates, about 2.5e7 each
+        assert partial.kernel == KernelStats(0, 0, 0.0, 0, 1.6714910508928036e-08)
 
     def test_usage_errors(self):
         A = angle_matrix()
@@ -449,12 +453,17 @@ class TestDetectTStar:
 
 
 class TestKernelCounters:
-    def test_refresh_every_interval_on_a_well_conditioned_chain(self):
-        steps = 2 * tol.INVERSE_REFRESH_STEPS + 5
-        traj = run_chain(random_state(4, 31), steps, UNIFORM, seed=3)
-        assert traj.kernel.inverse_refreshes == 2
+    @pytest.mark.parametrize("n,steps", [(4, 2 * tol.INVERSE_REFRESH_STEPS + 5), (32, 1000)])
+    def test_refresh_deferred_on_a_well_conditioned_chain(self, n, steps):
+        # the running bound eps sum_t est_t stays far below the slack
+        # n max(1e-8, n eps est) at every checkpoint, so none refreshes; the
+        # kept phi still matches a full recompute as closely as a refresh saw
+        traj = run_chain(random_state(n, 31), steps, UNIFORM, seed=3)
+        assert traj.kernel.inverse_refreshes == 0
         assert traj.kernel.projection_fallbacks == 0
-        assert 0.0 <= traj.kernel.worst_refresh_drift <= 1e-12
+        assert traj.kernel.worst_refresh_drift == 0.0
+        assert 0.0 < traj.kernel.worst_drift_bound <= 1e-3 * n * tol.DISTANCE_METHOD_REL
+        assert abs(traj.phi[-1] - potential_phi(traj.final_matrix)) <= 1e-12
 
     def test_ill_conditioned_steps_take_the_projection_path(self):
         A, _ = generate(GeneratorSpec("near_singular", n=8, field="real", seed=7, eta=1e-10))
@@ -486,15 +495,16 @@ class TestKernelCounters:
         assert pairorth.KernelStats is KernelStats
         assert [f.name for f in fields(KernelStats)] == [
             "inverse_refreshes", "projection_fallbacks", "worst_refresh_drift",
-            "uniform_fallbacks",
+            "uniform_fallbacks", "worst_drift_bound",
         ]
 
     def test_total_of_no_parts_is_zeros(self):
         assert KernelStats.total([]) == KernelStats(0, 0, 0.0, 0)
 
     def test_total_sums_counts_and_keeps_the_largest_drift(self):
-        parts = [KernelStats(3, 0, 1e-12, 0), KernelStats(0, 5, 4e-9, 2), KernelStats(1, 1, 0.0, 7)]
-        assert KernelStats.total(parts) == KernelStats(4, 6, 4e-9, 9)
+        parts = [KernelStats(3, 0, 1e-12, 0, 2e-9), KernelStats(0, 5, 4e-9, 2, 1e-10),
+                 KernelStats(1, 1, 0.0, 7)]
+        assert KernelStats.total(parts) == KernelStats(4, 6, 4e-9, 9, 2e-9)
 
 
 class TestUniformFallbacks:
@@ -598,18 +608,50 @@ class TestStackedEnsemble:
             random_state(n, n, field), 150, replicates, 17, 40
         )
         assert error is None and len(stacked) == replicates
-        # the inverse path throughout, refreshed every 64 steps
-        assert all(t.kernel.projection_fallbacks == 0 and t.kernel.inverse_refreshes == 2
+        # the inverse path throughout, where the running bound never comes due
+        assert all(t.kernel.projection_fallbacks == 0 and t.kernel.inverse_refreshes == 0
                    for t in stacked.values())
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_bit_identical_on_an_ill_conditioned_inverse_path(self, field):
         # the criterion-6 instance: condition estimate ~1e6, below the 1e8
-        # crossing, so the vectorized inverse path with its refreshes
+        # crossing, so the vectorized inverse path, where running bounds come
+        # due and refresh at checkpoints
         A, _ = generate(GeneratorSpec("near_singular", n=8, field=field, seed=7, eta=1e-6))
         stacked, error = assert_stack_matches_run_chain(A, 200, 50, 42, 100)
         assert error is None and len(stacked) == 50
         assert all(t.kernel.projection_fallbacks == 0 for t in stacked.values())
+        assert sum(t.kernel.inverse_refreshes > 0 for t in stacked.values()) > STACK_MIN_REPLICATES
+
+    @pytest.mark.parametrize("field,seed,due", [
+        ("real", 3, {64: 8, 128: 1}), ("complex", 0, {64: 8, 128: 3}),
+    ], ids=["real", "complex"])
+    def test_due_chains_refresh_at_checkpoints_through_one_inv(self, field, seed, due, monkeypatch):
+        # planted distance 1e-6, condition estimate ~1e6: the running bounds
+        # come due at some checkpoints and not at others. No step between
+        # checkpoints refreshes, the chains due at one go through one stacked
+        # inv, and the kept phi stays within the slack of a full recompute
+        K = tol.INVERSE_REFRESH_STEPS
+        A, _ = generate(GeneratorSpec("near_singular", n=8, field=field, seed=seed, eta=1e-6))
+        seeds = [derive_replicate_seed(42, r) for r in range(8)]
+        stack = process._ChainStack(A, len(seeds))
+        pairs = np.stack([_uniform_pairs(A.n, make_rng(s), 3 * K) for s in seeds])
+        calls, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda arrs: calls.append(len(arrs)) or inv(arrs))
+        refreshed, inner_abs = {}, np.empty(len(seeds))
+        for t in range(1, 3 * K + 1):
+            before, calls[:] = stack.refreshes.sum(), []
+            stack.step(pairs[:, t - 1], inner_abs)
+            if stack.refreshes.sum() > before:
+                refreshed[t] = int(stack.refreshes.sum() - before)
+            assert calls == ([refreshed[t]] if t in refreshed else [])
+            if t % K == 0:
+                for r in range(len(seeds)):
+                    kappa, _ = condition_number(stack.matrix(r))
+                    slack = A.n * max(tol.DISTANCE_METHOD_REL, A.n * EPS * kappa)
+                    assert abs(stack.phi[r] - potential_phi(stack.matrix(r))) <= slack
+        assert refreshed == due
+        assert stack.live.all() and stack.on_inv.all()
 
     @pytest.mark.parametrize("field,seed,base_seed,steps,crossed", [
         ("real", 2, 9, 200, 7), ("complex", 2, 10, 120, 6),

@@ -68,6 +68,12 @@ def _cases() -> dict[str, list[str]]:
         "proportional", "--steps", "400", "--stride", "100", "--replicates", "4",
         "--seed", "5", *EMIT,
     ]
+    # a well-conditioned inverse path: its running drift bound never comes
+    # due, so the chains make no refresh in 1,000 steps
+    cases["run-gaussian-32-deferred"] = [
+        "run", "--gen", "gaussian", "--n", "32", "--steps", "1000", "--stride", "250",
+        "--replicates", "4", "--seed", "5", *EMIT,
+    ]
     # planted distance 1e-10 keeps the condition estimate above 1e8, so
     # every step recomputes the distances by projection
     cases["run-projection-path"] = [
