@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .matrix import ColumnMatrix, PairIndex, _orth_column, validate_pair
+from .matrix import ColumnMatrix, PairIndex, _norm, _orth_column, validate_pair
 from .process import KernelStats, _ChainStack, _uniform_pairs, derive_replicate_seed, make_rng
 
 ORTH = "orth"
@@ -64,9 +64,10 @@ def _update_rhs(b: np.ndarray, i: int, j: int, c, c2, nu) -> None:
     b[i] = (b[i] - np.conj(c + c2) * b[j]) / nu
 
 
-def _kaczmarz(arr: np.ndarray, b: np.ndarray, x: np.ndarray, row: int) -> np.ndarray:
+def _kaczmarz(arr: np.ndarray, b: np.ndarray, x: np.ndarray, row: int) -> None:
+    # the projection onto equation row, written into x in place
     a = arr[:, row]
-    return x + (b[row] - np.vdot(a, x)) * a
+    x += (b[row] - np.vdot(a, x)) * a
 
 
 def orth_with_rhs(state: CosolveState, pair: PairIndex) -> CosolveState:
@@ -92,7 +93,8 @@ def kaczmarz_step(state: CosolveState, row: int) -> CosolveState:
     """
     if not (0 <= row < state.A.n):
         raise UsageError(f"row {row} out of range for n = {state.A.n}")
-    x = _kaczmarz(state.A.array, state.b, state.x, row)
+    x = np.array(state.x)
+    _kaczmarz(state.A.array, state.b, x, row)
     return replace(state, x=x)
 
 
@@ -135,7 +137,7 @@ def run_cosolve(
     chain = _ChainStack(A0, 1)
     arr = chain.cols[0].T
     b, x = np.array(state.b), state.x
-    err_norm = float(np.linalg.norm(x - state.x_true))
+    err_norm = _norm(x - state.x_true)
     history: list[CosolveRecord] = []
     for step in range(1, steps + 1):
         kind = cycle[(step - 1) % len(cycle)]
@@ -144,7 +146,7 @@ def run_cosolve(
             c, c2, nu = chain.orth(0, i, j)
             _update_rhs(b, i, j, c, c2, nu)
         else:
-            x = _kaczmarz(arr, b, x, next(rows))
-            err_norm = float(np.linalg.norm(x - state.x_true))
+            _kaczmarz(arr, b, x, next(rows))
+            err_norm = _norm(x - state.x_true)
         history.append(CosolveRecord(step, kind, err_norm, float(chain.phi[0])))
     return history, replace(state, A=chain.matrix(0), b=b, x=x, kernel=chain.counters(0))

@@ -47,10 +47,12 @@ class ColumnMatrix:
 
     Values are immutable once constructed: the underlying array is marked
     read-only and every update returns a new instance. _sigma keeps the
-    singular values of the rank check (read-only; None when built by _wrap).
+    singular values of the rank check, _start the (inv, row_norms, d, on_inv)
+    of metrics._start_distances from first use (read-only; both None when
+    built by _wrap).
     """
 
-    __slots__ = ("_array", "_sigma", "n", "field")
+    __slots__ = ("_array", "_sigma", "_start", "n", "field")
 
     def __init__(self, entries, *, normalize: bool = False):
         arr = np.array(entries, order="F")
@@ -87,7 +89,7 @@ class ColumnMatrix:
 
         arr.setflags(write=False)
         sigma.setflags(write=False)
-        self._array, self._sigma, self.n, self.field = arr, sigma, n, field
+        self._array, self._sigma, self._start, self.n, self.field = arr, sigma, None, n, field
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, field: str) -> "ColumnMatrix":
@@ -98,7 +100,8 @@ class ColumnMatrix:
         """
         self = object.__new__(cls)
         arr.setflags(write=False)
-        self._array, self._sigma, self.n, self.field = arr, None, arr.shape[0], field
+        self._array, self._sigma, self._start = arr, None, None
+        self.n, self.field = arr.shape[0], field
         return self
 
     @property
@@ -151,8 +154,7 @@ def _orth_column(arr: np.ndarray, i: int, j: int):
     w = a_i - c * a_j
     c2 = np.vdot(a_j, w)
     w -= c2 * a_j
-    # np.linalg.norm(w) bit for bit: the sqrt of a dot (of .real and .imag if complex)
-    nu = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag) if w.dtype.kind == "c" else w.dot(w))
+    nu = _norm(w)
     if not 0.0 < nu < math.inf:  # zero or not finite
         raise DegeneratePairError((i, j), abs(c))
     np.divide(w, nu, out=a_i)
@@ -187,6 +189,12 @@ def _gram_offdiag_fro(cols: np.ndarray) -> np.ndarray:
     g = (cols.conj() @ cols.mT).reshape(len(cols), n * n)
     g[:, :: n + 1] -= 1.0  # the diagonal
     return np.sqrt(_sq_norms(g))
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a vector, bit for bit: the sqrt of a dot (of .real
+    and .imag if complex), without norm's Python wrapper."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x))
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:

@@ -115,6 +115,19 @@ def _distances_full(arrs: np.ndarray):
     return inv, row_norms, d, on_inv
 
 
+def _start_distances(A: ColumnMatrix):
+    """_distances_full(A.array[None]), kept read-only in A._start from first
+    use, so snapshot, potential_phi and every chain stack from A share one;
+    recomputed each call for a matrix built by _wrap (_sigma None)."""
+    if A._sigma is None:
+        return _distances_full(A.array[None])
+    if A._start is None:
+        A._start = _distances_full(A.array[None])
+        for values in A._start:
+            values.setflags(write=False)
+    return A._start
+
+
 def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
     """Distance from each column to the span of the other columns.
 
@@ -135,7 +148,7 @@ def leave_one_out_distances(A: ColumnMatrix, method: str = AUTO) -> np.ndarray:
     if method == PROJECTION:
         return _distances_projection(A.array)
     if method == AUTO:
-        return _distances_full(A.array[None])[2][0]
+        return _start_distances(A)[2][0].copy()
     raise UsageError(f"unknown distance method {method!r}")
 
 

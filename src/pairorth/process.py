@@ -11,18 +11,20 @@ arrays and steps them together: run_chain is a stack of one, run_ensemble
 runs one stack per chunk of replicates, and the Kaczmarz co-solver drives
 a stack of one. Per chain it keeps the inverse (two rows move per step),
 the distances and, for the proportional and greedy samplers, the weights
-|G|^2 of the Gram matrix G. Above the 1e8 condition estimate it keeps the
-distances alone and reads d_i and d_j off one R-only QR per step. Its
-step updates the uniform chains on the inverse path as one vectorized
-step when enough of them are, with the scalar code's reductions row by
-row, and runs the scalar code on each other chain's row, so every chain
-gets the same bits either way. A chain refreshes when a running bound on
-its rounding comes due, or on the projection path every
-INVERSE_REFRESH_STEPS steps; the chains due recompute by one stacked inv.
-A record-grid point is one stacked SVD and one stacked Gram over the live
-chains; each chain gets the bits of the call on its matrix alone. The
-update rules, the refresh policy, the measured drift, the selection rule
-and the proportional draw are in README, "How the step kernel keeps phi".
+|G|^2 of the Gram matrix G; it copies the start's inverse and distances,
+which a validated start computes once (metrics._start_distances). Above
+the 1e8 condition estimate it keeps the distances alone and reads d_i and
+d_j off one R-only QR per step. Its step updates the uniform chains on
+the inverse path as one vectorized step when enough of them are, with the
+scalar code's reductions row by row, and runs the scalar code on each
+other chain's row, so every chain gets the same bits either way. A chain
+refreshes when a running bound on its rounding comes due, tested every
+INVERSE_REFRESH_STEPS steps, or on the projection path every such
+interval; the chains due recompute by one stacked inv. A record-grid
+point is one stacked SVD and one stacked Gram over the live chains; each
+chain gets the bits of the call on its matrix alone. The update rules,
+the refresh policy, the measured drift, the selection rule and the
+proportional draw are in README, "How the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
@@ -44,7 +46,8 @@ from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
 from .matrix import REAL, ColumnMatrix, PairIndex, _gram_offdiag_fro, _orth_column, _sq_norms
-from .metrics import _distances_full, _pair_distances, _phi_from_distances, condition_number
+from .metrics import (_distances_full, _pair_distances, _phi_from_distances, _start_distances,
+                      condition_number)
 
 UNIFORM = "uniform"
 PROPORTIONAL = "proportional"
@@ -89,19 +92,12 @@ def _weights(gram: np.ndarray) -> np.ndarray:
 
 
 def _draw_pair(n: int, kind: str, rng: np.random.Generator, w=None) -> tuple[PairIndex, bool]:
-    """The pair, and whether the proportional sampler fell back to uniform.
-
-    w is _weights(A^H A), read by the proportional and greedy samplers; the
-    uniform sampler ignores it. Greedy takes the argmax of w, the pair of
-    largest |g| unless squaring rounds two |g| within an ulp of each other,
-    or below about 1e-154, to the same double. The stream: uniform takes
-    one rng.integers draw, greedy none, and proportional exactly one
-    rng.random() double, or the uniform draw when it falls back. That
-    double picks the pair rng.choice(n * n, p=w.ravel() / w.sum()) would:
-    the row by a search over the cumulative row sums of w, then the column
-    by a search over that row's cumulative sum. The two can differ only
-    where the double lands within roundoff of a boundary of the cumulative
-    sums.
+    """The pair, and whether the proportional sampler fell back to uniform:
+    sample_pair's law and stream, off w = _weights(A^H A) (None for uniform).
+    The proportional double picks the row by a search over the cumulative row
+    sums of w, then the column by one over that row's cumulative sum: the
+    pair rng.choice(n * n, p=w.ravel() / w.sum()) would, unless the double
+    lands within roundoff of a boundary of the cumulative sums.
     """
     if kind == UNIFORM:
         return _uniform_pairs(n, rng), False
@@ -230,14 +226,10 @@ class _ChainStack:
              None if self.w is None else self.w[r])
             for r in range(count)
         ]
-        # every chain starts from A0: recompute once, copy the rest
-        self._recompute(slice(0, 1))
-        kept = [self.inv, self.row_sq, self.d, self.phi, self.since, self.est0, self.on_inv]
+        # every chain starts from A0: its kept distances, and one Gram, to all
+        self._recompute(slice(None), _start_distances(A0))
         if self.w is not None:
-            self.w[0] = _weights(self.cols[0].conj() @ self.cols[0].T)
-            kept.append(self.w)
-        for values in kept:
-            values[1:] = values[0]
+            self.w[:] = _weights(self.cols[0].conj() @ self.cols[0].T)
 
     def matrix(self, r: int) -> ColumnMatrix:
         return ColumnMatrix._wrap(np.array(self.cols[r].T, order="F"), self.field)
@@ -247,10 +239,11 @@ class _ChainStack:
                            float(self.worst_drift[r]), int(self.uniform_fallbacks[r]),
                            float(np.fmax(self.worst_bound[r], _EPS * self.est_sum[r])))
 
-    def _recompute(self, rs) -> None:
+    def _recompute(self, rs, full=None) -> None:
         # chains rs (indices, or a slice for one chain: a view, where an index
-        # copy slows inv at n = 128); off the inverse path, inv is stale
-        inv, row_norms, d, on_inv = _distances_full(self.cols[rs].mT)
+        # copy slows inv at n = 128), from full if given (stacks of one, put to
+        # every chain of rs); off the inverse path, inv is stale
+        inv, row_norms, d, on_inv = _distances_full(self.cols[rs].mT) if full is None else full
         self.inv[rs], self.row_sq[rs], self.on_inv[rs] = inv, row_norms * row_norms, on_inv
         self.d[rs], self.phi[rs], self.since[rs] = d, -np.log(d).sum(axis=1) + 0.0, 0
         self.est0[rs], self.est_sum[rs] = np.sqrt(self.n * (1.0 / (d * d)).sum(axis=1)), 0.0
@@ -310,7 +303,8 @@ class _ChainStack:
         below = est <= tol.DISTANCE_FALLBACK_KAPPA
         if self.on_inv[r]:
             self.est_sum[r] += est
-            due = not below or self._comes_due(r, est)
+            at = self.since[r] % tol.INVERSE_REFRESH_STEPS == 0  # spares _comes_due's arrays
+            due = not below or (at and self._comes_due(r, est))
         else:
             due = below or self.since[r] >= tol.INVERSE_REFRESH_STEPS or self.n * est < self.est0[r]
         if due:
@@ -356,10 +350,8 @@ class _ChainStack:
             inner_abs[r] = abs(c)
 
     def _step_inverse(self, a, i, j, inner_abs) -> None:
-        # orth for the chains a, all on the inverse path, row by row:
-        # np.vecdot(x, y) gives the bits of np.vdot(x, y), and the norm is
-        # np.linalg.norm's sqrt of a dot (of the real and imaginary parts
-        # for complex)
+        # orth for the chains a, all on the inverse path, row by row: np.vecdot(x, y)
+        # gives the bits of np.vdot(x, y), and sqrt(_sq_norms) those of matrix._norm
         cols, inv = self.cols, self.inv
         a_i, a_j = cols[a, i], cols[a, j]
         c = np.vecdot(a_j, a_i)

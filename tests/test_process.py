@@ -19,14 +19,16 @@ from pairorth import (
     generate,
     gram_offdiag_fro,
     inflection,
+    leave_one_out_distances,
     make_rng,
     potential_phi,
     run_chain,
+    run_cosolve,
     run_ensemble,
     sample_pair,
 )
 import pairorth
-from pairorth import process
+from pairorth import metrics, process
 from pairorth import tolerances as tol
 from pairorth.errors import PairOrthError
 from pairorth.generators import GeneratorSpec
@@ -405,6 +407,63 @@ class TestStartRecord:
             A, s = generate(GeneratorSpec(kind, n=4, field=field, seed=3, **params))
             assert s.sigma is A._sigma
         assert len(calls) == 2
+
+
+def near_singular_state(n, seed, field="real", eta=1e-10):
+    A, _ = generate(GeneratorSpec("near_singular", n=n, field=field, seed=seed, eta=eta))
+    return A
+
+
+class TestKeptStart:
+    """A validated start keeps its inverse, row norms, distances and path
+    flag (metrics._start_distances) from first use; every chain stack from
+    it copies them in place of a recompute, and a wrapped start keeps none."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n,start", [(2, random_state), (8, random_state),
+                                         (32, random_state), (128, random_state),
+                                         (8, near_singular_state), (32, near_singular_state)])
+    def test_kept_start_is_the_bits_of_a_fresh_recompute(self, n, start, field):
+        A = start(n, 3, field)
+        kept = metrics._start_distances(A)
+        assert A._start is kept and metrics._start_distances(A) is kept
+        fresh = metrics._distances_full(np.array(A.array, order="F")[None])
+        for values, fresh_values in zip(kept, fresh, strict=True):
+            assert not values.flags.writeable
+            assert values.dtype == fresh_values.dtype
+            assert np.array_equal(values, fresh_values, equal_nan=True)
+        # the projection path for a planted distance 1e-10, the inverse rows otherwise
+        assert bool(kept[3][0]) == (start is random_state)
+        d = leave_one_out_distances(A)
+        assert d.flags.writeable and np.array_equal(d, kept[2][0])
+        wrapped = ColumnMatrix._wrap(np.array(A.array, order="F"), A.field)
+        assert np.array_equal(metrics._start_distances(wrapped)[2], kept[2])
+        assert wrapped._start is None
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n,start", [(8, random_state), (32, random_state),
+                                         (8, near_singular_state)])
+    def test_chain_from_a_kept_start_matches_a_wrapped_copy(self, n, start, field):
+        A = start(n, 5, field)
+        for kind in (UNIFORM, PROPORTIONAL):
+            # the wrapped copy first, so the kept start is filled by run_chain itself
+            wrapped = ColumnMatrix._wrap(np.array(A.array, order="F"), A.field)
+            fresh = run_chain(wrapped, steps=70, kind=kind, seed=2, metrics_stride=20)
+            kept = run_chain(A, steps=70, kind=kind, seed=2, metrics_stride=20)
+            assert A._start is not None and wrapped._start is None
+            assert_same_trajectory(kept, fresh)
+
+    def test_generate_chains_and_cosolve_take_one_inverse(self, monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
+        A, s = generate(GeneratorSpec("gaussian_normalized", n=32, seed=4))
+        for kind in (UNIFORM, PROPORTIONAL):
+            traj = run_chain(A, steps=20, kind=kind, seed=1)
+            assert traj.phi[0] == s.phi and traj.kernel.inverse_refreshes == 0
+        _, final = run_cosolve(A, np.ones(32), steps=20, seed=1)
+        assert final.kernel.inverse_refreshes == 0
+        assert len(calls) == 1
 
 
 class TestDetectTStar:

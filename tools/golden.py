@@ -93,12 +93,19 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "near_singular", "--n", "8", "--eta", "1e-6",
         "--steps", "15000", "--replicates", "4", "--seed", "7", *EMIT,
     ]
-    # planted distance 1e-12 at n = 4: kappa falls through the projection
-    # path by more than a factor n between interval refreshes, so the
-    # kernel also refreshes at those falls
+    # planted distance 1e-12 at n = 4: the chain crosses to the inverse path
+    # after 18 steps (projection_fallbacks = 18), so the fall rule below is
+    # checked over those 18 steps only, and the other 182 run the inverse path
     cases["run-projection-path-kappa-falls"] = [
         "run", "--gen", "near_singular", "--n", "4", "--eta", "1e-12",
         "--steps", "200", "--stride", "20", "--replicates", "1", "--seed", "3", *EMIT,
+    ]
+    # planted distance 1e-12 at n = 6: all 200 steps on the projection path,
+    # where kappa falls by more than a factor n between interval refreshes:
+    # 5 of its 6 refreshes come at a fall, where the interval alone gives 3
+    cases["run-projection-path-falls-n6"] = [
+        "run", "--gen", "near_singular", "--n", "6", "--eta", "1e-12",
+        "--steps", "200", "--stride", "20", "--replicates", "1", "--seed", "15", *EMIT,
     ]
     # odd n: a full recompute reads the last column off its own QR, with
     # columns 5 and 6 last; every step of the 4 replicates stays on the

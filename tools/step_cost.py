@@ -9,8 +9,13 @@ Times the package in CHECKOUT/src from a gaussian_normalized start (seed
 is run_ensemble with R = 50 replicates, for n in {8, 32} and all three
 samplers. Each cell runs K times (default 5) with the record grid at t = 0
 and the last step only, and prints the median wall time over the steps
-(over R x steps chain-steps for run_ensemble) in µs, so the start's
-recompute and its two records are in it. Above the tables it prints what
+(over R x steps chain-steps for run_ensemble) in µs, so the start's set-up
+and its two records are in it. A generated start keeps its inverse and
+distances from generate's snapshot, so that set-up copies them; the last
+table times it alone, as 0-step run_chain calls in µs, from the generated
+start and from a ColumnMatrix._wrap copy, which keeps nothing: it
+recomputes them (one inv, or ceil(n / 2) QRs on the projection path) and
+takes one SVD for the t = 0 record. Above the tables it prints what
 the numbers depend on: nproc, Python, numpy, the BLAS and the threads it
 runs, and the package version. BLAS runs one thread unless
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS say otherwise, as
@@ -64,6 +69,27 @@ def _table(pairorth, repeats: int, steps_by_n: dict, kinds: tuple, replicates=No
         print(f"| {n} | {steps} | " + " | ".join(cells) + " |")
 
 
+def _start_table(pairorth, repeats: int) -> None:
+    """Print the 0-step run_chain cost, kept start against wrapped copy."""
+    from pairorth import ColumnMatrix
+    from pairorth.generators import GeneratorSpec
+
+    print("| n | " + " | ".join(f"{f} {s}" for f in FIELDS for s in ("kept", "wrapped")) + " |")
+    print("| --- " * (1 + 2 * len(FIELDS)) + "|")
+    for n in STEPS:
+        cells = []
+        for field in FIELDS:
+            A0, _ = pairorth.generate(GeneratorSpec("gaussian_normalized", n=n, field=field, seed=1))
+            for start in (A0, ColumnMatrix._wrap(np.array(A0.array, order="F"), field)):
+                times = []
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    pairorth.run_chain(start, 0, seed=2)
+                    times.append(time.perf_counter() - t0)
+                cells.append(f"{1e6 * statistics.median(times):.1f}")
+        print(f"| {n} | " + " | ".join(cells) + " |")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout")
@@ -83,6 +109,8 @@ def main() -> int:
     _table(pairorth, args.repeats, STEPS, KINDS)
     print(f"\nmedian of {args.repeats} run_ensemble calls, R = {REPLICATES}, µs per chain-step")
     _table(pairorth, args.repeats, ENSEMBLE_STEPS, SAMPLERS, REPLICATES)
+    print(f"\nmedian of {args.repeats} 0-step run_chain calls, µs: the start's set-up")
+    _start_table(pairorth, args.repeats)
     return 0
 
 
