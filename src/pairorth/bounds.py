@@ -53,9 +53,9 @@ def f_map(x: float, n: int) -> float:
     from a state with potential x. Fixed point at 0; strictly below the
     identity for x > 0.
     """
-    if x < 0:
+    if not x >= 0:
         raise UsageError(f"potential must be >= 0, got {x}")
-    if n < 2:
+    if not n >= 2:
         raise UsageError(f"dimension must be >= 2, got {n}")
     u = -math.expm1(-2.0 * x / n)  # 1 - exp(-2x/n), accurate near 0
     return x - u * u / (2.0 * (n - 1) ** 2)
@@ -73,11 +73,11 @@ def theorem7_bound(phi0: float, n: int, t) -> float:
 
     Each branch is non-increasing in t and equals phi0 at t = 0.
     """
-    if phi0 < 0:
+    if not phi0 >= 0:
         raise UsageError(f"phi0 must be >= 0, got {phi0}")
-    if t < 0:
+    if not t >= 0:
         raise UsageError(f"t must be >= 0, got {t}")
-    if n < 2:
+    if not n >= 2:
         raise UsageError(f"dimension must be >= 2, got {n}")
     if phi0 < inflection(n):
         cn = c_n(n)
@@ -96,9 +96,9 @@ def kappa_bounds_from_phi(phi: float, n: int):
     while 2 phi < 1; otherwise the third entry is None (a legitimate
     result, not an error).
     """
-    if phi < 0:
+    if not phi >= 0:
         raise UsageError(f"phi must be >= 0, got {phi}")
-    if n < 2:
+    if not n >= 2:
         raise UsageError(f"dimension must be >= 2, got {n}")
     # exp overflows for arguments past ~709; the bound is honestly inf then
     lower = math.exp(phi / n) if phi / n < 709.0 else math.inf
@@ -117,11 +117,11 @@ def stopping_tail(phi0: float, n: int, c: int):
     stopping time exceeds ceil(c * 16 (n-1)^2 phi0) steps is at
     most 2^-c.
     """
-    if phi0 <= 0:
+    if not 0 < phi0 < math.inf:
         raise UsageError(f"phi0 must be > 0, got {phi0}")
-    if c < 1 or int(c) != c:
+    if not (c >= 1 and c % 1 == 0):
         raise UsageError(f"c must be a positive integer, got {c}")
-    if n < 2:
+    if not n >= 2:
         raise UsageError(f"dimension must be >= 2, got {n}")
     mu = 16.0 * (n - 1) ** 2 * phi0
     return math.ceil(c * mu), math.ldexp(1.0, -int(c))
@@ -135,16 +135,16 @@ def prop_a0_bound(phi0: float, n: int, t) -> float:
     stated for phi0 >= inflection(n) and t <= n^2 phi0; violating either
     precondition raises DomainError naming it.
     """
-    if n < 2:
+    if not n >= 2:
         raise UsageError(f"dimension must be >= 2, got {n}")
-    if phi0 < inflection(n):
+    if not phi0 >= inflection(n):
         raise DomainError(
             f"initial potential {phi0} is below the threshold "
             f"{inflection(n)} required by this bound"
         )
     if t > n * n * phi0:
         raise DomainError(f"step count {t} exceeds the stated range n^2 phi0 = {n * n * phi0}")
-    if t < 0:
+    if not t >= 0:
         raise UsageError(f"t must be >= 0, got {t}")
     return math.log(n) + phi0 - (1.0 / 96.0) * (1.0 - inflection(n) / phi0) * t / (n * n)
 
@@ -157,9 +157,9 @@ def theorem1_steps(phi0: float, n: int, target: ConvergenceTarget) -> int:
     Warns (does not error) when the target is outside the stated
     (0, 0.01) regime.
     """
-    if phi0 <= 0:
+    if not 0 < phi0 < math.inf:
         raise UsageError(f"phi0 must be > 0, got {phi0}")
-    if n < 2:
+    if not n >= 2:
         raise UsageError(f"dimension must be >= 2, got {n}")
     if not target.within_stated_regime:
         warnings.warn(

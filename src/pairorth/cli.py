@@ -3,8 +3,8 @@
 Subcommands: run (seeded ensembles with CSV + summary emission), bounds
 (closed-form evaluators for scripting), verify (randomized certification
 suites), gen (matrix generation to the text format), cosolve (interleaved
-Kaczmarz runs). Exit codes: 0 success, 1 bad usage or config, 2 invariant
-violation or failed verification.
+Kaczmarz runs). Exit codes: 0 success, 1 bad usage, config or an input
+outside a bound's domain, 2 invariant violation or failed verification.
 
 Every value a flag can set may also come from a --config file of flat
 `key = value` lines; explicit flags win. Stochastic commands refuse to
@@ -29,7 +29,7 @@ from .bounds import (
     theorem1_steps,
 )
 from .cosolve import run_cosolve
-from .errors import PairOrthError, UsageError
+from .errors import DomainError, PairOrthError, UsageError
 from .generators import (
     GAUSSIAN,
     HAAR,
@@ -40,7 +40,7 @@ from .generators import (
     GeneratorSpec,
     generate,
 )
-from .process import SAMPLER_KINDS, UNIFORM, _record_grid, make_rng, run_ensemble
+from .process import SAMPLER_KINDS, UNIFORM, make_rng, run_ensemble
 
 GEN_ALIASES = {
     "haar": HAAR,
@@ -51,7 +51,20 @@ GEN_ALIASES = {
 }
 GEN_ALIASES.update({kind: kind for kind in KINDS})
 
-BOUND_NAMES = ("f", "theorem7", "kappa", "stopping-tail", "prop-a0", "theorem1-steps")
+# name -> (evaluator, its flags in the order they are required, the names of its
+# results or None for one value); theorem1-steps checks its target's eps and delta first
+BOUNDS = {
+    "f": (f_map, ("x", "n"), None),
+    "theorem7": (theorem7_bound, ("phi0", "n", "t"), None),
+    "kappa": (kappa_bounds_from_phi, ("phi", "n"), ("lower", "upper_loose", "upper_tight")),
+    "stopping-tail": (stopping_tail, ("phi0", "n", "c"), ("threshold_steps", "tail_prob")),
+    "prop-a0": (prop_a0_bound, ("phi0", "n", "t"), None),
+    "theorem1-steps": (
+        lambda eps, delta, phi0, n: theorem1_steps(phi0, n, ConvergenceTarget(eps, delta)),
+        ("eps", "delta", "phi0", "n"), None),
+}
+BOUND_FLAGS = {"x": float, "n": int, "phi0": float, "phi": float, "t": float, "c": int,
+               "eps": float, "delta": float}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,7 +160,8 @@ def _cmd_run(args) -> int:
         raise UsageError(f"steps must be >= 1, got {steps}")
     if replicates < 1:
         raise UsageError(f"replicates must be >= 1, got {replicates}")
-    _record_grid(steps, stride, "--stride")
+    if stride < 1:
+        raise UsageError(f"--stride must be >= 1, got {stride}")
     emit = set(("ensemble,summary" if args.emit is None else args.emit).split(","))
     unknown = emit - {"trajectory", "ensemble", "summary"}
     if unknown:
@@ -227,34 +241,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _print_value(value: float) -> None:
-    print(io.format_float(value))
-
-
 def _cmd_bounds(args) -> int:
-    name = args.name
-    if name == "f":
-        _print_value(f_map(_require(args, "x"), _require(args, "n")))
-    elif name == "theorem7":
-        _print_value(theorem7_bound(_require(args, "phi0"), _require(args, "n"), _require(args, "t")))
-    elif name == "kappa":
-        lower, upper_loose, upper_tight = kappa_bounds_from_phi(
-            _require(args, "phi"), _require(args, "n")
-        )
-        print(f"lower = {io.format_float(lower)}")
-        print(f"upper_loose = {io.format_float(upper_loose)}")
-        print(f"upper_tight = {io.format_float(upper_tight) if upper_tight is not None else 'absent'}")
-    elif name == "stopping-tail":
-        threshold, tail = stopping_tail(
-            _require(args, "phi0"), _require(args, "n"), _require(args, "c")
-        )
-        print(f"threshold_steps = {threshold}")
-        print(f"tail_prob = {io.format_float(tail)}")
-    elif name == "prop-a0":
-        _print_value(prop_a0_bound(_require(args, "phi0"), _require(args, "n"), _require(args, "t")))
-    elif name == "theorem1-steps":
-        target = ConvergenceTarget(eps=_require(args, "eps"), delta=_require(args, "delta"))
-        print(theorem1_steps(_require(args, "phi0"), _require(args, "n"), target))
+    evaluate, flags, labels = BOUNDS[args.name]
+    result = evaluate(*(_require(args, flag) for flag in flags))
+    if labels is None:
+        print(io._format_value(result))
+    else:
+        values = {label: "absent" if v is None else v for label, v in zip(labels, result)}
+        print(io.emit_config(values), end="")
     return 0
 
 
@@ -337,50 +331,36 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--steps", type=int)
     run_p.add_argument("--replicates", type=int)
     run_p.add_argument("--stride", type=int, help="snapshot stride (default 1)")
-    run_p.add_argument("--seed", type=int, help="base seed (required)")
-    run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--emit", help="comma subset of trajectory,ensemble,summary")
-    run_p.add_argument("--config", help="key = value config file; flags override")
     run_p.set_defaults(func=_cmd_run)
 
     bounds_p = sub.add_parser("bounds", help="evaluate one closed-form bound")
-    bounds_p.add_argument("name", choices=BOUND_NAMES)
-    bounds_p.add_argument("--x", type=float)
-    bounds_p.add_argument("--n", type=int)
-    bounds_p.add_argument("--phi0", type=float)
-    bounds_p.add_argument("--phi", type=float)
-    bounds_p.add_argument("--t", type=float)
-    bounds_p.add_argument("--c", type=int)
-    bounds_p.add_argument("--eps", type=float)
-    bounds_p.add_argument("--delta", type=float)
+    bounds_p.add_argument("name", choices=BOUNDS)
+    for flag, cast in BOUND_FLAGS.items():
+        bounds_p.add_argument(f"--{flag}", type=cast)
     bounds_p.set_defaults(func=_cmd_bounds)
 
     verify_p = sub.add_parser("verify", help="run a randomized certification suite")
     verify_p.add_argument("suite", choices=certify.SUITES + ("all",))
     verify_p.add_argument("--trials", type=int, help="instance count (suite default otherwise)")
-    verify_p.add_argument("--seed", type=int, help="base seed (required)")
-    verify_p.add_argument("--out", help="directory for failure dumps")
-    verify_p.add_argument("--config", help="key = value config file; flags override")
     verify_p.set_defaults(func=_cmd_verify)
 
     gen_p = sub.add_parser("gen", help="generate a matrix to the text format")
     _add_generator_flags(gen_p)
     gen_p.add_argument("--kind", dest="gen", help="alias for --gen")
-    gen_p.add_argument("--seed", type=int)
-    gen_p.add_argument("--out", help="output file")
-    gen_p.add_argument("--config", help="key = value config file; flags override")
     gen_p.set_defaults(func=_cmd_gen)
 
     cosolve_p = sub.add_parser("cosolve", help="interleaved Kaczmarz + orthogonalization run")
     _add_generator_flags(cosolve_p)
     cosolve_p.add_argument("--interleave", type=_interleave, help="orth:kaczmarz ratio, e.g. 1:1")
     cosolve_p.add_argument("--steps", type=int)
-    cosolve_p.add_argument("--seed", type=int)
-    cosolve_p.add_argument("--out", help="output directory")
-    cosolve_p.add_argument("--config", help="key = value config file; flags override")
     cosolve_p.set_defaults(func=_cmd_cosolve)
 
-    for sub_p in (run_p, verify_p, gen_p, cosolve_p):
+    for sub_p, out_help in ((run_p, "output directory"), (verify_p, "directory for failure dumps"),
+                            (gen_p, "output file"), (cosolve_p, "output directory")):
+        sub_p.add_argument("--seed", type=int, help="base seed (required for random work)")
+        sub_p.add_argument("--out", help=out_help)
+        sub_p.add_argument("--config", help="key = value config file; flags override")
         sub_p.set_defaults(config_casts=_config_casts(sub_p))
     return parser
 
@@ -392,7 +372,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, DomainError, FileNotFoundError) as exc:
         print(f"pairorth: error: {exc}", file=sys.stderr)
         return 1
     except PairOrthError as exc:

@@ -445,15 +445,12 @@ def detect_t_star(traj: Trajectory) -> int | None:
     return int(below[0]) if below.size else None
 
 
-def _record_grid(steps: int, stride: int, stride_name: str = "metrics_stride") -> list[int]:
-    """Steps whose condition is recorded: every multiple of stride, and the last.
-
-    stride_name is how a bad stride is named in the error.
-    """
+def _record_grid(steps: int, stride: int) -> list[int]:
+    """Steps whose condition is recorded: every multiple of stride, and the last."""
     if steps < 0:
         raise UsageError(f"steps must be >= 0, got {steps}")
     if stride < 1:
-        raise UsageError(f"{stride_name} must be >= 1, got {stride}")
+        raise UsageError(f"metrics_stride must be >= 1, got {stride}")
     grid = list(range(0, steps + 1, stride))
     if grid[-1] != steps:
         grid.append(steps)

@@ -218,3 +218,37 @@ class TestConstants:
     def test_c_n_below_n4(self):
         for n in range(2, 65):
             assert c_n(n) <= n**4
+
+
+# each evaluator with arguments inside its domain; theorem1_steps takes its
+# target's eps and delta as the first two
+IN_DOMAIN = {
+    "f_map": (f_map, (0.3, 4)),
+    "theorem7_bound": (theorem7_bound, (0.5, 4, 10.0)),
+    "kappa_bounds_from_phi": (kappa_bounds_from_phi, (0.3, 4)),
+    "stopping_tail": (stopping_tail, (5.0, 4, 1)),
+    "prop_a0_bound": (prop_a0_bound, (5.0, 4, 16.0)),
+    "theorem1_steps": (
+        lambda eps, delta, phi0, n: theorem1_steps(phi0, n, ConvergenceTarget(eps, delta)),
+        (0.005, 0.005, 5.0, 4),
+    ),
+}
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("name", IN_DOMAIN)
+    def test_nan_in_any_argument_raises(self, name):
+        evaluate, args = IN_DOMAIN[name]
+        evaluate(*args)
+        for k in range(len(args)):
+            with pytest.raises((UsageError, DomainError)):
+                evaluate(*args[:k], math.nan, *args[k + 1:])
+
+    def test_infinite_arguments_of_integer_results_raise(self):
+        target = ConvergenceTarget(eps=0.005, delta=0.005)
+        with pytest.raises(UsageError, match="phi0"):
+            stopping_tail(math.inf, 4, 1)
+        with pytest.raises(UsageError, match="c must be"):
+            stopping_tail(5.0, 4, math.inf)
+        with pytest.raises(UsageError, match="phi0"):
+            theorem1_steps(math.inf, 4, target)

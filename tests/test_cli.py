@@ -5,7 +5,20 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pairorth import certify, cli, io, run_cosolve, run_ensemble
+from pairorth import (
+    ConvergenceTarget,
+    certify,
+    cli,
+    f_map,
+    io,
+    kappa_bounds_from_phi,
+    prop_a0_bound,
+    run_cosolve,
+    run_ensemble,
+    stopping_tail,
+    theorem1_steps,
+    theorem7_bound,
+)
 from pairorth.cli import main
 
 
@@ -182,7 +195,54 @@ class TestRun:
         assert "pairorth: error: invalid value" in err and "Traceback" not in err
 
 
+KAPPA_LABELS = ("lower", "upper_loose", "upper_tight")
+
+# `bounds` arguments and the evaluator's direct result: one value, or the
+# labelled results in order
+BOUND_CASES = [
+    ("f --x 0.3 --n 4", lambda: f_map(0.3, 4)),
+    ("theorem7 --phi0 0.2 --n 2 --t 10", lambda: theorem7_bound(0.2, 2, 10.0)),
+    ("kappa --phi 0.3 --n 4", lambda: dict(zip(KAPPA_LABELS, kappa_bounds_from_phi(0.3, 4)))),
+    ("kappa --phi 0.6 --n 3", lambda: dict(zip(KAPPA_LABELS, kappa_bounds_from_phi(0.6, 3)))),
+    ("kappa --phi 800 --n 2", lambda: dict(zip(KAPPA_LABELS, kappa_bounds_from_phi(800.0, 2)))),
+    ("stopping-tail --phi0 5 --n 4 --c 3",
+     lambda: dict(zip(("threshold_steps", "tail_prob"), stopping_tail(5.0, 4, 3)))),
+    ("prop-a0 --phi0 5 --n 4 --t 16", lambda: prop_a0_bound(5.0, 4, 16.0)),
+    ("theorem1-steps --phi0 5 --n 4 --eps 0.005 --delta 0.005",
+     lambda: theorem1_steps(5.0, 4, ConvergenceTarget(eps=0.005, delta=0.005))),
+]
+
+
 class TestBounds:
+    @pytest.mark.parametrize("argv,direct", BOUND_CASES, ids=[argv for argv, _ in BOUND_CASES])
+    def test_prints_the_direct_result(self, capsys, argv, direct):
+        assert main(["bounds", *argv.split()]) == 0
+        result = direct()
+        if isinstance(result, dict):
+            expected = "".join(f"{key} = {'absent' if value is None else io._format_value(value)}\n"
+                               for key, value in result.items())
+        else:
+            expected = f"{io._format_value(result)}\n"
+        assert capsys.readouterr().out == expected
+
+    def test_cases_cover_every_bound(self):
+        assert {argv.split()[0] for argv, _ in BOUND_CASES} == set(cli.BOUNDS)
+
+    @pytest.mark.parametrize("argv", [
+        "theorem7 --phi0 0.5 --n 4 --t nan",
+        "kappa --phi nan --n 4",
+        "theorem1-steps --phi0 nan --n 4 --eps 0.005 --delta 0.005",
+        "theorem1-steps --phi0 inf --n 4 --eps 0.005 --delta 0.005",
+        "stopping-tail --phi0 nan --n 4 --c 1",
+        "stopping-tail --phi0 inf --n 4 --c 1",
+        "prop-a0 --phi0 0.1 --n 4 --t 1",
+    ])
+    def test_input_outside_the_domain_exits_1(self, capsys, argv):
+        assert main(["bounds", *argv.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pairorth: error: ") and "Traceback" not in captured.err
+
     def test_f_zero(self, capsys):
         assert main(["bounds", "f", "--x", "0", "--n", "5"]) == 0
         assert capsys.readouterr().out.strip() == "0"

@@ -5,7 +5,8 @@ Usage: python tools/golden.py CHECKOUT OUT
 
 Runs a fixed list of `pairorth` commands against the package in
 CHECKOUT/src. Each command gets its own directory OUT/<case>/: the files it
-writes go to OUT/<case>/out/, and its stdout, stderr and exit code go to
+writes go to OUT/<case>/out/ (every subcommand but `bounds` is given
+`--out out`), and its stdout, stderr and exit code go to
 stdout.txt, stderr.txt and exit_code.txt. Commands run with OUT/<case> as
 their working directory and name their outputs by relative path, so no
 absolute path reaches the outputs. Run it once per checkout; when two
@@ -141,6 +142,26 @@ def _cases() -> dict[str, list[str]]:
         "--interleave", "1:1", "--steps", "300", "--seed", "9",
     ]
     cases["verify-all"] = ["verify", "all", "--trials", "20", "--seed", "3"]
+    cases["gen-haar"] = ["gen", "--kind", "haar", "--n", "4", "--seed", "3"]
+    cases["gen-near-singular"] = [
+        "gen", "--gen", "near_singular", "--n", "8", "--eta", "1e-3", "--seed", "3",
+    ]
+    cases["gen-two-by-two-unseeded"] = ["gen", "--gen", "two_by_two_angle", "--theta", "0.3"]
+    # theorem1-steps stays inside its stated regime (eps, delta < 0.01):
+    # outside it a UserWarning writes the module's absolute path to stderr
+    for case, argv in (
+        ("f", "f --x 0.3 --n 4"),
+        ("theorem7", "theorem7 --phi0 0.2 --n 2 --t 10"),
+        ("theorem7-large", "theorem7 --phi0 10 --n 2 --t 1e6"),
+        ("kappa-tight", "kappa --phi 0.3 --n 4"),
+        ("kappa-absent", "kappa --phi 0.6 --n 3"),
+        ("kappa-overflow", "kappa --phi 800 --n 2"),
+        ("stopping-tail", "stopping-tail --phi0 5 --n 4 --c 3"),
+        ("prop-a0", "prop-a0 --phi0 5 --n 4 --t 16"),
+        ("theorem1-steps", "theorem1-steps --phi0 5 --n 4 --eps 0.005 --delta 0.005"),
+        ("theorem1-steps-missing-flag", "theorem1-steps --n 4 --eps 0.005 --delta 0.005"),
+    ):
+        cases[f"bounds-{case}"] = ["bounds", *argv.split()]
     return cases
 
 
@@ -258,8 +279,10 @@ def main(argv=None) -> int:
     for name, cmd in _cases().items():
         case_dir = os.path.join(args.out, name)
         os.makedirs(case_dir)
+        # bounds writes no file and rejects --out
+        out = [] if cmd[0] == "bounds" else ["--out", "out"]
         proc = subprocess.run(
-            [sys.executable, "-m", "pairorth.cli", *cmd, "--out", "out"],
+            [sys.executable, "-m", "pairorth.cli", *cmd, *out],
             cwd=case_dir, env=env, capture_output=True, text=True,
         )
         for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
