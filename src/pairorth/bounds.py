@@ -71,7 +71,7 @@ def theorem7_bound(phi0: float, n: int, t) -> float:
         n^4/((2/log2) n^3 + t/2)
           + (phi0 - n^4/((2/log2) n^3 + t/2)) * exp(-t / (47 n^2 phi0))
 
-    Each branch is non-increasing in t and equals phi0 at t = 0.
+    Each branch is non-increasing in t and equals phi0 at t = 0 (at every t if phi0 = 0).
     """
     if not phi0 >= 0:
         raise UsageError(f"phi0 must be >= 0, got {phi0}")
@@ -81,9 +81,11 @@ def theorem7_bound(phi0: float, n: int, t) -> float:
         raise UsageError(f"dimension must be >= 2, got {n}")
     if phi0 < inflection(n):
         cn = c_n(n)
-        return cn / (cn + phi0 * t) * phi0
+        return cn / (cn + phi0 * t) * phi0 if phi0 else 0.0
+    if phi0 == t == math.inf:
+        raise DomainError("phi0 and t are both infinite: exp(-t / (47 n^2 phi0)) is undefined")
     floor_curve = n**4 / (2.0 / math.log(2.0) * n**3 + 0.5 * t)
-    decay = math.exp(-t / (47.0 * n * n * phi0)) if phi0 > 0 else 0.0
+    decay = math.exp(-t / (47.0 * n * n * phi0))
     return floor_curve + (phi0 - floor_curve) * decay
 
 
@@ -103,11 +105,8 @@ def kappa_bounds_from_phi(phi: float, n: int):
     # exp overflows for arguments past ~709; the bound is honestly inf then
     lower = math.exp(phi / n) if phi / n < 709.0 else math.inf
     upper_loose = n * math.exp(phi) if phi < 709.0 else math.inf
-    upper_tight = None
-    if 2.0 * phi < 1.0:
-        s = math.sqrt(2.0 * phi)
-        upper_tight = (1.0 + s) / (1.0 - s)
-    return lower, upper_loose, upper_tight
+    s = math.sqrt(2.0 * phi)
+    return lower, upper_loose, (1.0 + s) / (1.0 - s) if 2.0 * phi < 1.0 else None
 
 
 def stopping_tail(phi0: float, n: int, c: int):
@@ -124,6 +123,8 @@ def stopping_tail(phi0: float, n: int, c: int):
     if not n >= 2:
         raise UsageError(f"dimension must be >= 2, got {n}")
     mu = 16.0 * (n - 1) ** 2 * phi0
+    if not c * mu < math.inf:
+        raise DomainError(f"step count c * 16 (n-1)^2 phi0 = {c * mu} is not finite")
     return math.ceil(c * mu), math.ldexp(1.0, -int(c))
 
 
@@ -146,6 +147,8 @@ def prop_a0_bound(phi0: float, n: int, t) -> float:
         raise DomainError(f"step count {t} exceeds the stated range n^2 phi0 = {n * n * phi0}")
     if not t >= 0:
         raise UsageError(f"t must be >= 0, got {t}")
+    if phi0 == t == math.inf:
+        raise DomainError("phi0 and t are both infinite: the bound inf - inf is undefined")
     return math.log(n) + phi0 - (1.0 / 96.0) * (1.0 - inflection(n) / phi0) * t / (n * n)
 
 
@@ -169,5 +172,8 @@ def theorem1_steps(phi0: float, n: int, target: ConvergenceTarget) -> int:
         )
     log_term = math.log(7.0 * phi0 / n)
     term1 = 200.0 * n * n * phi0 * log_term if log_term > 0 else 0.0
-    term2 = 48.0 * n**4 / (target.delta * target.eps**2)
-    return math.ceil(max(term1, term2))
+    den = target.delta * target.eps**2  # 0 once eps^2 underflows: no finite count
+    steps = max(term1, 48.0 * n**4 / den if den else math.inf)
+    if not steps < math.inf:
+        raise DomainError(f"step count {steps} is not finite")
+    return math.ceil(steps)

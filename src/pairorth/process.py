@@ -14,8 +14,8 @@ the distances and, for the proportional and greedy samplers, the weights
 |G|^2 of the Gram matrix G; it copies the start's inverse and distances,
 which a validated start computes once (metrics._start_distances). Above
 the 1e8 condition estimate it keeps the distances alone and reads d_i and
-d_j off one R-only QR per step. Its step updates the uniform chains on
-the inverse path as one vectorized step when enough of them are, with the
+d_j off one R-only QR per step. Its step updates the chains on the
+inverse path as one vectorized step when enough of them are, with the
 scalar code's reductions row by row, and runs the scalar code on each
 other chain's row, so every chain gets the same bits either way. A chain
 refreshes when a running bound on its rounding comes due, tested every
@@ -327,12 +327,12 @@ class _ChainStack:
         """Step every live chain r with the pair pairs[r] and write |c| into
         inner_abs[r]; a degenerate pair retires the chain instead.
 
-        With at least STACK_MIN_REPLICATES live uniform chains on the inverse
-        path, those take one vectorized step; every other live chain runs
-        orth on its own row.
+        With at least STACK_MIN_REPLICATES live chains on the inverse path,
+        those take one vectorized step, whatever the sampler; every other live
+        chain runs orth on its own row.
         """
         scalar = range(self.count)
-        if self.count >= STACK_MIN_REPLICATES and self.w is None:
+        if self.count >= STACK_MIN_REPLICATES:
             on_inv = self.live & self.on_inv
             a = np.flatnonzero(on_inv)
             if a.size >= STACK_MIN_REPLICATES:
@@ -368,17 +368,21 @@ class _ChainStack:
                 self._retire(a[k], DegeneratePairError((int(i[k]), int(j[k])), c_abs[k]))
             a, i, j, c, c2, w, nu, c_abs = (x[ok] for x in (a, i, j, c, c2, w, nu, c_abs))
         cols[a, i] = w / nu[:, None]
+        if self.w is not None:
+            # orth's row and column i of each chain's weights, from one batched product
+            row_w = np.abs(cols[a, i][:, None, :].conj() @ cols[a].mT)[:, 0]
+            row_w *= row_w
+            row_w[np.arange(a.size), i] = 0.0
+            self.w[a, i] = self.w[a, :, i] = row_w
         inv_i, inv_j = inv[a, i], inv[a, j]
         inv_j += (c + c2)[:, None] * inv_i
         inv_i *= nu[:, None]
         inv[a, i], inv[a, j] = inv_i, inv_j
-        row_sq, d = self.row_sq, self.d
         for k, inv_k in ((i, inv_i), (j, inv_j)):
-            sq = np.vecdot(inv_k, inv_k).real
-            row_sq[a, k] = sq
-            d[a, k] = np.minimum(1.0 / np.sqrt(sq), 1.0)
-        self.phi[a] = -np.log(d[a]).sum(axis=1) + 0.0
-        est = np.sqrt(self.n * row_sq[a].sum(axis=1))
+            self.row_sq[a, k] = sq = np.vecdot(inv_k, inv_k).real
+            self.d[a, k] = np.minimum(1.0 / np.sqrt(sq), 1.0)
+        self.phi[a] = -np.log(self.d[a]).sum(axis=1) + 0.0
+        est = np.sqrt(self.n * self.row_sq[a].sum(axis=1))
         self.est_sum[a] += est
         self.since[a] += 1
         # _settle's rule, with the chains it refreshes as one stack

@@ -1,6 +1,8 @@
 """Closed-form bound evaluators against frozen high-precision values."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,3 +254,40 @@ class TestNonFiniteArguments:
             stopping_tail(5.0, 4, math.inf)
         with pytest.raises(UsageError, match="phi0"):
             theorem1_steps(math.inf, 4, target)
+
+
+EXTREMES = (0.0, 1e-300, 5.0, 1e300, math.inf)
+
+
+class TestExtremeArguments:
+    @pytest.mark.parametrize("name", IN_DOMAIN)
+    def test_a_number_or_a_named_error(self, name):
+        # n in {2, 4, 100} and every other argument in EXTREMES: each
+        # combination returns no NaN, or raises UsageError or DomainError
+        # (never OverflowError or ZeroDivisionError)
+        evaluate, args = IN_DOMAIN[name]
+        n_at = 3 if name == "theorem1_steps" else 1
+        for values in itertools.product(EXTREMES, repeat=len(args) - 1):
+            for n in (2, 4, 100):
+                call = (*values[:n_at], n, *values[n_at:])
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        result = evaluate(*call)
+                except (UsageError, DomainError):
+                    continue
+                for value in result if isinstance(result, tuple) else (result,):
+                    assert value is None or not math.isnan(value), call
+
+    def test_undefined_and_infinite_cases_are_domain_errors(self):
+        assert theorem7_bound(0.0, 4, math.inf) == 0.0
+        with pytest.raises(DomainError, match="both infinite"):
+            theorem7_bound(math.inf, 4, math.inf)
+        with pytest.raises(DomainError, match="both infinite"):
+            prop_a0_bound(math.inf, 4, math.inf)
+        with pytest.raises(DomainError, match="step count"):
+            stopping_tail(1e307, 100, 1)
+        with pytest.raises(DomainError, match="step count"):
+            theorem1_steps(1e306, 4, ConvergenceTarget(eps=0.005, delta=0.005))
+        with pytest.raises(DomainError, match="step count"):
+            theorem1_steps(5.0, 4, ConvergenceTarget(eps=1e-300, delta=0.005))

@@ -236,6 +236,11 @@ class TestBounds:
         "stopping-tail --phi0 nan --n 4 --c 1",
         "stopping-tail --phi0 inf --n 4 --c 1",
         "prop-a0 --phi0 0.1 --n 4 --t 1",
+        # step counts that are not finite, and inf - inf
+        "stopping-tail --phi0 1e307 --n 100 --c 1",
+        "theorem1-steps --phi0 1e306 --n 4 --eps 0.005 --delta 0.005",
+        "theorem7 --phi0 inf --n 4 --t inf",
+        "prop-a0 --phi0 inf --n 4 --t inf",
     ])
     def test_input_outside_the_domain_exits_1(self, capsys, argv):
         assert main(["bounds", *argv.split()]) == 1

@@ -277,22 +277,24 @@ def test_pair_read_off_recompute_matches_50_digits(field, n, eta):
             assert np.max(np.abs(log_d - np.log(ref))) <= _slack(A)
 
 
+@pytest.mark.parametrize("count", [3, 5])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("kind,eta", [(GAUSSIAN, None), (NEAR_SINGULAR, 1e-10)])
-def test_kept_weights_are_the_kept_gram_squared(kind, eta, field):
+def test_kept_weights_are_the_kept_gram_squared(kind, eta, field, count):
     # the near-singular start takes projection-path steps and refreshes. No
     # Gram is kept: W is checked against the weights of a fresh A^H A within
     # the slack of the property above, and is exactly symmetric with a zero
-    # diagonal
+    # diagonal. A stack of 3 updates W chain by chain (orth), a stack of 5
+    # on the inverse path in the vectorized step
     A, _ = generate(GeneratorSpec(kind, n=8, field=field, seed=3, eta=eta))
-    stack = _ChainStack(A, 3, PROPORTIONAL)
-    rngs = [make_rng(seed) for seed in range(3)]
-    pairs, inner_abs = np.empty((3, 2), dtype=np.intp), np.empty(3)
+    stack = _ChainStack(A, count, PROPORTIONAL)
+    rngs = [make_rng(seed) for seed in range(count)]
+    pairs, inner_abs = np.empty((count, 2), dtype=np.intp), np.empty(count)
     for _ in range(100):
         for r, rng in enumerate(rngs):
             pairs[r], _ = _draw_pair(A.n, PROPORTIONAL, rng, stack.rows[r][-1])
         stack.step(pairs, inner_abs)
-        for r in range(3):
+        for r in range(count):
             arr = stack.cols[r].T
             gram = arr.conj().T @ arr
             fresh = np.abs(gram) ** 2

@@ -655,6 +655,43 @@ def test_stacked_lapack_calls_match_per_matrix_calls(n, count, field):
         assert offdiag[k] == np.linalg.norm(g)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [4, 8, 32, 128])
+def test_stacked_weight_rows_match_per_chain_products(n, field):
+    """The vectorized step takes row i of A^H A for each of its chains a
+    from one batched product over the gathered columns, and each chain must
+    get the bits of orth's arr[:, i].conj() @ arr on its matrix alone, so
+    that weighted chains keep the bits run_chain gives them. numpy does not
+    guarantee this; it holds with numpy 2.4 and its bundled OpenBLAS 0.3.31."""
+    count = 7
+    cols = np.stack([
+        generate(GeneratorSpec("gaussian_normalized", n=n, field=field, seed=s))[0].array.T
+        for s in range(count)
+    ])
+    rng = np.random.default_rng(n)
+    # every chain, and a subset out of order, each with its own column i
+    for a in (np.arange(count), np.array([5, 0, 3, 6])):
+        i = rng.integers(n, size=a.size)
+        rows = (cols[a, i][:, None, :].conj() @ cols[a].mT)[:, 0]
+        for k, (r, ik) in enumerate(zip(a, i)):
+            arr = cols[r].T
+            assert np.array_equal(rows[k], arr[:, ik].conj() @ arr)
+
+
+@pytest.mark.parametrize("kind", [PROPORTIONAL, GREEDY])
+def test_weighted_stack_takes_the_vectorized_step(kind, monkeypatch):
+    # 7 chains from a Gaussian start stay on the inverse path, so no step
+    # runs the scalar orth, whatever the sampler
+    A = random_state(8, 3)
+    calls = []
+    orth = process._ChainStack.orth
+    monkeypatch.setattr(process._ChainStack, "orth",
+                        lambda self, *args: calls.append(args) or orth(self, *args))
+    stats = run_ensemble(A, 100, kind, 7, 5, 50)
+    assert stats.replicates == 7 and stats.kernel.projection_fallbacks == 0
+    assert calls == []
+
+
 class TestStackedEnsemble:
     """run_ensemble steps each chunk as one stack, whatever the sampler;
     every replicate must get the bits run_chain gives its seed."""
@@ -728,7 +765,7 @@ class TestStackedEnsemble:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("n", [5, 8])
     def test_weighted_samplers_bit_identical_to_run_chain(self, n, field, kind):
-        # the chains of a stack keep their own weights and step one by one
+        # the chains of a stack keep their own weights and take the vectorized step
         stacked, error = assert_stack_matches_run_chain(
             random_state(n, n, field), 150, 7, 17, 40, kind
         )

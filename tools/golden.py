@@ -69,6 +69,14 @@ def _cases() -> dict[str, list[str]]:
         "proportional", "--steps", "400", "--stride", "100", "--replicates", "4",
         "--seed", "5", *EMIT,
     ]
+    # weighted chains in the vectorized step: 8 complex proportional
+    # replicates at condition estimate ~1e6 stay on the inverse path, where
+    # a running bound comes due (inverse_refreshes = 1)
+    cases["run-proportional-complex-refresh"] = [
+        "run", "--gen", "near_singular", "--n", "8", "--eta", "1e-6", "--field", "complex",
+        "--sampler", "proportional", "--steps", "400", "--stride", "100", "--replicates", "8",
+        "--seed", "7", *EMIT,
+    ]
     # a well-conditioned inverse path: its running drift bound never comes
     # due, so the chains make no refresh in 1,000 steps
     cases["run-gaussian-32-deferred"] = [
