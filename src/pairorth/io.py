@@ -42,12 +42,17 @@ def _parse_entry(token: str, field: str):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory."""
+    """Write text to path via a temp file in the same directory, with the
+    mode open() would give it: 0666 less the process umask (mkstemp's 0600
+    would otherwise stay)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -69,6 +74,8 @@ def matrix_from_text(text: str) -> ColumnMatrix:
     header = lines[0].split()
     if len(header) != 4 or header[0] != MATRIX_MAGIC or header[1] != MATRIX_VERSION:
         raise UsageError(f"bad matrix header {lines[0]!r}")
+    if not header[2].isdecimal():
+        raise UsageError(f"matrix size {header[2]!r} in the header is not written in digits")
     n = int(header[2])
     fld = header[3]
     if fld not in (REAL, COMPLEX):
@@ -82,7 +89,10 @@ def matrix_from_text(text: str) -> ColumnMatrix:
         if len(tokens) != n:
             raise UsageError(f"row {row} has {len(tokens)} entries, expected {n}")
         for col, token in enumerate(tokens):
-            arr[row, col] = _parse_entry(token, fld)
+            try:
+                arr[row, col] = _parse_entry(token, fld)
+            except ValueError as exc:
+                raise UsageError(f"row {row}, column {col}: {exc}") from None
     return ColumnMatrix(arr)
 
 
@@ -121,21 +131,10 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 def ensemble_to_csv(stats: EnsembleStats) -> str:
     lines = [ENSEMBLE_HEADER]
+    head = (stats.mean_phi, stats.min_phi, stats.max_phi, stats.stderr_phi, stats.bound)
     for k, t in enumerate(stats.t):
-        lines.append(
-            ",".join(
-                (
-                    str(int(t)),
-                    format_float(stats.mean_phi[k]),
-                    format_float(stats.min_phi[k]),
-                    format_float(stats.max_phi[k]),
-                    format_float(stats.stderr_phi[k]),
-                    format_float(stats.bound[k]),
-                    "1" if stats.exceed[k] else "0",
-                    format_float(stats.mean_log_kappa[k]),
-                )
-            )
-        )
+        row = [str(int(t)), *(format_float(col[k]) for col in head), str(int(stats.exceed[k]))]
+        lines.append(",".join(row + [format_float(stats.mean_log_kappa[k])]))
     return "\n".join(lines) + "\n"
 
 

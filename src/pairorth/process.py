@@ -7,19 +7,20 @@ value, the condition number and ||A^H A - I||_F are recorded on the record
 grid, every multiple of a stride plus the last step.
 
 One kernel, _ChainStack, keeps R >= 1 chains from one start as (R, ...)
-arrays and steps them together: run_chain is a stack of one, run_ensemble
-runs one stack per chunk of replicates, and the Kaczmarz co-solver drives
-a stack of one. Per chain it keeps the inverse (two rows move per step),
-the distances and, for the proportional and greedy samplers, the weights
-|G|^2 of the Gram matrix G; it copies the start's inverse and distances,
-which a validated start computes once (metrics._start_distances). Above
-the 1e8 condition estimate it keeps the distances alone and reads d_i and
-d_j off one R-only QR per step. Its step updates the chains on the
-inverse path as one vectorized step when enough of them are, with the
-scalar code's reductions row by row, and runs the scalar code on each
-other chain's row, so every chain gets the same bits either way. A chain
-refreshes when a running bound on its rounding comes due, tested every
-INVERSE_REFRESH_STEPS steps, or on the projection path every such
+arrays and steps them together: run_chain is a stack of one,
+run_ensemble runs one stack per chunk of replicates, and the Kaczmarz
+co-solver drives a stack of one. Per chain it keeps the inverse (two
+rows move per step), the distances and, for the proportional and greedy
+samplers, the weights |G|^2 of the Gram matrix G; it copies the start's
+inverse and distances, which a validated start computes once
+(metrics._start_distances). Above the 1e8 condition estimate it keeps
+the distances alone and reads d_i and d_j off one R-only QR per step.
+Its step updates the chains on the inverse path as one vectorized step
+when enough of them are (through a slice when they are all the chains),
+with the scalar code's reductions row by row, and runs the scalar code
+on each other chain's row, so every chain gets the same bits either way.
+A chain refreshes when a running bound on its rounding comes due, tested
+every INVERSE_REFRESH_STEPS steps, or on the projection path every such
 interval; the chains due recompute by one stacked inv. A record-grid
 point is one stacked SVD and one stacked Gram over the live chains; each
 chain gets the bits of the call on its matrix alone. The update rules,
@@ -202,6 +203,7 @@ class _ChainStack:
     it over the inverse-path steps since; refreshes, fallbacks, worst_drift,
     uniform_fallbacks and worst_bound make counters(r). A degenerate pair
     clears live[r] and keeps its DegeneratePairError in aborts[r], with chain r untouched.
+    _plan is step's _split, None once a chain refreshes, crosses or retires.
     """
 
     def __init__(self, A0: ColumnMatrix, count: int, kind: str = UNIFORM):
@@ -219,6 +221,7 @@ class _ChainStack:
         self.worst_drift, self.worst_bound, self.est_sum = np.zeros((3, count))
         self.live = np.ones(count, dtype=bool)
         self.aborts: dict[int, DegeneratePairError] = {}
+        self._all = np.arange(count)
         # chain r's matrix, d, inv, row_sq and w: views, made once, that the
         # scalar code updates in place
         self.rows = [
@@ -247,6 +250,7 @@ class _ChainStack:
         self.inv[rs], self.row_sq[rs], self.on_inv[rs] = inv, row_norms * row_norms, on_inv
         self.d[rs], self.phi[rs], self.since[rs] = d, -np.log(d).sum(axis=1) + 0.0, 0
         self.est0[rs], self.est_sum[rs] = np.sqrt(self.n * (1.0 / (d * d)).sum(axis=1)), 0.0
+        self._plan = None
 
     def _refresh(self, rs) -> None:
         phi_kept = self.phi[rs].copy()
@@ -259,6 +263,7 @@ class _ChainStack:
     def _retire(self, r: int, exc: DegeneratePairError) -> None:
         self.live[r] = False
         self.aborts[r] = exc
+        self._plan = None
 
     def orth(self, r: int, i: int, j: int):
         """Replace column i of chain r by its unit component orthogonal to
@@ -318,8 +323,6 @@ class _ChainStack:
         # the recompute, due if B (since + K) / since reaches n max(1e-8, n eps est)
         since = self.since[rs]
         at = since % tol.INVERSE_REFRESH_STEPS == 0
-        if not at.any():
-            return at
         slack = self.n * np.maximum(tol.DISTANCE_METHOD_REL, self.n * _EPS * est)
         return at & (_EPS * self.est_sum[rs] * (since + tol.INVERSE_REFRESH_STEPS) >= since * slack)
 
@@ -331,16 +334,12 @@ class _ChainStack:
         those take one vectorized step, whatever the sampler; every other live
         chain runs orth on its own row.
         """
-        scalar = range(self.count)
-        if self.count >= STACK_MIN_REPLICATES:
-            on_inv = self.live & self.on_inv
-            a = np.flatnonzero(on_inv)
-            if a.size >= STACK_MIN_REPLICATES:
-                scalar = np.flatnonzero(self.live & ~on_inv)
-                self._step_inverse(a, pairs[a, 0], pairs[a, 1], inner_abs)
+        if self._plan is None:
+            self._plan = self._split()
+        vectorized, scalar = self._plan
+        if vectorized is not None:
+            self._step_inverse(vectorized, pairs, inner_abs)
         for r in scalar:
-            if not self.live[r]:
-                continue
             i, j = pairs[r].tolist()
             try:
                 c, _, _ = self.orth(r, i, j)
@@ -349,11 +348,26 @@ class _ChainStack:
                 continue
             inner_abs[r] = abs(c)
 
-    def _step_inverse(self, a, i, j, inner_abs) -> None:
+    def _split(self):
+        # (the chains of the vectorized step, slice(None) when they are the whole
+        # stack, or None; the others), and _until: the vectorized steps until one
+        # of them reaches a multiple of INVERSE_REFRESH_STEPS since its recompute
+        on_inv = self.live & self.on_inv
+        a = np.flatnonzero(on_inv)
+        if a.size < STACK_MIN_REPLICATES:
+            return None, np.flatnonzero(self.live).tolist()
+        K = tol.INVERSE_REFRESH_STEPS
+        self._until = K - int((self.since[a] % K).max())
+        scalar = np.flatnonzero(self.live & ~on_inv).tolist()
+        return (slice(None) if a.size == self.count else a), scalar
+
+    def _step_inverse(self, a, pairs, inner_abs) -> None:
         # orth for the chains a, all on the inverse path, row by row: np.vecdot(x, y)
-        # gives the bits of np.vdot(x, y), and sqrt(_sq_norms) those of matrix._norm
-        cols, inv = self.cols, self.inv
-        a_i, a_j = cols[a, i], cols[a, j]
+        # gives the bits of np.vdot(x, y), and sqrt(_sq_norms) those of matrix._norm.
+        # The per-chain arrays take a (views for a slice), the gathers by i and j rows
+        cols, inv, rows = self.cols, self.inv, self._all[a]
+        i, j = pairs[a, 0], pairs[a, 1]
+        a_i, a_j = cols[rows, i], cols[rows, j]
         c = np.vecdot(a_j, a_i)
         w = a_i - c[:, None] * a_j
         c2 = np.vecdot(a_j, w)
@@ -365,32 +379,39 @@ class _ChainStack:
         ok = (c_abs < 1.0 - tol.DEGENERATE_PAIR_GUARD) & (nu > 0.0) & np.isfinite(nu)
         if not ok.all():
             for k in np.flatnonzero(~ok):
-                self._retire(a[k], DegeneratePairError((int(i[k]), int(j[k])), c_abs[k]))
-            a, i, j, c, c2, w, nu, c_abs = (x[ok] for x in (a, i, j, c, c2, w, nu, c_abs))
-        cols[a, i] = w / nu[:, None]
+                self._retire(rows[k], DegeneratePairError((int(i[k]), int(j[k])), c_abs[k]))
+            a = rows = rows[ok]
+            i, j, c, c2, w, nu, c_abs = (x[ok] for x in (i, j, c, c2, w, nu, c_abs))
+        cols[rows, i] = w / nu[:, None]
         if self.w is not None:
             # orth's row and column i of each chain's weights, from one batched product
-            row_w = np.abs(cols[a, i][:, None, :].conj() @ cols[a].mT)[:, 0]
+            row_w = np.abs(cols[rows, i][:, None, :].conj() @ cols[a].mT)[:, 0]
             row_w *= row_w
-            row_w[np.arange(a.size), i] = 0.0
-            self.w[a, i] = self.w[a, :, i] = row_w
-        inv_i, inv_j = inv[a, i], inv[a, j]
+            row_w[self._all[:rows.size], i] = 0.0
+            self.w[rows, i] = self.w[rows, :, i] = row_w
+        inv_i, inv_j = inv[rows, i], inv[rows, j]
         inv_j += (c + c2)[:, None] * inv_i
         inv_i *= nu[:, None]
-        inv[a, i], inv[a, j] = inv_i, inv_j
+        inv[rows, i], inv[rows, j] = inv_i, inv_j
         for k, inv_k in ((i, inv_i), (j, inv_j)):
-            self.row_sq[a, k] = sq = np.vecdot(inv_k, inv_k).real
-            self.d[a, k] = np.minimum(1.0 / np.sqrt(sq), 1.0)
+            self.row_sq[rows, k] = sq = np.vecdot(inv_k, inv_k).real
+            self.d[rows, k] = np.minimum(1.0 / np.sqrt(sq), 1.0)
         self.phi[a] = -np.log(self.d[a]).sum(axis=1) + 0.0
         est = np.sqrt(self.n * self.row_sq[a].sum(axis=1))
         self.est_sum[a] += est
         self.since[a] += 1
-        # _settle's rule, with the chains it refreshes as one stack
-        due = a[~(est <= tol.DISTANCE_FALLBACK_KAPPA) | self._comes_due(a, est)]
-        if due.size:
+        inner_abs[a] = c_abs
+        # _settle's rule, with the chains it refreshes as one stack; _comes_due
+        # only at the stack's checkpoint, after which step re-derives the next
+        due = ~(est <= tol.DISTANCE_FALLBACK_KAPPA)
+        self._until -= 1
+        if not self._until:
+            due |= self._comes_due(a, est)
+            self._plan = None
+        if due.any():
+            due = rows[due]
             self._refresh(due)
             self.fallbacks[due] += ~self.on_inv[due]
-        inner_abs[a] = c_abs
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """File formats: matrix text, CSV emission, config round-trips."""
 
 import os
+import re
+import stat
 
 import numpy as np
 import pytest
@@ -54,6 +56,22 @@ class TestMatrixFormat:
     def test_bad_complex_entry(self):
         with pytest.raises(UsageError, match="re:im"):
             io.matrix_from_text("pairorth-matrix v1 2 complex\n1 0\n0 1\n")
+
+    @pytest.mark.parametrize("size", ["x", "1.5", "-1", "+2", "2_0"])
+    def test_bad_size_rejected(self, size):
+        with pytest.raises(UsageError, match=re.escape(f"matrix size '{size}' in the header")):
+            io.matrix_from_text(f"pairorth-matrix v1 {size} real\n1 0\n0 1\n")
+
+    @pytest.mark.parametrize("field,bad", [
+        ("real", "zz"), ("complex", "1:zz"), ("complex", "zz:0"),
+    ])
+    def test_unparsable_entry_names_its_row_and_column(self, field, bad):
+        one = "1" if field == "real" else "1:0"
+        zero = "0" if field == "real" else "0:0"
+        text = f"pairorth-matrix v1 2 {field}\n{one} {zero}\n{zero} {bad}\n"
+        message = "^row 1, column 1: could not convert string to float: 'zz'$"
+        with pytest.raises(UsageError, match=message):
+            io.matrix_from_text(text)
 
     def test_non_unit_file_rejected(self):
         with pytest.raises(ConstructionError):
@@ -136,6 +154,19 @@ class TestAtomicWrite:
         io.atomic_write_text(str(path), "hello\n")
         assert path.read_text() == "hello\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        # what open() gives a new file: 0666 less the umask, not mkstemp's 0600
+        old = os.umask(umask)
+        try:
+            io.atomic_write_text(str(tmp_path / "out.txt"), "data")
+            with open(tmp_path / "plain.txt", "w") as handle:
+                handle.write("data")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode)
+        assert mode == 0o666 & ~umask == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
 
     def test_failure_leaves_no_partial(self, tmp_path, monkeypatch):
         path = tmp_path / "out.txt"

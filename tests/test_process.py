@@ -858,6 +858,71 @@ class TestStackedEnsemble:
         assert within.replicates == beyond.replicates == 8
 
 
+class TestStackCheckpoint:
+    """A stack keeps which chains take the vectorized step, and counts the
+    vectorized steps to its next checkpoint, until a chain refreshes,
+    crosses or retires; the vectorized step calls _comes_due only there."""
+
+    @pytest.mark.parametrize("n,field,seed,eta,count,base_seed,steps,staggered", [
+        # the criterion-6 instance: some chains refresh at a checkpoint, others
+        # not, and all stay at multiples of K apart
+        (8, "real", 3, 1e-6, 8, 42, 200, False),
+        # planted distance 1e-10: each chain's crossing refresh comes at its
+        # own step, so their since fall out of step. The first is the stack of
+        # test_projection_path_start_crosses_back; in the others a chain is
+        # still on the projection path at a checkpoint, and none retires
+        (6, "real", 2, 1e-10, 7, 9, 200, True),
+        (6, "real", 3, 1e-10, 7, 12, 150, True),
+        (6, "complex", 2, 1e-10, 7, 19, 125, True),
+    ])
+    def test_comes_due_runs_at_the_checkpoints_of_the_set(
+        self, n, field, seed, eta, count, base_seed, steps, staggered, monkeypatch
+    ):
+        K = tol.INVERSE_REFRESH_STEPS
+        A = near_singular_state(n, seed, field, eta)
+        seeds = [derive_replicate_seed(base_seed, r) for r in range(count)]
+        pairs = np.stack([_uniform_pairs(n, make_rng(s), steps) for s in seeds])
+        stack, inner_abs = process._ChainStack(A, count), np.empty(count)
+        calls, expected, out_of_step = [], [], []
+        comes_due = process._ChainStack._comes_due
+
+        def spy(self, rs, est):
+            # the scalar step passes one chain, the vectorized step a slice or indices
+            if not isinstance(rs, (int, np.integer)):
+                calls.append((t, np.arange(count)[rs].tolist()))
+            return comes_due(self, rs, est)
+
+        monkeypatch.setattr(process._ChainStack, "_comes_due", spy)
+        for t in range(1, steps + 1):
+            vectorized = np.flatnonzero(stack.live & stack.on_inv)
+            since = stack.since[vectorized] + 1
+            if vectorized.size >= STACK_MIN_REPLICATES and (since % K == 0).any():
+                expected.append((t, vectorized.tolist()))
+                out_of_step.append(np.unique(since % K).size > 1)
+            stack.step(pairs[:, t - 1], inner_abs)
+        assert calls == expected
+        assert expected and any(out_of_step) == staggered
+        assert stack.live.all()
+
+    def test_retirement_leaves_the_slice_path_mid_run(self, monkeypatch):
+        # columns 0 and 1 lie 1e-7 apart, and 2 of 8 replicates draw that pair:
+        # replicate 2 retires at step 2, inside the vectorized step of the whole
+        # stack, and replicate 5 at step 3, inside the step over the indices of
+        # the other 7; the remaining 6 step on by their indices
+        rng = np.random.default_rng(1)
+        M = rng.standard_normal((6, 6))
+        M[:, 1] = M[:, 0] + 1e-7 * np.linalg.norm(M[:, 0]) * rng.standard_normal(6)
+        A = build_unit_column_matrix(M, normalize=True)
+        selectors = []
+        step_inverse = process._ChainStack._step_inverse
+        monkeypatch.setattr(process._ChainStack, "_step_inverse",
+                            lambda self, a, *args: selectors.append(isinstance(a, slice))
+                            or step_inverse(self, a, *args))
+        stacked, error = assert_stack_matches_run_chain(A, 150, 8, 2, 50)
+        assert list(stacked) == [0, 1, 3, 4, 6, 7] and error.startswith("2 of 8 replicates aborted")
+        assert selectors == [True] * 2 + [False] * 148
+
+
 class TestRunEnsemble:
     def test_single_replicate_degenerates_to_chain(self):
         A = random_state(4, 31)

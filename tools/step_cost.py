@@ -6,8 +6,8 @@ Usage: python tools/step_cost.py CHECKOUT [--repeats K]
 Times the package in CHECKOUT/src from a gaussian_normalized start (seed
 1), in both fields. The first table is run_chain, one chain, for n in
 {4, 8, 32, 128} and the uniform and the proportional sampler. The second
-is run_ensemble with R = 50 replicates, for n in {8, 32} and all three
-samplers. Each cell runs K times (default 5) with the record grid at t = 0
+is run_ensemble with R = 50 replicates, for n in {4, 8, 32, 128} and all
+three samplers. Each cell runs K times (default 5) with the record grid at t = 0
 and the last step only, and prints the median wall time over the steps
 (over R x steps chain-steps for run_ensemble) in µs, so the start's set-up
 and its two records are in it. A generated start keeps its inverse and
@@ -39,7 +39,7 @@ import numpy as np  # noqa: E402
 STEPS = {4: 2000, 8: 2000, 32: 1000, 128: 200}
 FIELDS = ("real", "complex")
 KINDS = ("uniform", "proportional")
-ENSEMBLE_STEPS = {8: 200, 32: 100}
+ENSEMBLE_STEPS = {4: 200, 8: 200, 32: 100, 128: 200}
 SAMPLERS = ("uniform", "proportional", "greedy")
 REPLICATES = 50
 
