@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import UsageError
 from .matrix import ColumnMatrix, PairIndex, _norm, _orth_column, validate_pair
-from .process import KernelStats, _ChainStack, _uniform_pairs, derive_replicate_seed, make_rng
+from .process import KernelStats, _ChainStack, _count, _uniform_pairs, make_rng
+from .process import derive_replicate_seed
 
 ORTH = "orth"
 KACZ = "kacz"
@@ -121,11 +122,11 @@ def run_cosolve(
     same seed see identical row draws (paired comparisons stay paired).
     Returns the per-operation history and the final state.
     """
-    if steps < 0:
-        raise UsageError(f"steps must be >= 0, got {steps}")
-    p, q = interleave
-    if p < 0 or q < 0 or (p == 0 and q == 0):
-        raise UsageError(f"interleave ratio must be non-negative and not 0:0, got {p}:{q}")
+    steps = _count("steps", steps, 0)
+    counts = [_count("interleave count", k, 0) for k in interleave]
+    if len(counts) != 2 or counts == [0, 0]:
+        raise UsageError(f"interleave ratio must be two counts, not 0:0, got {interleave!r}")
+    p, q = counts
     state = initial_state(A0, x_true)
     rng_pairs = make_rng(derive_replicate_seed(seed, 0))
     rng_rows = make_rng(derive_replicate_seed(seed, 1))

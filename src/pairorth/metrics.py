@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
 
 from . import tolerances as tol
 from .errors import SingularityError, UsageError
@@ -54,19 +55,24 @@ def _pair_distances(arr: np.ndarray, i: int, j: int) -> tuple[float, float]:
     the other columns. The trailing 2x2 block [[r11, r12], [0, r22]] of R
     holds a_i and a_j off the span of the others: d_j = |r22|, and d_i, the
     distance of (r11, 0) to the line through (r12, r22), is
-    |r11| |r22| / hypot(r12, r22)."""
-    # mode "raw" leaves R^T in its lower triangle: the bits of mode "r"
-    # without its triu copy, and Q is never formed
+    |r11| |r22| / hypot(r12, r22). The QR is np.linalg.qr(mode="raw")'s
+    gufunc without the wrapper's copies, casts and errstate: arr must be
+    float64 or complex128, and a failed QR still raises LinAlgError."""
+    # it overwrites the fresh gather with R (mode "raw" returns R^T; Q is
+    # never formed) and returns tau, all NaN if geqrf failed and left r as is
     order = _pair_order(arr.shape[1], i, j)
-    rt = np.linalg.qr(arr[:, order], mode="raw")[0]
-    r11, r12, r22 = abs(rt[-2, -2]), abs(rt[-1, -2]), abs(rt[-1, -1])
+    r = arr[:, order]
+    tau = _qr_r_raw(r, signature="D->D" if r.dtype.kind == "c" else "d->d")
+    r11, r12, r22 = abs(r[-2, -2]), abs(r[-2, -1]), abs(r[-1, -1])
     d_i = r11 * (r22 / math.hypot(r12, r22)) if r22 else 0.0
     for k, d_k in ((j, r22), (i, d_i)):
         if not 0.0 < d_k < math.inf:  # zero or not finite
             # a zero pivot ahead of a_j's names its column: what follows measures nothing
-            lead = rt.diagonal()[:-1]
+            lead = r.diagonal()[:-1]
             k = k if lead.all() else int(order[np.argmin(lead != 0.0)])
             raise SingularityError(f"column {k} is numerically in the span of the others", column=k)
+    if tau[0] != tau[0]:  # NaN: geqrf failed
+        raise np.linalg.LinAlgError("QR of the pair's gather failed")
     # d <= 1 holds exactly in real arithmetic; trim roundoff overshoot
     return min(d_i, 1.0), min(r22, 1.0)
 

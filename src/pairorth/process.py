@@ -470,12 +470,16 @@ def detect_t_star(traj: Trajectory) -> int | None:
     return int(below[0]) if below.size else None
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int; UsageError unless it is an integer >= least."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _record_grid(steps: int, stride: int) -> list[int]:
     """Steps whose condition is recorded: every multiple of stride, and the last."""
-    if steps < 0:
-        raise UsageError(f"steps must be >= 0, got {steps}")
-    if stride < 1:
-        raise UsageError(f"metrics_stride must be >= 1, got {stride}")
+    steps, stride = _count("steps", steps, 0), _count("metrics_stride", stride, 1)
     grid = list(range(0, steps + 1, stride))
     if grid[-1] != steps:
         grid.append(steps)
@@ -631,8 +635,7 @@ def run_ensemble(
     trajectory_sink, when given, receives (replicate_index, trajectory) for
     each kept replicate, in index order, as each chunk finishes.
     """
-    if replicates < 1:
-        raise UsageError(f"replicates must be >= 1, got {replicates}")
+    replicates = _count("replicates", replicates, 1)
     grid = _record_grid(steps, metrics_stride)
     phi_rows = []
     log_kappa_rows = []

@@ -25,6 +25,7 @@ from pairorth import (
     generate,
     leave_one_out_distances,
     make_rng,
+    run_chain,
     sample_pair,
 )
 from pairorth import tolerances as tol
@@ -319,3 +320,16 @@ def test_projection_path_kept_distance_of_the_replaced_column():
         now = _wrap(state, REAL)
         d_bf = np.array([brute_force_distance(now, j) for j in range(now.n)])
         assert np.max(np.abs(np.log(state.d) - np.log(d_bf))) <= _slack(now)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_projection_path_steps_call_no_public_qr(field, monkeypatch):
+    # a projection-path step reads its distances off the QR gufunc itself:
+    # a chain from a planted distance of 1e-10 runs with np.linalg.qr gone
+    A, _ = generate(GeneratorSpec(NEAR_SINGULAR, n=8, field=field, seed=0, eta=1e-10))
+
+    def public_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called on the step path")
+
+    monkeypatch.setattr(np.linalg, "qr", public_qr)
+    assert run_chain(A, 70, seed=1).kernel.projection_fallbacks > 0

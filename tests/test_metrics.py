@@ -7,6 +7,7 @@ import pytest
 
 from pairorth import (
     ColumnMatrix,
+    ConstructionError,
     SingularityError,
     UsageError,
     build_unit_column_matrix,
@@ -172,6 +173,62 @@ class TestDistances:
                 for j in range(6):
                     if i != j:
                         assert _pair_distances(arr, i, j) == listed_read_off(arr, i, j)
+
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 32, 128])
+    def test_pair_read_off_keeps_the_bits_of_the_public_qr(self, n, field):
+        # the gufunc called directly gives the bits of the same read-off
+        # through np.linalg.qr(mode="raw"), on both layouts of arr, from a
+        # Gaussian start and a near_singular one (at n = 2 the generator
+        # refuses it: its only pair is degenerate), and leaves arr as it was
+        def public_read_off(arr, i, j):
+            rt = np.linalg.qr(arr[:, _pair_order(arr.shape[1], i, j)], mode="raw")[0]
+            r11, r12, r22 = abs(rt[-2, -2]), abs(rt[-1, -2]), abs(rt[-1, -1])
+            return min(r11 * (r22 / math.hypot(r12, r22)), 1.0), min(r22, 1.0)
+
+        starts = [random_state(n, field, 0)]
+        try:
+            spec = GeneratorSpec("near_singular", n=n, field=field, seed=0, eta=1e-10)
+            starts.append(generate(spec)[0])
+        except ConstructionError:
+            assert n == 2
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        if n > 8:  # the first and last pairs and 30 drawn ones
+            drawn = np.random.default_rng(n).choice(len(pairs), 30, replace=False)
+            pairs = [pairs[0], pairs[-1]] + [pairs[k] for k in drawn]
+        for A in starts:
+            for arr in (np.asfortranarray(A.array), np.ascontiguousarray(A.array)):
+                before = arr.copy()
+                for i, j in pairs:
+                    assert _pair_distances(arr, i, j) == public_read_off(arr, i, j)
+                    assert np.array_equal(arr, before)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_failed_pair_qr_raises_linalg_error(self, field, monkeypatch):
+        # geqrf's failure reaches the gufunc's caller as a NaN tau with the
+        # gather left as it was; np.linalg.qr raised LinAlgError for it
+        def failed_qr(a, signature):
+            return np.full(a.shape[1], np.nan, dtype=a.dtype)
+
+        monkeypatch.setattr(metrics, "_qr_r_raw", failed_qr)
+        with pytest.raises(np.linalg.LinAlgError):
+            _pair_distances(random_state(6, field, 0).array, 0, 1)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_pair_read_off_of_a_nan_column_raises(self, field):
+        # a NaN anywhere reaches every entry of R behind it, r22 among them:
+        # whatever column holds it, the pair's last column j is named
+        A = random_state(4, field, 0)
+        for col in range(4):
+            arr = np.array(A.array, order="F")
+            arr[1, col] = np.nan
+            for i in range(4):
+                for j in range(4):
+                    if i != j:
+                        with pytest.raises(SingularityError) as info:
+                            _pair_distances(arr, i, j)
+                        assert info.value.column == j
 
 
 class TestPotential:

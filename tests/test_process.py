@@ -364,6 +364,25 @@ class TestRunChain:
         with pytest.raises(UsageError):
             run_chain(A, steps=1, kind="roundrobin", seed=1)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda A: run_cosolve(A, np.ones(2), (1.5, 1)),
+            lambda A: run_cosolve(A, np.ones(2), (1, 1, 1)),
+            lambda A: run_cosolve(A, np.ones(2), (1, 1), 2.5),
+            lambda A: run_chain(A, 2.5),
+            lambda A: run_chain(A, 10, metrics_stride=1.5),
+            lambda A: run_ensemble(A, 10, UNIFORM, 2.5, 1),
+        ],
+        ids=["cosolve-ratio-float", "cosolve-ratio-triple", "cosolve-steps-float",
+             "chain-steps-float", "chain-stride-float", "ensemble-replicates-float"],
+    )
+    def test_malformed_counts_are_usage_errors(self, run):
+        # one integer check names each malformed count before range() or a
+        # list repeat fails on it with a bare TypeError or ValueError
+        with pytest.raises(UsageError, match="must be"):
+            run(angle_matrix())
+
 
 class TestStartRecord:
     """condition_number, and through it the t = 0 record, reads the singular

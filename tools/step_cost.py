@@ -7,19 +7,23 @@ Times the package in CHECKOUT/src from a gaussian_normalized start (seed
 1), in both fields. The first table is run_chain, one chain, for n in
 {4, 8, 32, 128} and the uniform and the proportional sampler. The second
 is run_ensemble with R = 50 replicates, for n in {4, 8, 32, 128} and all
-three samplers. Each cell runs K times (default 5) with the record grid at t = 0
-and the last step only, and prints the median wall time over the steps
-(over R x steps chain-steps for run_ensemble) in µs, so the start's set-up
-and its two records are in it. A generated start keeps its inverse and
-distances from generate's snapshot, so that set-up copies them; the last
-table times it alone, as 0-step run_chain calls in µs, from the generated
-start and from a ColumnMatrix._wrap copy, which keeps nothing: it
+three samplers. Each cell runs K times (default 5) with the record grid at
+t = 0 and the last step only, and prints the median wall time over the
+steps (over R x steps chain-steps for run_ensemble) in µs, so the start's
+set-up and its two records are in it. A generated start keeps its inverse
+and distances from generate's snapshot, so that set-up copies them; the
+third table times it alone, as 0-step run_chain calls in µs, from the
+generated start and from a ColumnMatrix._wrap copy, which keeps nothing: it
 recomputes them (one inv, or ceil(n / 2) QRs on the projection path) and
-takes one SVD for the t = 0 record. Above the tables it prints what
-the numbers depend on: nproc, Python, numpy, the BLAS and the threads it
-runs, and the package version. BLAS runs one thread unless
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS say otherwise, as
-in perfbench.
+takes one SVD for the t = 0 record. The last table times run_chain as the
+first does, from a near_singular start (eta = 1e-10, seed 1, uniform
+sampler), and gives with each cell the share of its steps that read their
+distances off a QR (KernelStats.projection_fallbacks / steps); a start the
+generator refuses, or a chain that aborts, prints the name of its error
+instead. Above the tables it prints what the numbers depend on: nproc,
+Python, numpy, the BLAS and the threads it runs, and the package version.
+BLAS runs one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS say otherwise, as in perfbench.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ KINDS = ("uniform", "proportional")
 ENSEMBLE_STEPS = {4: 200, 8: 200, 32: 100, 128: 200}
 SAMPLERS = ("uniform", "proportional", "greedy")
 REPLICATES = 50
+ETA = 1e-10
 
 
 def _table(pairorth, repeats: int, steps_by_n: dict, kinds: tuple, replicates=None) -> None:
@@ -90,6 +95,37 @@ def _start_table(pairorth, repeats: int) -> None:
         print(f"| {n} | " + " | ".join(cells) + " |")
 
 
+def _projection_table(pairorth, repeats: int) -> None:
+    """Print run_chain µs/step from a near_singular start, with the share of
+    projection-path steps, or the error a refused start or chain raises."""
+    from pairorth.errors import ConstructionError
+    from pairorth.generators import GeneratorSpec
+
+    print("| n | steps | " + " | ".join(FIELDS) + " |")
+    print("| --- " * (2 + len(FIELDS)) + "|")
+    for n, steps in STEPS.items():
+        cells = []
+        for field in FIELDS:
+            spec = GeneratorSpec("near_singular", n=n, field=field, seed=1, eta=ETA)
+            try:
+                A0, _ = pairorth.generate(spec)
+            except ConstructionError as exc:
+                cells.append(type(exc).__name__)
+                continue
+            times = []
+            try:
+                for _ in range(repeats):
+                    start = time.perf_counter()
+                    traj = pairorth.run_chain(A0, steps, seed=2, metrics_stride=steps)
+                    times.append(time.perf_counter() - start)
+            except pairorth.ChainAbortError as exc:
+                cells.append(f"{type(exc).__name__} at step {exc.step}")
+                continue
+            share = traj.kernel.projection_fallbacks / steps
+            cells.append(f"{1e6 * statistics.median(times) / steps:.1f} ({share:.0%})")
+        print(f"| {n} | {steps} | " + " | ".join(cells) + " |")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout")
@@ -111,6 +147,9 @@ def main() -> int:
     _table(pairorth, args.repeats, ENSEMBLE_STEPS, SAMPLERS, REPLICATES)
     print(f"\nmedian of {args.repeats} 0-step run_chain calls, µs: the start's set-up")
     _start_table(pairorth, args.repeats)
+    print(f"\nmedian of {args.repeats} run_chain calls from near_singular eta = {ETA:g}, "
+          "uniform, µs/step (share of projection-path steps)")
+    _projection_table(pairorth, args.repeats)
     return 0
 
 
