@@ -10,6 +10,8 @@ conditioning regimes, and a Kaczmarz co-solver that orthogonalizes the
 system while solving it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     ConvergenceTarget,
     c_n,
@@ -76,56 +78,6 @@ from .process import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainAbortError",
-    "ColumnMatrix",
-    "ConstructionError",
-    "ConvergenceTarget",
-    "CosolveRecord",
-    "CosolveState",
-    "DegeneratePairError",
-    "DomainError",
-    "EnsembleStats",
-    "GeneratorSpec",
-    "HadamardReport",
-    "KernelStats",
-    "MetricsSnapshot",
-    "PairIndex",
-    "PairOrthError",
-    "SingularityError",
-    "Trajectory",
-    "UsageError",
-    "build_unit_column_matrix",
-    "brute_force_distance",
-    "c_n",
-    "condition_number",
-    "derive_replicate_seed",
-    "detect_t_star",
-    "exact_one_step_expectation",
-    "f_map",
-    "generate",
-    "gram_offdiag_fro",
-    "haar_factor",
-    "hadamard_report",
-    "highprec_bound_reference",
-    "inflection",
-    "initial_state",
-    "inner",
-    "kaczmarz_step",
-    "kappa_bounds_from_phi",
-    "leave_one_out_distances",
-    "make_rng",
-    "orth_step",
-    "orth_with_rhs",
-    "potential_phi",
-    "prop_a0_bound",
-    "run_chain",
-    "run_cosolve",
-    "run_ensemble",
-    "sample_pair",
-    "snapshot",
-    "stopping_tail",
-    "theorem1_steps",
-    "theorem7_bound",
-    "verify_lemma3",
-]
+# every public name imported above; the submodules are not among them
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

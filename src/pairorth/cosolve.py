@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .matrix import ColumnMatrix, PairIndex, _norm, _orth_column, validate_pair
-from .process import KernelStats, _ChainStack, _count, _uniform_pairs, make_rng
-from .process import derive_replicate_seed
+from .process import KernelStats, _ChainStack, _count, _replicate_seeds, _uniform_pairs, make_rng
 
 ORTH = "orth"
 KACZ = "kacz"
@@ -128,8 +127,7 @@ def run_cosolve(
         raise UsageError(f"interleave ratio must be two counts, not 0:0, got {interleave!r}")
     p, q = counts
     state = initial_state(A0, x_true)
-    rng_pairs = make_rng(derive_replicate_seed(seed, 0))
-    rng_rows = make_rng(derive_replicate_seed(seed, 1))
+    rng_pairs, rng_rows = map(make_rng, _replicate_seeds(seed, np.arange(2, dtype=np.uint64)))
 
     cycle: list[str] = [ORTH] * p + [KACZ] * q
     cycles, rest = divmod(steps, p + q)

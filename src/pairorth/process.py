@@ -29,9 +29,12 @@ proportional draw are in README, "How the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
-splittable scheme, never by sequential reuse; each replicate depends only
-on its own seed, and results reach a trajectory sink in replicate order,
-chunk by chunk.
+splittable scheme (SeedSequence spawn keys, computed for a whole chunk at
+once), never by sequential reuse; each replicate depends only on its own
+seed. A uniform stack draws every chain's pairs up front from one Philox,
+re-keyed to each chain's seed. run_ensemble summarizes each stack from its
+arrays, and builds a chain's Trajectory only for a trajectory sink, which
+gets them in replicate order, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -72,9 +75,45 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def derive_replicate_seed(base_seed: int, r: int) -> int:
-    """64-bit seed for replicate r, split off the base seed."""
-    ss = np.random.SeedSequence(entropy=_check_seed(base_seed), spawn_key=(int(r),))
+    """64-bit seed for replicate r, split off the base seed: the state
+    np.random.SeedSequence(entropy=base_seed, spawn_key=(r,)) generates as
+    one uint64, by _replicate_seeds below 2**32 and by SeedSequence above."""
+    r = int(r)
+    if 0 <= r < 2**32:
+        return _replicate_seeds(base_seed, r)
+    ss = np.random.SeedSequence(entropy=_check_seed(base_seed), spawn_key=(r,))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence: its k-th hash of a pool word (A) or an output word
+# (B) xors INIT * MULT^k and multiplies by INIT * MULT^(k + 1), mod 2**32
+_HASH_A, _HASH_B = ([init * pow(mult, k, 2**32) % 2**32 for k in range(19)]
+                    for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)))
+
+
+def _hash(x, consts: list[int], k: int):
+    x = (x ^ consts[k]) * consts[k + 1] & 0xFFFFFFFF
+    return x ^ x >> 16
+
+
+def _mix(x, y):
+    x = (0xCA01F9DD * x - 0x4973F715 * y) & 0xFFFFFFFF
+    return x ^ x >> 16
+
+
+def _replicate_seeds(base_seed: int, rs):
+    """derive_replicate_seed(base_seed, r) for each r of rs, 0 <= r < 2**32,
+    in the same arithmetic for one Python int or a uint64 array of them.
+    The entropy is the base's two words padded to four, then r: the four
+    fill the pool and mix into each other, then r mixes into each word."""
+    base = _check_seed(base_seed)
+    pool = [_hash(w, _HASH_A, k) for k, w in enumerate((base & 0xFFFFFFFF, base >> 32, 0, 0))]
+    others = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    for k, (src, dst) in enumerate(others, 4):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A, k))
+    # one uint64 of state is pool words 0 and 1, which r mixes into by hashes 16 and 17
+    lo, hi = (_hash(_mix(pool[k], _hash(rs, _HASH_A, 16 + k)), _HASH_B, k) for k in range(2))
+    return lo | hi << 32
 
 
 @functools.cache
@@ -237,10 +276,12 @@ class _ChainStack:
     def matrix(self, r: int) -> ColumnMatrix:
         return ColumnMatrix._wrap(np.array(self.cols[r].T, order="F"), self.field)
 
-    def counters(self, r: int) -> KernelStats:
-        return KernelStats(int(self.refreshes[r]), int(self.fallbacks[r]),
-                           float(self.worst_drift[r]), int(self.uniform_fallbacks[r]),
-                           float(np.fmax(self.worst_bound[r], _EPS * self.est_sum[r])))
+    def counters(self, rs) -> KernelStats:
+        """Chain rs's KernelStats, or for indices rs their KernelStats.total."""
+        bound = np.fmax(self.worst_bound[rs], _EPS * self.est_sum[rs])
+        return KernelStats(int(self.refreshes[rs].sum()), int(self.fallbacks[rs].sum()),
+                           float(self.worst_drift[rs].max(initial=0.0)),
+                           int(self.uniform_fallbacks[rs].sum()), float(bound.max(initial=0.0)))
 
     def _recompute(self, rs, full=None) -> None:
         # chains rs (indices, or a slice for one chain: a view, where an index
@@ -394,10 +435,13 @@ class _ChainStack:
         inv_i *= nu[:, None]
         inv[rows, i], inv[rows, j] = inv_i, inv_j
         for k, inv_k in ((i, inv_i), (j, inv_j)):
-            self.row_sq[rows, k] = sq = np.vecdot(inv_k, inv_k).real
-            self.d[rows, k] = np.minimum(1.0 / np.sqrt(sq), 1.0)
-        self.phi[a] = -np.log(self.d[a]).sum(axis=1) + 0.0
-        est = np.sqrt(self.n * self.row_sq[a].sum(axis=1))
+            self.row_sq[rows, k] = np.vecdot(inv_k, inv_k).real
+        # on the inverse path d = min(1 / sqrt(row_sq), 1) bit for bit, since
+        # _recompute sets row_sq = row_norms^2 and sqrt(fl(x * x)) = |x|
+        row_sq = self.row_sq[a]
+        self.d[a] = d = np.minimum(1.0 / np.sqrt(row_sq), 1.0)
+        self.phi[a] = -np.add.reduce(np.log(d), axis=1) + 0.0
+        est = np.sqrt(self.n * np.add.reduce(row_sq, axis=1))
         self.est_sum[a] += est
         self.since[a] += 1
         inner_abs[a] = c_abs
@@ -486,20 +530,32 @@ def _record_grid(steps: int, stride: int) -> list[int]:
     return grid
 
 
-def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metrics_stride: int):
-    """The chains of run_chain(A0, steps, kind, seed, metrics_stride) for
-    each seed, stepped as one _ChainStack: in seed order, the trajectory
-    run_chain returns for the seed or the ChainAbortError it raises."""
-    grid = _record_grid(steps, metrics_stride)
+def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
+    """The chains of run_chain(A0, steps, kind, seed) for each seed, with
+    records on grid, stepped as one _ChainStack: (phi, pairs, inner_abs,
+    records, aborted_at, stack), each array by chain in seed order, records
+    sigma_min, kappa and gram_offdiag on the grid and aborted_at the failing
+    step of each retired chain; _chain_result reads one chain off them."""
     if kind not in SAMPLER_KINDS:
         raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
     on_grid = {t: k for k, t in enumerate(grid)}
     n, count = A0.n, len(seeds)
-    rngs = [make_rng(seed) for seed in seeds]
+    rng = make_rng(seeds[0])
     pairs = np.empty((count, steps, 2), dtype=np.intp)
     if kind == UNIFORM:
-        for r, rng in enumerate(rngs):
-            pairs[r] = _uniform_pairs(n, rng, steps)
+        # Philox is counter-based: keyed [seed, 0] at counter 0 with its
+        # buffers empty, one generator draws make_rng(seed)'s stream; the
+        # integers k map to pairs as in _uniform_pairs, in place
+        state = rng.bit_generator.state
+        for r, seed in enumerate(seeds):
+            if r:
+                state["state"]["key"][0] = seed
+                rng.bit_generator.state = state
+            pairs[r, :, 0] = rng.integers(n * (n - 1), size=steps)
+        i, j = np.divmod(pairs[..., 0], n - 1, out=(pairs[..., 0], pairs[..., 1]))
+        j += j >= i
+    else:
+        rngs = [rng] + [make_rng(seed) for seed in seeds[1:]]
     phi = np.empty((count, steps + 1))
     inner_abs = np.empty((count, steps))
     stack = _ChainStack(A0, count, kind)
@@ -532,21 +588,23 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds: list[int], metric
         if t in on_grid:
             # a slice while all are live: a stack of one records a view, not a copy
             record(slice(None) if stack.live.all() else np.flatnonzero(stack.live), on_grid[t])
-    results = []
-    for r in range(count):
-        # an aborted chain keeps the prefix recorded before its failing step
-        last = aborted_at.get(r, steps + 1) - 1
-        k = bisect.bisect_right(grid, last)
-        result = Trajectory(
-            n, phi[r, : last + 1], pairs[r, :last], inner_abs[r, :last], grid[:k],
-            *records[:, r, :k], stack.matrix(r), stack.counters(r),
-        )
-        if r in stack.aborts:
-            exc = stack.aborts[r]
-            result = ChainAbortError(last + 1, exc.pair, exc.inner_abs, result)
-            result.__cause__ = exc
-        results.append(result)
-    return results
+    return phi, pairs, inner_abs, records, aborted_at, stack
+
+
+def _chain_result(grid: list[int], run, r: int):
+    """Chain r of a _run_stack run: the trajectory run_chain returns for its
+    seed, or the ChainAbortError it raises."""
+    phi, pairs, inner_abs, records, aborted_at, stack = run
+    # an aborted chain keeps the prefix recorded before its failing step
+    last = aborted_at.get(r, phi.shape[1]) - 1
+    k = bisect.bisect_right(grid, last)
+    result = Trajectory(stack.n, phi[r, : last + 1], pairs[r, :last], inner_abs[r, :last], grid[:k],
+                        *records[:, r, :k], stack.matrix(r), stack.counters(r))
+    if r in stack.aborts:
+        exc = stack.aborts[r]
+        result = ChainAbortError(last + 1, exc.pair, exc.inner_abs, result)
+        result.__cause__ = exc
+    return result
 
 
 def run_chain(
@@ -562,7 +620,8 @@ def run_chain(
     degenerate pair aborts the run by raising ChainAbortError carrying the
     diagnostic and the partial trajectory; it is never skipped silently.
     """
-    [result] = _run_stack(A0, steps, kind, [seed], metrics_stride)
+    grid = _record_grid(steps, metrics_stride)
+    result = _chain_result(grid, _run_stack(A0, steps, kind, [seed], grid), 0)
     if isinstance(result, ChainAbortError):
         raise result
     return result
@@ -630,32 +689,45 @@ def run_ensemble(
     gives the trajectory run_chain gives for that seed, bit for bit.
     Replicates run in chunks, in index order, each as one stack, whatever
     the sampler: chunks are sized so that a stack's records fit
-    STACK_BYTES. Aborted replicates are excluded and counted; more than 1%
+    STACK_BYTES. Each chunk's seeds come from one vectorized call, and its
+    summaries (phi on the grid, log kappa, t_star, the phi rises and the
+    KernelStats) from the stack's arrays, with the bits the trajectories
+    would give. Aborted replicates are excluded and counted; more than 1%
     aborting fails the whole run.
     trajectory_sink, when given, receives (replicate_index, trajectory) for
-    each kept replicate, in index order, as each chunk finishes.
+    each kept replicate, in index order, as each chunk finishes; only then
+    are Trajectory objects built.
     """
     replicates = _count("replicates", replicates, 1)
-    grid = _record_grid(steps, metrics_stride)
-    phi_rows = []
-    log_kappa_rows = []
+    n, grid = A0.n, _record_grid(steps, metrics_stride)
+    # the kept replicates' phi and log kappa on the grid, row by row: C order,
+    # which the axis-0 reductions below need for their bits
+    phi_mat, lk_mat = np.empty((2, replicates, len(grid)))
     t_stars: list[int | None] = []
-    aborts = violations = 0
+    kept = violations = 0
     kernels = []
-    record = _replicate_bytes(A0.n, steps, len(grid))
-    for chunk in _ensemble_chunks(replicates, record):
-        seeds = [derive_replicate_seed(base_seed, r) for r in chunk]
-        for r, traj in zip(chunk, _run_stack(A0, steps, kind, seeds, metrics_stride)):
-            if isinstance(traj, ChainAbortError):
-                aborts += 1
-                continue
-            if trajectory_sink is not None:
-                trajectory_sink(r, traj)
-            phi_rows.append(traj.phi[grid])
-            log_kappa_rows.append(np.log(traj.kappa))
-            t_stars.append(traj.t_star)
-            violations += traj.monotonicity_violations
-            kernels.append(traj.kernel)
+    for chunk in _ensemble_chunks(replicates, _replicate_bytes(n, steps, len(grid))):
+        rs = np.arange(chunk.start, chunk.stop, dtype=np.uint64)
+        seeds = (_replicate_seeds(base_seed, rs) if chunk.stop <= 2**32
+                 else [derive_replicate_seed(base_seed, r) for r in chunk])
+        run = _run_stack(A0, steps, kind, seeds, grid)
+        phi, _, _, records, _, stack = run
+        live = np.flatnonzero(stack.live)
+        if trajectory_sink is not None:
+            for r in live.tolist():
+                trajectory_sink(chunk[r], _chain_result(grid, run, r))
+        phi = phi[live]
+        phi_mat[kept: kept + live.size] = phi[:, grid]
+        lk_mat[kept: kept + live.size] = np.log(records[1, live])
+        kept += live.size
+        # t_star and the rises beyond the 1e-10 slack, as each Trajectory reads them
+        below = phi < inflection(n)
+        t_stars += [int(t) if b else None
+                    for t, b in zip(below.argmax(axis=1).tolist(), below.any(axis=1).tolist())]
+        violations += int(np.count_nonzero(phi[:, 1:] > phi[:, :-1] + tol.MONOTONE_ABS))
+        kernels.append(stack.counters(live))
+        del run, stack  # before the next chunk's stack is built
+    aborts = replicates - kept
 
     if aborts / replicates > tol.ENSEMBLE_ABORT_FRACTION:
         raise PairOrthError(
@@ -663,10 +735,8 @@ def run_ensemble(
             f"(more than {tol.ENSEMBLE_ABORT_FRACTION:.0%})"
         )
 
-    kept = len(phi_rows)
-    phi_mat = np.array(phi_rows)
+    phi_mat, lk_mat = phi_mat[:kept], lk_mat[:kept]
     phi0 = float(phi_mat[0, 0])
-    lk_mat = np.array(log_kappa_rows)
     mean_phi = phi_mat.mean(axis=0)
     stderr = (
         phi_mat.std(axis=0, ddof=1) / np.sqrt(kept) if kept > 1 else np.zeros(len(grid))

@@ -1016,3 +1016,138 @@ class TestSeedDerivation:
 
     def test_distinct_across_bases(self):
         assert derive_replicate_seed(1, 0) != derive_replicate_seed(2, 0)
+
+    def test_vectorized_seeds_match_seed_sequence(self):
+        def reference(base, r):
+            ss = np.random.SeedSequence(entropy=base, spawn_key=(r,))
+            return int(ss.generate_state(1, np.uint64)[0])
+
+        rng = np.random.default_rng(24)
+        bases = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        bases += rng.integers(0, 2**64 - 1, size=20, dtype=np.uint64, endpoint=True).tolist()
+        rs = [*range(300), 2**31, 2**32 - 1]
+        for base in bases:
+            expected = [reference(base, r) for r in rs]
+            seeds = process._replicate_seeds(base, np.array(rs, dtype=np.uint64))
+            assert seeds.dtype == np.uint64 and seeds.tolist() == expected
+            assert [derive_replicate_seed(base, r) for r in rs] == expected
+            # a two-word spawn key goes to SeedSequence itself
+            assert derive_replicate_seed(base, 2**32 + 5) == reference(base, 2**32 + 5)
+
+
+def degenerate_pair_state(n, seed=1):
+    """Gaussian unit columns with columns 0 and 1 1e-7 apart: a chain that
+    draws that pair before touching either column aborts."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    M[:, 1] = M[:, 0] + 1e-7 * np.linalg.norm(M[:, 0]) * rng.standard_normal(n)
+    return build_unit_column_matrix(M, normalize=True)
+
+
+def reference_stats(A, steps, kind, replicates, base_seed, stride):
+    """EnsembleStats from run_chain alone on each replicate's seed,
+    aggregated replicate by replicate."""
+    grid = _record_grid(steps, stride)
+    kept = []
+    for r in range(replicates):
+        try:
+            kept.append(run_chain(A, steps, kind, derive_replicate_seed(base_seed, r), stride))
+        except ChainAbortError:
+            pass
+    phi = np.array([t.phi[grid] for t in kept])
+    log_kappa = np.array([np.log(t.kappa) for t in kept])
+    stderr = phi.std(axis=0, ddof=1) / np.sqrt(len(kept)) if len(kept) > 1 else np.zeros(len(grid))
+    return dict(replicates=len(kept), phi0=float(phi[0, 0]), t=np.array(grid),
+                mean_phi=phi.mean(axis=0), min_phi=phi.min(axis=0), max_phi=phi.max(axis=0),
+                stderr_phi=stderr, mean_log_kappa=log_kappa.mean(axis=0),
+                t_stars=[t.t_star for t in kept], aborts=replicates - len(kept),
+                monotonicity_violations=sum(t.monotonicity_violations for t in kept),
+                kernel=KernelStats.total([t.kernel for t in kept]))
+
+
+class TestStackSetUpAndSummary:
+    """run_ensemble draws a uniform stack's pairs from one re-keyed
+    generator and summarizes each stack from its arrays: every field of
+    EnsembleStats must keep the bits of the replicate-by-replicate
+    aggregation of run_chain's trajectories, with a sink or without."""
+
+    @pytest.mark.parametrize("n,steps,count", [(2, 5, 1), (5, 40, 7), (8, 200, 50)])
+    def test_uniform_stack_pairs_are_each_seeds_stream(self, n, steps, count):
+        A = random_state(n, 3)
+        seeds = process._replicate_seeds(17, np.arange(count, dtype=np.uint64))
+        pairs = process._run_stack(A, steps, UNIFORM, seeds, _record_grid(steps, steps))[1]
+        for r, seed in enumerate(seeds):
+            assert np.array_equal(pairs[r], _uniform_pairs(n, make_rng(seed), steps))
+
+    def assert_same_stats(self, A, steps, kind, replicates, base_seed, stride):
+        plain = run_ensemble(A, steps, kind, replicates, base_seed, stride)
+        seen = []
+        sunk = run_ensemble(A, steps, kind, replicates, base_seed, stride,
+                            trajectory_sink=lambda r, traj: seen.append(r))
+        reference = reference_stats(A, steps, kind, replicates, base_seed, stride)
+        for stats in (plain, sunk):
+            for f in fields(stats):
+                value = getattr(stats, f.name)
+                if isinstance(value, np.ndarray):
+                    assert value.tobytes() == getattr(plain, f.name).tobytes(), f.name
+                    if f.name in reference:
+                        assert value.tobytes() == reference[f.name].tobytes(), f.name
+                else:
+                    assert value == getattr(plain, f.name) == reference.get(f.name, value), f.name
+            assert all(t is None or type(t) is int for t in stats.t_stars)
+        assert len(seen) == plain.replicates and seen == sorted(seen)
+        return plain
+
+    @pytest.mark.parametrize("kind", [UNIFORM, PROPORTIONAL, GREEDY])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_summary_keeps_the_bits_of_the_replicate_loop(self, kind, field):
+        stats = self.assert_same_stats(near_singular_state(6, 2, field, 1e-6), 90, kind, 9, 7, 20)
+        assert stats.replicates == 9
+
+    def test_an_aborted_replicate_in_a_later_chunk(self, monkeypatch):
+        # replicate 47 of 100 aborts at step 23, in the second of four chunks
+        A = degenerate_pair_state(40)
+        monkeypatch.setattr(process, "STACK_BYTES", 25 * _replicate_bytes(40, 40, 5))
+        assert len(_ensemble_chunks(100, _replicate_bytes(40, 40, 5))) == 4
+        stats = self.assert_same_stats(A, 40, UNIFORM, 100, 4, 10)
+        assert stats.aborts == 1 and stats.replicates == 99
+
+    def test_a_chunk_past_two_to_the_32_takes_seed_sequence(self, monkeypatch):
+        # a two-word spawn key: the chunk derives its seeds one by one
+        A, chunk = random_state(4, 5), range(2**32 - 2, 2**32 + 2)
+        monkeypatch.setattr(process, "_ensemble_chunks", lambda replicates, size: [chunk])
+        seen = {}
+        run_ensemble(A, 20, UNIFORM, 4, 9, 10, trajectory_sink=seen.__setitem__)
+        assert list(seen) == list(chunk)
+        for r in chunk:
+            alone = run_chain(A, 20, UNIFORM, derive_replicate_seed(9, r), 10)
+            assert_same_trajectory(seen[r], alone)
+
+    @pytest.mark.parametrize("kind", [UNIFORM, PROPORTIONAL])
+    def test_several_chunks(self, kind, monkeypatch):
+        A = random_state(5, 13)
+        monkeypatch.setattr(process, "STACK_BYTES", 6 * _replicate_bytes(5, 60, 4))
+        assert [len(c) for c in _ensemble_chunks(20, _replicate_bytes(5, 60, 4))] == [5, 5, 5, 5]
+        self.assert_same_stats(A, 60, kind, 20, 11, 20)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n,seed,eta", [(8, 3, None), (6, 2, 1e-10), (8, 3, 1e-6)])
+def test_inverse_path_distances_follow_the_row_norms(n, seed, eta, field):
+    """On an inverse-path chain d = min(1 / sqrt(row_sq), 1) bit for bit,
+    after _recompute and after every step, which the vectorized step uses
+    to derive d from row_sq in one pass."""
+    A = random_state(n, seed, field) if eta is None else near_singular_state(n, seed, field, eta)
+    count, steps = 7, 200
+    seeds = [derive_replicate_seed(5, r) for r in range(count)]
+    pairs = np.stack([_uniform_pairs(n, make_rng(s), steps) for s in seeds])
+    stack, inner_abs = process._ChainStack(A, count), np.empty(count)
+    checked = 0
+    for t in range(steps + 1):
+        if t:
+            stack.step(pairs[:, t - 1], inner_abs)
+        on = stack.on_inv
+        assert np.array_equal(stack.d[on], np.minimum(1.0 / np.sqrt(stack.row_sq[on]), 1.0))
+        checked += int(on.sum())
+    # the 1e-10 starts begin on the projection path and cross to the inverse path
+    assert checked >= 10 * count

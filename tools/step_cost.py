@@ -20,7 +20,10 @@ first does, from a near_singular start (eta = 1e-10, seed 1, uniform
 sampler), and gives with each cell the share of its steps that read their
 distances off a QR (KernelStats.projection_fallbacks / steps); a start the
 generator refuses, or a chain that aborts, prints the name of its error
-instead. Above the tables it prints what the numbers depend on: nproc,
+instead. The fifth table is the fixed cost of a stack: 0-step run_ensemble
+calls, uniform, n = 8, in µs per replicate for R in {10, 50, 200}: seeds,
+generators, the stack's set-up, its t = 0 record and the summary, with no
+step. Above the tables it prints what the numbers depend on: nproc,
 Python, numpy, the BLAS and the threads it runs, and the package version.
 BLAS runs one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS say otherwise, as in perfbench.
@@ -47,6 +50,7 @@ ENSEMBLE_STEPS = {4: 200, 8: 200, 32: 100, 128: 200}
 SAMPLERS = ("uniform", "proportional", "greedy")
 REPLICATES = 50
 ETA = 1e-10
+STACK_REPLICATES = (10, 50, 200)
 
 
 def _table(pairorth, repeats: int, steps_by_n: dict, kinds: tuple, replicates=None) -> None:
@@ -126,6 +130,26 @@ def _projection_table(pairorth, repeats: int) -> None:
         print(f"| {n} | {steps} | " + " | ".join(cells) + " |")
 
 
+def _stack_table(pairorth, repeats: int) -> None:
+    """Print the 0-step run_ensemble cost per replicate, n = 8, uniform."""
+    from pairorth.generators import GeneratorSpec
+
+    print("| R | " + " | ".join(FIELDS) + " |")
+    print("| --- " * (1 + len(FIELDS)) + "|")
+    starts = [pairorth.generate(GeneratorSpec("gaussian_normalized", n=8, field=field, seed=1))[0]
+              for field in FIELDS]
+    for replicates in STACK_REPLICATES:
+        cells = []
+        for A0 in starts:
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                pairorth.run_ensemble(A0, 0, "uniform", replicates, base_seed=2)
+                times.append(time.perf_counter() - start)
+            cells.append(f"{1e6 * statistics.median(times) / replicates:.1f}")
+        print(f"| {replicates} | " + " | ".join(cells) + " |")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout")
@@ -150,6 +174,9 @@ def main() -> int:
     print(f"\nmedian of {args.repeats} run_chain calls from near_singular eta = {ETA:g}, "
           "uniform, µs/step (share of projection-path steps)")
     _projection_table(pairorth, args.repeats)
+    print(f"\nmedian of {args.repeats} 0-step run_ensemble calls, n = 8, uniform, "
+          "µs per replicate: the fixed cost of a stack")
+    _stack_table(pairorth, args.repeats)
     return 0
 
 
