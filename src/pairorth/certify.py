@@ -26,7 +26,7 @@ from .metrics import (
     leave_one_out_distances,
 )
 from .oracle import exact_one_step_expectation, verify_lemma3
-from .process import UNIFORM, derive_replicate_seed, make_rng, run_ensemble
+from .process import UNIFORM, _count, derive_replicate_seed, make_rng, run_ensemble
 
 
 @dataclass
@@ -219,12 +219,9 @@ SUITES = tuple(_SUITES)
 def run_suite(suite: str, trials: int | None, seed: int) -> SuiteResult:
     """Run one certification suite; see SUITES for the names."""
     if suite not in SUITES:
-        raise PairOrthError(f"unknown suite {suite!r}; expected one of {SUITES}")
+        raise UsageError(f"unknown suite {suite!r}; expected one of {SUITES}")
     fn, default_trials = _SUITES[suite]
-    if trials is None:
-        trials = default_trials
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    trials = default_trials if trials is None else _count("trials", trials, 1)
     if suite == "tstar-tail":
         return fn(trials, seed)
     return _run_trials(fn, trials, seed)

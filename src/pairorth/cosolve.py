@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .matrix import ColumnMatrix, PairIndex, _norm, _orth_column, validate_pair
+from .matrix import ColumnMatrix, PairIndex, _integer, _norm, _orth_column, validate_pair
 from .process import KernelStats, _ChainStack, _count, _replicate_seeds, _uniform_pairs, make_rng
 
 ORTH = "orth"
@@ -91,8 +91,8 @@ def kaczmarz_step(state: CosolveState, row: int) -> CosolveState:
     x <- x + (b_row - <x, a_row>) a_row; the selected equation's residual
     becomes zero to 1e-12. A and b are untouched.
     """
-    if not (0 <= row < state.A.n):
-        raise UsageError(f"row {row} out of range for n = {state.A.n}")
+    if not (_integer(row) and 0 <= row < state.A.n):
+        raise UsageError(f"row must be an integer in [0, {state.A.n}), got {row!r}")
     x = np.array(state.x)
     _kaczmarz(state.A.array, state.b, x, row)
     return replace(state, x=x)

@@ -16,7 +16,7 @@ from . import tolerances as tol
 from .errors import ConstructionError, UsageError
 from .matrix import COMPLEX, REAL, ColumnMatrix, inner
 from .metrics import MetricsSnapshot, snapshot
-from .process import make_rng
+from .process import _count, make_rng
 
 HAAR = "haar_orthonormal"
 GAUSSIAN = "gaussian_normalized"
@@ -51,8 +51,7 @@ class GeneratorSpec:
             raise UsageError(f"unknown generator kind {self.kind!r}; expected one of {KINDS}")
         if self.field not in (REAL, COMPLEX):
             raise UsageError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if self.n < 2:
-            raise UsageError(f"dimension must be >= 2, got {self.n}")
+        _count("dimension", self.n, 2)
         if self.kind in _RANDOM_KINDS and self.seed is None:
             raise UsageError(f"kind {self.kind!r} requires a seed")
         if self.kind == TWO_BY_TWO:

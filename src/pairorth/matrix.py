@@ -126,8 +126,15 @@ def build_unit_column_matrix(entries, normalize: bool = False) -> ColumnMatrix:
     return ColumnMatrix(entries, normalize=normalize)
 
 
+def _integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def validate_pair(n: int, pair: PairIndex) -> PairIndex:
     i, j = pair
+    if not (_integer(i) and _integer(j)):
+        raise UsageError(f"pair indices must be integers, got {pair!r}")
     i, j = int(i), int(j)
     if i == j:
         raise UsageError(f"pair indices must be distinct, got ({i}, {j})")

@@ -20,8 +20,9 @@ when enough of them are (through a slice when they are all the chains),
 with the scalar code's reductions row by row, and runs the scalar code
 on each other chain's row, so every chain gets the same bits either way.
 A chain refreshes when a running bound on its rounding comes due, tested
-every INVERSE_REFRESH_STEPS steps, or on the projection path every such
-interval; the chains due recompute by one stacked inv. A record-grid
+every INVERSE_REFRESH_STEPS steps on either path, or when its condition
+estimate crosses 1e8 or, on the projection path, falls by a factor n; the
+chains due recompute by one stacked inv. A record-grid
 point is one stacked SVD and one stacked Gram over the live chains; each
 chain gets the bits of the call on its matrix alone. The update rules,
 the refresh policy, the measured drift, the selection rule and the
@@ -49,7 +50,8 @@ import numpy as np
 from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
-from .matrix import REAL, ColumnMatrix, PairIndex, _gram_offdiag_fro, _orth_column, _sq_norms
+from .matrix import (REAL, ColumnMatrix, PairIndex, _gram_offdiag_fro, _integer, _orth_column,
+                     _sq_norms)
 from .metrics import (_distances_full, _pair_distances, _phi_from_distances, _start_distances,
                       condition_number)
 
@@ -63,10 +65,9 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not (0 <= seed < 2**64):
-        raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    if not (_integer(seed) and 0 <= int(seed) < 2**64):
+        raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return int(seed)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -78,8 +79,8 @@ def derive_replicate_seed(base_seed: int, r: int) -> int:
     """64-bit seed for replicate r, split off the base seed: the state
     np.random.SeedSequence(entropy=base_seed, spawn_key=(r,)) generates as
     one uint64, by _replicate_seeds below 2**32 and by SeedSequence above."""
-    r = int(r)
-    if 0 <= r < 2**32:
+    r = _count("replicate index", r, 0)
+    if r < 2**32:
         return _replicate_seeds(base_seed, r)
     ss = np.random.SeedSequence(entropy=_check_seed(base_seed), spawn_key=(r,))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -211,7 +212,7 @@ class KernelStats:
     """What the step kernel did to keep phi, for one chain or summed over
     many: full recomputes, steps on the projection path, the largest
     |phi_kept - phi_full| at a refresh (either path), proportional draws
-    that fell back to uniform, and the largest inverse-path drift bound."""
+    that fell back to uniform, and the largest running drift bound (either path)."""
 
     inverse_refreshes: int = 0
     projection_fallbacks: int = 0
@@ -239,10 +240,11 @@ class _ChainStack:
     None for uniform), updated in row and column i from one product per
     step; since[r] counts the steps since the last full recompute, est0[r] is
     the condition estimate sqrt(n sum_k 1 / d_k^2) there and est_sum[r] sums
-    it over the inverse-path steps since; refreshes, fallbacks, worst_drift,
+    it over the steps since; refreshes, fallbacks, worst_drift,
     uniform_fallbacks and worst_bound make counters(r). A degenerate pair
     clears live[r] and keeps its DegeneratePairError in aborts[r], with chain r untouched.
-    _plan is step's _split, None once a chain refreshes, crosses or retires.
+    _plan is step's _split, None once a chain refreshes, crosses or retires;
+    rows[r] is chain r's _views, None until its first scalar step.
     """
 
     def __init__(self, A0: ColumnMatrix, count: int, kind: str = UNIFORM):
@@ -261,17 +263,18 @@ class _ChainStack:
         self.live = np.ones(count, dtype=bool)
         self.aborts: dict[int, DegeneratePairError] = {}
         self._all = np.arange(count)
-        # chain r's matrix, d, inv, row_sq and w: views, made once, that the
-        # scalar code updates in place
-        self.rows = [
-            (self.cols[r].T, self.d[r], self.inv[r], self.row_sq[r],
-             None if self.w is None else self.w[r])
-            for r in range(count)
-        ]
+        self.rows = [None] * count
         # every chain starts from A0: its kept distances, and one Gram, to all
         self._recompute(slice(None), _start_distances(A0))
         if self.w is not None:
             self.w[:] = _weights(self.cols[0].conj() @ self.cols[0].T)
+
+    def _views(self, r: int):
+        # chain r's matrix, d, inv, row_sq and w: views that the scalar code
+        # updates in place
+        self.rows[r] = (self.cols[r].T, self.d[r], self.inv[r], self.row_sq[r],
+                        None if self.w is None else self.w[r])
+        return self.rows[r]
 
     def matrix(self, r: int) -> ColumnMatrix:
         return ColumnMatrix._wrap(np.array(self.cols[r].T, order="F"), self.field)
@@ -311,7 +314,7 @@ class _ChainStack:
         column j and update its kept values; returns (c, c2, nu) of
         _orth_column. A degenerate pair raises DegeneratePairError before
         the chain is touched."""
-        arr, d, inv, row_sq, w = self.rows[r]
+        arr, d, inv, row_sq, w = self.rows[r] or self._views(r)
         c, c2, nu = _orth_column(arr, i, j)
         if w is not None:
             # row i of A^H A, so row and column i of _weights(A^H A), bit for
@@ -341,19 +344,16 @@ class _ChainStack:
         """End a step of chain r whose kept distances give
         sum_sq = sum_k 1 / d_k^2: refresh, count a projection step."""
         # sqrt(n) ||A^-1||_F, off the inverse rows, or off ||row k of A^-1||
-        # = 1 / d_k on the projection path. A crossing either way refreshes;
-        # on the inverse path so does a NaN or infinite estimate (not below)
-        # or a bound come due, on the projection path every K steps or a fall
-        # below est0 / n: a kept d_k errs by eps kappa at est0, the slack is n eps kappa
+        # = 1 / d_k on the projection path. On either path a crossing refreshes,
+        # and a bound come due at a checkpoint; on the inverse path so does a NaN
+        # or infinite estimate (not below), on the projection path a fall below
+        # est0 / n: a kept d_k errs by eps kappa at est0, the slack is n eps kappa
         est = math.sqrt(self.n * sum_sq)
         below = est <= tol.DISTANCE_FALLBACK_KAPPA
-        if self.on_inv[r]:
-            self.est_sum[r] += est
-            at = self.since[r] % tol.INVERSE_REFRESH_STEPS == 0  # spares _comes_due's arrays
-            due = not below or (at and self._comes_due(r, est))
-        else:
-            due = below or self.since[r] >= tol.INVERSE_REFRESH_STEPS or self.n * est < self.est0[r]
-        if due:
+        self.est_sum[r] += est
+        at = self.since[r] % tol.INVERSE_REFRESH_STEPS == 0  # spares _comes_due's arrays
+        crossed = (not below) if self.on_inv[r] else (below or self.n * est < self.est0[r])
+        if crossed or (at and self._comes_due(r, est)):
             self._refresh(slice(r, r + 1))
         if not self.on_inv[r]:
             self.fallbacks[r] += 1
@@ -516,8 +516,8 @@ def detect_t_star(traj: Trajectory) -> int | None:
 
 def _count(name: str, value, least: int) -> int:
     """value as an int; UsageError unless it is an integer >= least."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not _integer(value) or value < least:
+        raise UsageError(f"{name} must be >= {least} and an integer, got {value!r}")
     return int(value)
 
 
@@ -578,7 +578,7 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
             for r in range(count):
                 if not stack.live[r]:
                     continue
-                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.rows[r][-1])
+                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
                 stack.uniform_fallbacks[r] += fell_back
         stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
         phi[:, t] = stack.phi

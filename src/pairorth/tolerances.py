@@ -38,10 +38,11 @@ DISTANCE_METHOD_REL = 1e-8
 # off one R-only QR, and a crossing either way refreshes.
 DISTANCE_FALLBACK_KAPPA = 1e8
 
-# The step kernel's full recompute: on the projection path every this many
-# steps and when the estimate falls below 1/n of its value at the last one;
-# on the inverse path only at multiples of it, where the running drift bound
-# would reach the slack by the next. README, "How the step kernel keeps phi".
+# The step kernel's checkpoint spacing: on either path a full recompute comes
+# at a multiple of it where the running drift bound would reach the
+# slack by the next, or at a crossing of the 1e8 estimate (on the projection
+# path also when the estimate falls below 1/n of its value at the last one).
+# README, "How the step kernel keeps phi".
 INVERSE_REFRESH_STEPS = 64
 
 # Slack for the exact one-step expectation against the iterative map.

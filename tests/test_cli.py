@@ -7,6 +7,7 @@ import pytest
 
 from pairorth import (
     ConvergenceTarget,
+    UsageError,
     certify,
     cli,
     f_map,
@@ -326,6 +327,20 @@ class TestVerify:
         assert 4.0 <= achieved.phi <= 6.0
         main(["verify", "tstar-tail", "--trials", "2", "--seed", str(seed)])
         assert capsys.readouterr().out.startswith("tstar-tail: ")
+
+    @pytest.mark.parametrize("trials", [2.5, 1.0, True, "3"])
+    def test_run_suite_trials_must_be_an_integer(self, trials):
+        # trials=True would run one trial and report trials=True
+        with pytest.raises(UsageError, match="trials"):
+            certify.run_suite("lemma10", trials, 1)
+
+    def test_run_suite_unknown_suite_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="unknown suite"):
+            certify.run_suite("lemma99", 3, 1)
+
+    def test_run_suite_numpy_integer_trials_pass(self):
+        result = certify.run_suite("lemma10", np.int64(3), 1)
+        assert result.trials == 3 and type(result.trials) is int
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_must_be_u64(self, capsys, seed):

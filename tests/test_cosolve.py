@@ -125,6 +125,18 @@ class TestKaczmarzStep:
         with pytest.raises(UsageError):
             kaczmarz_step(initial_state(A, x_true), 3)
 
+    @pytest.mark.parametrize("row", [1.5, 1.0, True, np.float64(1.0), None])
+    def test_row_must_be_an_integer(self, row):
+        # one integer check, before indexing fails with IndexError or a reshape ValueError
+        A, x_true = random_instance(3, 4)
+        with pytest.raises(UsageError, match="integer"):
+            kaczmarz_step(initial_state(A, x_true), row)
+
+    def test_numpy_integer_row_passes(self):
+        A, x_true = random_instance(3, 4)
+        state = initial_state(A, x_true)
+        assert np.array_equal(kaczmarz_step(state, np.int64(2)).x, kaczmarz_step(state, 2).x)
+
 
 class TestRunCosolve:
     def test_kacz_only_keeps_matrix_frozen(self):

@@ -51,6 +51,15 @@ class TestSpecValidation:
         with pytest.raises(UsageError):
             GeneratorSpec(PRESCRIBED, n=3, seed=1, sigma=(1.0, 0.5))
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, True, "4"])
+    def test_dimension_must_be_an_integer(self, n):
+        with pytest.raises(UsageError, match="dimension"):
+            GeneratorSpec(GAUSSIAN, n=n, seed=1)
+
+    def test_numpy_integer_dimension_passes(self):
+        A, _ = generate(GeneratorSpec(GAUSSIAN, n=np.int64(4), seed=1))
+        assert np.array_equal(A.array, generate(GeneratorSpec(GAUSSIAN, n=4, seed=1))[0].array)
+
     def test_eta_range(self):
         with pytest.raises(UsageError, match="eta"):
             GeneratorSpec(NEAR_SINGULAR, n=4, seed=1, eta=1.5)

@@ -2,11 +2,11 @@
 
 The kernel updates two inverse rows per step; above the 1e8 condition
 estimate it keeps the distances and reads d_i and d_j off one R-only QR.
-On the projection path it recomputes in full every INVERSE_REFRESH_STEPS
-steps and when the condition estimate falls below 1/n of its value at the
-last full recompute; on the inverse path only at a multiple of
+On either path it recomputes in full at a multiple of
 INVERSE_REFRESH_STEPS where its running bound on rounding, at its rate so
-far, would reach the slack by the next multiple.
+far, would reach the slack by the next multiple, and when the condition
+estimate crosses 1e8; on the projection path also when the estimate falls
+below 1/n of its value at the last full recompute.
 The proportional and greedy samplers keep the weights |G|^2 of the Gram
 matrix G by column. These properties check the kept values at every step,
 refresh points included.
@@ -25,6 +25,7 @@ from pairorth import (
     generate,
     leave_one_out_distances,
     make_rng,
+    potential_phi,
     run_chain,
     sample_pair,
 )
@@ -47,6 +48,7 @@ from pairorth.process import (
     UNIFORM,
     _ChainStack,
     _draw_pair,
+    _uniform_pairs,
     _weights,
 )
 
@@ -96,7 +98,8 @@ class _ChainState:
 def _step(state: _ChainState, rng: np.random.Generator):
     """One step of the chain, its pair drawn as run_chain draws it; returns
     ((i, j),). A degenerate pair raises before the chain is touched."""
-    (i, j), _ = _draw_pair(state.arr.shape[0], state.kind, rng, state.stack.rows[0][-1])
+    w = None if state.stack.w is None else state.stack.w[0]
+    (i, j), _ = _draw_pair(state.arr.shape[0], state.kind, rng, w)
     state.stack.orth(0, i, j)
     return ((i, j),)
 
@@ -125,18 +128,22 @@ def _check_distances(state: _ChainState, A: ColumnMatrix, method: str = AUTO) ->
 
 
 def _refresh_rule_held(state: _ChainState) -> bool:
-    """After a step: a projection-path chain is fewer than
-    INVERSE_REFRESH_STEPS steps past its last full recompute; an
-    inverse-path chain that stands at a multiple of them did not refresh
-    there only because its running bound B = eps sum_t est_t, at its rate so
-    far, stays below the slack n max(1e-8, n eps est) up to the next one."""
+    """After a step that did not refresh: a projection-path chain's
+    condition estimate est has not fallen below est0 / n, and a chain of
+    either path that stands at a multiple of INVERSE_REFRESH_STEPS did not
+    refresh there only because its running bound B = eps sum_t est_t, at
+    its rate so far, stays below the slack n max(1e-8, n eps est) up to the
+    next one. est is read off the kept inverse rows, or on the projection
+    path off the kept distances, as the kernel reads it."""
     stack, K = state.stack, tol.INVERSE_REFRESH_STEPS
     since, n = int(stack.since[0]), state.d.size
-    if not stack.on_inv[0]:
-        return since < K
-    if since == 0 or since % K:
+    if since == 0:
         return True
-    est = np.sqrt(n * stack.row_sq[0].sum())
+    est = np.sqrt(n * (stack.row_sq[0] if stack.on_inv[0] else 1.0 / (state.d * state.d)).sum())
+    if not stack.on_inv[0] and n * est < stack.est0[0]:
+        return False
+    if since % K:
+        return True
     slack = n * max(tol.DISTANCE_METHOD_REL, n * EPS * est)
     return EPS * stack.est_sum[0] * (since + K) / since < slack
 
@@ -165,7 +172,7 @@ def test_kept_distances_match_full_recompute_and_oracle(A, sampler, seed):
             # a planted near-parallel pair aborts a chain; the state is untouched
             break
         _check_distances(state, _wrap(state, A.field))
-        # the projection path refreshes every K steps; the inverse path only where its bound comes due
+        # either path refreshes at a multiple of K only where its bound comes due
         assert _refresh_rule_held(state)
 
 
@@ -253,6 +260,58 @@ def test_projection_path_keeps_distances(field, n, eta, seed):
     assert state.fallbacks > 0
 
 
+def _checkpoints(stack: _ChainStack) -> list[tuple[int, bool]]:
+    """Record (since, due) of each _comes_due the stack's scalar step asks."""
+    calls, comes_due = [], stack._comes_due
+
+    def spy(rs, est):
+        due = bool(comes_due(rs, est))
+        calls.append((int(stack.since[rs]), due))
+        return due
+
+    stack._comes_due = spy
+    return calls
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_projection_path_refreshes_when_its_bound_comes_due(field):
+    # a planted distance of 1e-10 at n = 32 keeps the chain on the projection
+    # path. With a steady estimate B = eps sum_t est_t reaches the slack
+    # n^2 eps est about n^2 - K steps after a recompute, so the chain passes
+    # its checkpoints where a fixed interval refreshed 15 times in 1,000
+    # steps; at each checkpoint and at the end the kept phi stays within the
+    # slack of PROJECTION and under B
+    A = _near_singular(32, 1e-10, field)
+    stack = _ChainStack(A, 1)
+    calls = _checkpoints(stack)
+    steps, K = 1000, tol.INVERSE_REFRESH_STEPS
+    for t, (i, j) in enumerate(_uniform_pairs(A.n, make_rng(1), steps).tolist(), start=1):
+        stack.orth(0, i, j)
+        if (t % K and t != steps) or stack.since[0] == 0:
+            continue
+        now = stack.matrix(0)
+        gap = abs(stack.phi[0] - potential_phi(now, PROJECTION))
+        assert gap <= A.n * _slack(now)
+        assert gap < EPS * stack.est_sum[0]
+    assert stack.fallbacks[0] == steps and stack.refreshes[0] <= 2
+    assert calls[0] == (K, False)
+    assert stack.counters(0).worst_drift_bound > 0.0
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_projection_path_bound_comes_due_at_small_n(field):
+    # at n = 8 the slack n^2 eps est is n^2 = K steps of a steady estimate:
+    # the bound comes due at the first checkpoint, the only refresh there
+    A = _near_singular(8, 1e-10, field)
+    stack = _ChainStack(A, 1)
+    calls = _checkpoints(stack)
+    K = tol.INVERSE_REFRESH_STEPS
+    for i, j in _uniform_pairs(A.n, make_rng(1), K).tolist():
+        stack.orth(0, i, j)
+    assert calls == [(K, True)]
+    assert stack.refreshes[0] == 1 and stack.fallbacks[0] == K
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
 @pytest.mark.parametrize("eta", [1e-10, 1e-12])
@@ -293,7 +352,7 @@ def test_kept_weights_are_the_kept_gram_squared(kind, eta, field, count):
     pairs, inner_abs = np.empty((count, 2), dtype=np.intp), np.empty(count)
     for _ in range(100):
         for r, rng in enumerate(rngs):
-            pairs[r], _ = _draw_pair(A.n, PROPORTIONAL, rng, stack.rows[r][-1])
+            pairs[r], _ = _draw_pair(A.n, PROPORTIONAL, rng, stack.w[r])
         stack.step(pairs, inner_abs)
         for r in range(count):
             arr = stack.cols[r].T

@@ -18,7 +18,7 @@ from pairorth import (
 )
 from pairorth import tolerances as tol
 from pairorth.generators import GeneratorSpec
-from pairorth.matrix import _orth_column
+from pairorth.matrix import _orth_column, validate_pair
 
 SQ3 = np.sqrt(3.0)
 
@@ -130,6 +130,21 @@ class TestOrthStep:
             orth_step(A, (0, 0))
         with pytest.raises(UsageError):
             orth_step(A, (0, 2))
+
+    @pytest.mark.parametrize("pair", [(1.7, 2), (1.0, 2), (True, 2), (1, np.float64(2.0)), ("1", 2)])
+    def test_pair_indices_must_be_integers(self, pair):
+        # int() would truncate 1.7 and read True as 1, replacing column 1
+        A = random_state(4, "real", 0)
+        with pytest.raises(UsageError, match="integers"):
+            validate_pair(4, pair)
+        with pytest.raises(UsageError, match="integers"):
+            orth_step(A, pair)
+
+    def test_numpy_integer_pairs_pass(self):
+        A = random_state(4, "complex", 1)
+        pair = (np.int64(1), np.uint8(2))
+        assert validate_pair(4, pair) == (1, 2) and type(validate_pair(4, pair)[0]) is int
+        assert np.array_equal(orth_step(A, pair).array, orth_step(A, (1, 2)).array)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_step_contract_on_random_states(self, field):

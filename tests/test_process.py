@@ -1006,6 +1006,22 @@ class TestSeedDerivation:
             make_rng(-1)
         with pytest.raises(UsageError):
             derive_replicate_seed(2**64, 0)
+        with pytest.raises(UsageError, match="replicate index"):
+            derive_replicate_seed(1, -1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(1.0), "1"])
+    def test_seeds_and_replicate_indices_must_be_integers(self, seed):
+        # int() would read 1.5 and True as 1: a silent alias of another seed
+        with pytest.raises(UsageError, match="seed"):
+            make_rng(seed)
+        with pytest.raises(UsageError, match="seed"):
+            derive_replicate_seed(seed, 1)
+        with pytest.raises(UsageError, match="replicate index"):
+            derive_replicate_seed(1, seed)
+
+    def test_numpy_integer_seeds_pass(self):
+        assert derive_replicate_seed(np.uint64(7), np.int32(3)) == derive_replicate_seed(7, 3)
+        assert make_rng(np.uint64(2**64 - 1)).integers(2**62) == make_rng(2**64 - 1).integers(2**62)
 
     def test_deterministic(self):
         assert derive_replicate_seed(42, 3) == derive_replicate_seed(42, 3)

@@ -110,8 +110,8 @@ def _cases() -> dict[str, list[str]]:
         "--steps", "200", "--stride", "20", "--replicates", "1", "--seed", "3", *EMIT,
     ]
     # planted distance 1e-12 at n = 6: all 200 steps on the projection path,
-    # where kappa falls by more than a factor n between interval refreshes:
-    # 5 of its 6 refreshes come at a fall, where the interval alone gives 3
+    # where kappa falls by more than a factor n between checkpoints: 5 of
+    # its 6 refreshes come at a fall, where the checkpoints alone give 3
     cases["run-projection-path-falls-n6"] = [
         "run", "--gen", "near_singular", "--n", "6", "--eta", "1e-12",
         "--steps", "200", "--stride", "20", "--replicates", "1", "--seed", "15", *EMIT,

@@ -39,7 +39,7 @@ def _instance(pairorth, n, eta, field, sampler, seed):
     worst = None
     for t in range(tol.INVERSE_REFRESH_STEPS + 7):
         if t:
-            (i, j), _ = _draw_pair(n, sampler, rng, stack.rows[0][-1])
+            (i, j), _ = _draw_pair(n, sampler, rng, None if stack.w is None else stack.w[0])
             try:
                 stack.orth(0, i, j)
             except DegeneratePairError:
