@@ -132,7 +132,10 @@ def _integer(value) -> bool:
 
 
 def validate_pair(n: int, pair: PairIndex) -> PairIndex:
-    i, j = pair
+    try:
+        i, j = pair
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise UsageError(f"a pair must be two indices, got {pair!r}") from None
     if not (_integer(i) and _integer(j)):
         raise UsageError(f"pair indices must be integers, got {pair!r}")
     i, j = int(i), int(j)

@@ -19,6 +19,10 @@ Its step updates the chains on the inverse path as one vectorized step
 when enough of them are (through a slice when they are all the chains),
 with the scalar code's reductions row by row, and runs the scalar code
 on each other chain's row, so every chain gets the same bits either way.
+A uniform stack too small for that (every run_chain) applies each stretch
+to a grid point or checkpoint by dependency level: steps on disjoint
+pairs touch disjoint data, so a level is one vectorized update with the
+same bits (README, "Steps by level"); other stretches step one by one.
 A chain refreshes when a running bound on its rounding comes due, tested
 every INVERSE_REFRESH_STEPS steps on either path, or when its condition
 estimate crosses 1e8 or, on the projection path, falls by a factor n; the
@@ -403,39 +407,24 @@ class _ChainStack:
         return (slice(None) if a.size == self.count else a), scalar
 
     def _step_inverse(self, a, pairs, inner_abs) -> None:
-        # orth for the chains a, all on the inverse path, row by row: np.vecdot(x, y)
-        # gives the bits of np.vdot(x, y), and sqrt(_sq_norms) those of matrix._norm.
-        # The per-chain arrays take a (views for a slice), the gathers by i and j rows
-        cols, inv, rows = self.cols, self.inv, self._all[a]
-        i, j = pairs[a, 0], pairs[a, 1]
-        a_i, a_j = cols[rows, i], cols[rows, j]
-        c = np.vecdot(a_j, a_i)
-        w = a_i - c[:, None] * a_j
-        c2 = np.vecdot(a_j, w)
-        w -= c2[:, None] * a_j
-        nu = np.sqrt(_sq_norms(w))
-        # abs() of a complex scalar is hypot; np.abs of an array may differ
-        # from it in the last bit
-        c_abs = np.abs(c) if self.field == REAL else np.hypot(c.real, c.imag)
-        ok = (c_abs < 1.0 - tol.DEGENERATE_PAIR_GUARD) & (nu > 0.0) & np.isfinite(nu)
-        if not ok.all():
+        # orth for the chains a, all on the inverse path, one slot each. The
+        # per-chain arrays take a (views for a slice), the gathers by i and j rows
+        rows, ij = self._all[a], pairs[a].T
+        c_abs, ok, sq = self._orth_slots(rows, ij)
+        if sq is None:
             for k in np.flatnonzero(~ok):
-                self._retire(rows[k], DegeneratePairError((int(i[k]), int(j[k])), c_abs[k]))
+                self._retire(rows[k], DegeneratePairError(tuple(ij[:, k].tolist()), c_abs[k]))
             a = rows = rows[ok]
-            i, j, c, c2, w, nu, c_abs = (x[ok] for x in (i, j, c, c2, w, nu, c_abs))
-        cols[rows, i] = w / nu[:, None]
+            ij = ij[:, ok]
+            c_abs, _, sq = self._orth_slots(rows, ij)
+        self.row_sq[rows, ij] = sq
         if self.w is not None:
             # orth's row and column i of each chain's weights, from one batched product
-            row_w = np.abs(cols[rows, i][:, None, :].conj() @ cols[a].mT)[:, 0]
+            i = ij[0]
+            row_w = np.abs(self.cols[rows, i][:, None, :].conj() @ self.cols[a].mT)[:, 0]
             row_w *= row_w
             row_w[self._all[:rows.size], i] = 0.0
             self.w[rows, i] = self.w[rows, :, i] = row_w
-        inv_i, inv_j = inv[rows, i], inv[rows, j]
-        inv_j += (c + c2)[:, None] * inv_i
-        inv_i *= nu[:, None]
-        inv[rows, i], inv[rows, j] = inv_i, inv_j
-        for k, inv_k in ((i, inv_i), (j, inv_j)):
-            self.row_sq[rows, k] = np.vecdot(inv_k, inv_k).real
         # on the inverse path d = min(1 / sqrt(row_sq), 1) bit for bit, since
         # _recompute sets row_sq = row_norms^2 and sqrt(fl(x * x)) = |x|
         row_sq = self.row_sq[a]
@@ -445,17 +434,104 @@ class _ChainStack:
         self.est_sum[a] += est
         self.since[a] += 1
         inner_abs[a] = c_abs
-        # _settle's rule, with the chains it refreshes as one stack; _comes_due
-        # only at the stack's checkpoint, after which step re-derives the next
-        due = ~(est <= tol.DISTANCE_FALLBACK_KAPPA)
+        # _comes_due only at the stack's checkpoint, after which step re-derives the next
         self._until -= 1
         if not self._until:
-            due |= self._comes_due(a, est)
             self._plan = None
+        self._close(a, est, not self._until)
+
+    def _orth_slots(self, rows, ij):
+        """orth on inverse-path chain rows[k] with pair ij[:, k], for disjoint slots k:
+        np.vecdot(x, y) gives the bits of np.vdot(x, y), sqrt(_sq_norms) those of _norm.
+        Returns |c|, ok (False: a degenerate pair) and the new row_sq[i] and [j], or
+        None, with nothing written, if any ok is False."""
+        a = self.cols[rows, ij]
+        a_i, a_j = a  # a_i becomes w, then the new column
+        c = np.vecdot(a_j, a_i)
+        a_i -= c[:, None] * a_j
+        c2 = np.vecdot(a_j, a_i)
+        a_i -= c2[:, None] * a_j
+        nu = np.sqrt(_sq_norms(a_i))
+        # abs() of a complex scalar is hypot; np.abs of an array may differ
+        # from it in the last bit
+        c_abs = np.abs(c) if self.field == REAL else np.hypot(c.real, c.imag)
+        ok = (c_abs < 1.0 - tol.DEGENERATE_PAIR_GUARD) & (nu > 0.0) & np.isfinite(nu)
+        if not ok.all():
+            return c_abs, ok, None
+        a_i /= nu[:, None]
+        self.cols[rows, ij] = a
+        v = self.inv[rows, ij]
+        v[1] += (c + c2)[:, None] * v[0]
+        v[0] *= nu[:, None]
+        self.inv[rows, ij] = v
+        return c_abs, ok, np.vecdot(v, v).real
+
+    def _close(self, a, est, at: bool) -> None:
+        # _settle's rule for inverse-path chains a after a step, as one stack: a crossing
+        # or NaN estimate refreshes, and at a checkpoint a bound come due
+        due = ~(est <= tol.DISTANCE_FALLBACK_KAPPA)
+        if at:
+            due |= self._comes_due(a, est)
         if due.any():
-            due = rows[due]
+            due = self._all[a][due]
             self._refresh(due)
             self.fallbacks[due] += ~self.on_inv[due]
+
+    def levels(self, pairs, inner_abs, phi) -> bool:
+        """Step the live chains, all on the inverse path, through pairs (a row
+        each) by level, writing each step's |c| and phi. Step s of chain r gets
+        1 + the level of r's last earlier step on its i or j, so one
+        _orth_slots gives a level's disjoint steps orth's bits; then row_sq, d,
+        phi and est are read off per step, est_sum by a sequential cumsum.
+        False, with every chain as it was, where a chain averages fewer than
+        STACK_MIN_REPLICATES steps a level, or a pair is degenerate or an
+        estimate above 1e8 or NaN."""
+        live, (n, m) = self._all[self.live], (self.n, pairs.shape[1])
+        if not live.size:
+            return False
+        levels = {}
+        for r in live.tolist():
+            if np.bincount(pairs[r].ravel()).max() * STACK_MIN_REPLICATES > m:
+                return False  # a column's steps take distinct levels
+            last = [0] * n
+            for s, (i, j) in enumerate(pairs[r].tolist()):
+                last[i] = last[j] = k = max(last[i], last[j]) + 1
+                if k * STACK_MIN_REPLICATES > m:
+                    return False
+                levels.setdefault(k, []).append((r, s, i, j))
+        saved = self.cols.copy(), self.inv.copy()
+        sq = np.empty((self.count, m, 2))  # the row_sq[i] and row_sq[j] each step writes
+        for slots in map(np.array, levels.values()):
+            rows, s = slots[:, 0], slots[:, 1]
+            c_abs, _, new = self._orth_slots(rows, slots[:, 2:].T)
+            if new is None:
+                break
+            inner_abs[rows, s], sq[rows, s] = c_abs, new.T
+        else:
+            # row_sq and log d after each step, keyed (chain, column, step): each
+            # column's start value and each write, repeated up to the next key.
+            # The per-chain arrays take rs, views while every chain is live
+            R, span, rs = live.size, m + 1, slice(None) if live.size == self.count else live
+            keys = np.concatenate((np.arange(0, R * n * span, span), (
+                (pairs[rs] + n * np.arange(R)[:, None, None]) * span + np.arange(1, span)[:, None]
+            ).ravel(), [R * n * span]))
+            order = np.argsort(keys)
+            vals = np.concatenate((self.row_sq[rs].ravel(), sq[rs].ravel()))[order[:-1]]
+            vals = np.stack((vals, np.log(np.minimum(1.0 / np.sqrt(vals), 1.0))))
+            row_sq, log_d = np.repeat(vals, np.diff(keys[order]), axis=1).reshape(
+                2, R, n, span)[..., 1:].swapaxes(2, 3).copy()
+            est = np.sqrt(n * np.add.reduce(row_sq, axis=-1))
+            if (est <= tol.DISTANCE_FALLBACK_KAPPA).all():
+                phi[rs] = -np.add.reduce(log_d, axis=-1) + 0.0
+                self.row_sq[rs], self.phi[rs] = row_sq[:, -1], phi[rs, -1]
+                self.d[rs] = np.minimum(1.0 / np.sqrt(row_sq[:, -1]), 1.0)
+                self.est_sum[rs] = np.hstack((self.est_sum[rs, None], est)).cumsum(axis=1)[:, -1]
+                self.since[rs] += m
+                self._close(rs, est[:, -1], True)
+                phi[rs, -1] = self.phi[rs]  # a refresh's phi, if any
+                return True
+        self.cols[:], self.inv[:] = saved
+        return False
 
 
 @dataclass
@@ -538,7 +614,6 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     step of each retired chain; _chain_result reads one chain off them."""
     if kind not in SAMPLER_KINDS:
         raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
-    on_grid = {t: k for k, t in enumerate(grid)}
     n, count = A0.n, len(seeds)
     rng = make_rng(seeds[0])
     pairs = np.empty((count, steps, 2), dtype=np.intp)
@@ -573,21 +648,31 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     record(slice(0, 1), 0, condition_number(A0)[1][None])
     records[:, 1:, 0] = records[:, :1, 0]
     aborted_at: dict[int, int] = {}
-    for t in range(1, steps + 1):
-        if kind != UNIFORM:
-            for r in range(count):
-                if not stack.live[r]:
+    # a uniform stack too small for the vectorized step, with every chain on the inverse
+    # path, tries each stretch to a grid point or a live chain's checkpoint by level,
+    # where a level (at most n // 2 pairs) and a stretch (at most grid[1] steps) can
+    # hold STACK_MIN_REPLICATES steps; otherwise it steps to the grid point as below
+    by_level = kind == UNIFORM and count < STACK_MIN_REPLICATES <= min([n // 2] + grid[1:2])
+    K, t = tol.INVERSE_REFRESH_STEPS, 0
+    for k, t1 in enumerate(grid[1:], 1):
+        while t < t1:
+            end = t1
+            if by_level and stack.on_inv.all():
+                end = min(t1, t + K - int((stack.since[stack.live] % K).max(initial=0)))
+                if stack.levels(pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1]):
+                    t = end
                     continue
-                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
-                stack.uniform_fallbacks[r] += fell_back
-        stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
-        phi[:, t] = stack.phi
-        if len(stack.aborts) > len(aborted_at):
-            for r in stack.aborts:
-                aborted_at.setdefault(r, t)
-        if t in on_grid:
-            # a slice while all are live: a stack of one records a view, not a copy
-            record(slice(None) if stack.live.all() else np.flatnonzero(stack.live), on_grid[t])
+            for t in range(t + 1, end + 1):
+                for r in np.flatnonzero(stack.live).tolist() if kind != UNIFORM else ():
+                    pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
+                    stack.uniform_fallbacks[r] += fell_back
+                stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
+                phi[:, t] = stack.phi
+                if len(stack.aborts) > len(aborted_at):
+                    for r in stack.aborts:
+                        aborted_at.setdefault(r, t)
+        # a slice while all are live: a stack of one records a view, not a copy
+        record(slice(None) if stack.live.all() else np.flatnonzero(stack.live), k)
     return phi, pairs, inner_abs, records, aborted_at, stack
 
 

@@ -13,8 +13,11 @@ from pairorth import (
     build_unit_column_matrix,
     generate,
     gram_offdiag_fro,
+    initial_state,
     inner,
     orth_step,
+    orth_with_rhs,
+    verify_lemma3,
 )
 from pairorth import tolerances as tol
 from pairorth.generators import GeneratorSpec
@@ -139,6 +142,17 @@ class TestOrthStep:
             validate_pair(4, pair)
         with pytest.raises(UsageError, match="integers"):
             orth_step(A, pair)
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), 3, None])
+    def test_pair_must_be_two_indices(self, pair):
+        # unpacking would raise a bare ValueError or TypeError
+        A = random_state(4, "real", 0)
+        calls = (lambda: validate_pair(4, pair), lambda: orth_step(A, pair),
+                 lambda: orth_with_rhs(initial_state(A, np.ones(4)), pair),
+                 lambda: verify_lemma3(A, pair))
+        for call in calls:
+            with pytest.raises(UsageError, match="two indices"):
+                call()
 
     def test_numpy_integer_pairs_pass(self):
         A = random_state(4, "complex", 1)

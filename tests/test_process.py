@@ -942,6 +942,139 @@ class TestStackCheckpoint:
         assert selectors == [True] * 2 + [False] * 148
 
 
+def chain_or_abort(A, steps, seed, stride):
+    """run_chain's trajectory, or the ChainAbortError it raises."""
+    try:
+        return run_chain(A, steps, UNIFORM, seed, stride)
+    except ChainAbortError as exc:
+        return exc
+
+
+class TestLevelPath:
+    """A uniform stack of fewer than STACK_MIN_REPLICATES chains steps each
+    stretch up to a grid point or a checkpoint by dependency level where
+    that pays; every step must get the bits orth gives it step by step, with
+    orth's refreshes, crossings and aborts."""
+
+    @staticmethod
+    def by_level_and_by_step(A, steps, seed, stride, monkeypatch):
+        """run_chain by level, and with every stretch declined by levels, so
+        through orth step by step; with (steps, result, refreshes) of each
+        levels call of the first run."""
+        levels, calls = process._ChainStack.levels, []
+
+        def spy(self, pairs, *args):
+            before = int(self.refreshes[0])
+            calls.append((pairs.shape[1], levels(self, pairs, *args), self.refreshes[0] - before))
+            return calls[-1][1]
+
+        monkeypatch.setattr(process._ChainStack, "levels", spy)
+        by_level = chain_or_abort(A, steps, seed, stride)
+        monkeypatch.setattr(process._ChainStack, "levels", lambda *args: False)
+        return by_level, chain_or_abort(A, steps, seed, stride), calls
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [4, 8, 32, 128])
+    def test_bit_identical_to_step_by_step(self, n, field, monkeypatch):
+        # stride 50: the stretches end at the grid points 50, 100, 150 and 200
+        # and at the checkpoints 64, 128 and 192
+        by_level, by_step, calls = self.by_level_and_by_step(
+            random_state(n, n, field), 200, 3, 50, monkeypatch)
+        assert_same_trajectory(by_level, by_step)
+        taken = [steps for steps, ok, _ in calls if ok]
+        if n == 4:
+            assert calls == []  # a level holds at most 2 pairs
+        elif n == 8:
+            assert calls and taken == []  # fewer than 4 steps a level
+        elif n == 128:
+            assert taken == [50, 14, 36, 28, 22, 42, 8]
+        else:
+            assert taken
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_refresh_at_a_checkpoint(self, field, monkeypatch):
+        # planted distance 1e-6, condition estimate ~1e7: the running bound
+        # comes due at a checkpoint after about n^2 steps, which ends a
+        # stretch taken by level
+        A = near_singular_state(32, 0, field, 1e-6)
+        by_level, by_step, calls = self.by_level_and_by_step(A, 1100, 1, 550, monkeypatch)
+        assert_same_trajectory(by_level, by_step)
+        assert by_level.kernel.inverse_refreshes == 1 and by_level.kernel.projection_fallbacks == 0
+        assert [(steps, ok) for steps, ok, refreshed in calls if refreshed] == [(64, True)]
+
+    def test_crossing_replays_the_stretch(self, monkeypatch):
+        # the start's estimate is just below the 1e8 crossing, and a step of
+        # the first stretch takes it above: the stretch replays through orth,
+        # which refreshes onto the projection path
+        A = near_singular_state(32, 0, "real", 2.4e-7)
+        est0 = math.sqrt(32 * (1.0 / leave_one_out_distances(A) ** 2).sum())
+        assert 0.9e8 < est0 <= tol.DISTANCE_FALLBACK_KAPPA
+        by_level, by_step, calls = self.by_level_and_by_step(A, 200, 8, 100, monkeypatch)
+        assert_same_trajectory(by_level, by_step)
+        assert calls[0][:2] == (64, False) and by_level.kernel.projection_fallbacks > 0
+
+    def test_degenerate_pair_replays_the_stretch(self, monkeypatch):
+        # columns 0 and 1 lie 1e-7 apart, as in the retirement test above, at
+        # n = 32: step 26 draws them, so its stretch replays and aborts there
+        rng = np.random.default_rng(1)
+        M = rng.standard_normal((32, 32))
+        M[:, 1] = M[:, 0] + 1e-7 * np.linalg.norm(M[:, 0]) * rng.standard_normal(32)
+        A = build_unit_column_matrix(M, normalize=True)
+        by_level, by_step, calls = self.by_level_and_by_step(A, 200, 14, 100, monkeypatch)
+        assert isinstance(by_level, ChainAbortError) and isinstance(by_step, ChainAbortError)
+        assert (by_level.step, by_level.pair, by_level.inner_abs) == (by_step.step, by_step.pair,
+                                                                      by_step.inner_abs)
+        assert by_level.step == 26 and calls[0] == (64, False, 0)
+        assert not any(ok for _, ok, _ in calls)
+        assert_same_trajectory(by_level.partial_trajectory, by_step.partial_trajectory)
+
+    @pytest.mark.parametrize("start,steps,stride", [
+        ("gaussian", 200, 50), ("near_singular", 1100, 550)])
+    def test_stack_of_three(self, start, steps, stride, monkeypatch):
+        # three replicates step as one stack, whose stretches end at the first
+        # checkpoint of a live chain; from the planted distance 1e-6 a chain's
+        # running bound comes due, after which the chains' checkpoints differ
+        A = random_state(32, 4, "complex") if start == "gaussian" else near_singular_state(
+            32, 0, "real", 1e-6)
+        levels, taken = process._ChainStack.levels, []
+        monkeypatch.setattr(process._ChainStack, "levels",
+                            lambda self, *args: taken.append(levels(self, *args)) or taken[-1])
+        stacked, error = ensemble_trajectories(A, steps, 3, 6, stride)
+        monkeypatch.setattr(process._ChainStack, "levels", lambda *args: False)
+        assert error is None and any(taken)
+        for r in range(3):
+            alone = run_chain(A, steps, UNIFORM, derive_replicate_seed(6, r), stride)
+            assert_same_trajectory(stacked[r], alone)
+        assert (start == "gaussian") == all(t.kernel.inverse_refreshes == 0 for t in stacked.values())
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_full_levels_at_n_8(self, field):
+        # 16 rounds of 4 disjoint pairs, each round one level: the only way a
+        # level holds STACK_MIN_REPLICATES steps at n = 8
+        A = random_state(8, 5, field)
+        rng = np.random.default_rng(2)
+        pairs = np.concatenate([rng.permutation(8).reshape(4, 2) for _ in range(16)])
+        by_level, by_step = process._ChainStack(A, 1), process._ChainStack(A, 1)
+        phi, inner_abs = np.empty((2, 64)), np.empty((2, 64))
+        assert by_level.levels(pairs[None], inner_abs[:1], phi[:1])
+        for s, (i, j) in enumerate(pairs.tolist()):
+            inner_abs[1, s] = abs(by_step.orth(0, i, j)[0])
+            phi[1, s] = by_step.phi[0]
+        assert np.array_equal(phi[0], phi[1]) and np.array_equal(inner_abs[0], inner_abs[1])
+        for name in ("cols", "inv", "row_sq", "d", "phi", "est_sum", "since"):
+            assert np.array_equal(getattr(by_level, name), getattr(by_step, name)), name
+        assert by_level.counters(0) == by_step.counters(0)
+
+    @pytest.mark.parametrize("n,stride", [(4, 50), (128, 1)])
+    def test_never_taken_where_it_cannot_pay(self, n, stride, monkeypatch):
+        # a level at n = 4 holds 2 pairs, a stretch at stride 1 one step:
+        # the chain steps through orth, as before the level path
+        calls = []
+        monkeypatch.setattr(process._ChainStack, "levels", lambda *args: calls.append(args))
+        run_chain(random_state(n, 1), 60, UNIFORM, 2, stride)
+        assert calls == []
+
+
 class TestRunEnsemble:
     def test_single_replicate_degenerates_to_chain(self):
         A = random_state(4, 31)

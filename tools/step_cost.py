@@ -25,8 +25,12 @@ calls, uniform, n = 8, in µs per replicate for R in {10, 50, 200}: seeds,
 generators, the stack's set-up, its t = 0 record and the summary, with no
 step. Above the tables it prints what the numbers depend on: nproc,
 Python, numpy, the BLAS and the threads it runs, and the package version.
-BLAS runs one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS say otherwise, as in perfbench.
+Before the first table and after the last it times perfbench's reference
+kernels (harness.reference_seconds, the median of REFERENCE_RUNS runs of
+each): raw µs move with the load of a shared machine, and a table read
+against the kernel seconds of its own session can be set beside a table
+of another session. BLAS runs one thread unless OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS say otherwise, as in perfbench.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ SAMPLERS = ("uniform", "proportional", "greedy")
 REPLICATES = 50
 ETA = 1e-10
 STACK_REPLICATES = (10, 50, 200)
+REFERENCE_RUNS = 5
 
 
 def _table(pairorth, repeats: int, steps_by_n: dict, kinds: tuple, replicates=None) -> None:
@@ -150,6 +155,16 @@ def _stack_table(pairorth, repeats: int) -> None:
         print(f"| {replicates} | " + " | ".join(cells) + " |")
 
 
+def _reference(when: str) -> None:
+    """Print the median seconds of each perfbench reference kernel."""
+    from harness import REFERENCE_KERNELS, reference_seconds
+
+    seconds = {kernel: statistics.median(reference_seconds(kernel) for _ in range(REFERENCE_RUNS))
+               for kernel in REFERENCE_KERNELS}
+    cells = [f"{kernel} {value:.4f} s" for kernel, value in seconds.items()]
+    print(f"reference kernels {when}, median of {REFERENCE_RUNS}: " + ", ".join(cells))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout")
@@ -165,7 +180,8 @@ def main() -> int:
     print(f"nproc {os.cpu_count()}, python {platform.python_version()}, numpy {np.__version__}, "
           f"{blas.get('name')} {blas.get('version')} on {blas_threads_in_use()} thread(s), "
           f"pairorth {pairorth.__version__} from {root}")
-    print(f"median of {args.repeats} run_chain calls, µs/step")
+    _reference("before")
+    print(f"\nmedian of {args.repeats} run_chain calls, µs/step")
     _table(pairorth, args.repeats, STEPS, KINDS)
     print(f"\nmedian of {args.repeats} run_ensemble calls, R = {REPLICATES}, µs per chain-step")
     _table(pairorth, args.repeats, ENSEMBLE_STEPS, SAMPLERS, REPLICATES)
@@ -177,6 +193,8 @@ def main() -> int:
     print(f"\nmedian of {args.repeats} 0-step run_ensemble calls, n = 8, uniform, "
           "µs per replicate: the fixed cost of a stack")
     _stack_table(pairorth, args.repeats)
+    print()
+    _reference("after")
     return 0
 
 
