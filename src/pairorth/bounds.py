@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
+from .matrix import _count
 
 
 def inflection(n: int) -> float:
@@ -55,8 +56,7 @@ def f_map(x: float, n: int) -> float:
     """
     if not x >= 0:
         raise UsageError(f"potential must be >= 0, got {x}")
-    if not n >= 2:
-        raise UsageError(f"dimension must be >= 2, got {n}")
+    _count("dimension", n, 2)
     u = -math.expm1(-2.0 * x / n)  # 1 - exp(-2x/n), accurate near 0
     return x - u * u / (2.0 * (n - 1) ** 2)
 
@@ -77,8 +77,7 @@ def theorem7_bound(phi0: float, n: int, t) -> float:
         raise UsageError(f"phi0 must be >= 0, got {phi0}")
     if not t >= 0:
         raise UsageError(f"t must be >= 0, got {t}")
-    if not n >= 2:
-        raise UsageError(f"dimension must be >= 2, got {n}")
+    _count("dimension", n, 2)
     if phi0 < inflection(n):
         cn = c_n(n)
         return cn / (cn + phi0 * t) * phi0 if phi0 else 0.0
@@ -100,8 +99,7 @@ def kappa_bounds_from_phi(phi: float, n: int):
     """
     if not phi >= 0:
         raise UsageError(f"phi must be >= 0, got {phi}")
-    if not n >= 2:
-        raise UsageError(f"dimension must be >= 2, got {n}")
+    _count("dimension", n, 2)
     # exp overflows for arguments past ~709; the bound is honestly inf then
     lower = math.exp(phi / n) if phi / n < 709.0 else math.inf
     upper_loose = n * math.exp(phi) if phi < 709.0 else math.inf
@@ -118,10 +116,8 @@ def stopping_tail(phi0: float, n: int, c: int):
     """
     if not 0 < phi0 < math.inf:
         raise UsageError(f"phi0 must be > 0, got {phi0}")
-    if not (c >= 1 and c % 1 == 0):
-        raise UsageError(f"c must be a positive integer, got {c}")
-    if not n >= 2:
-        raise UsageError(f"dimension must be >= 2, got {n}")
+    _count("c", c, 1)
+    _count("dimension", n, 2)
     mu = 16.0 * (n - 1) ** 2 * phi0
     if not c * mu < math.inf:
         raise DomainError(f"step count c * 16 (n-1)^2 phi0 = {c * mu} is not finite")
@@ -136,8 +132,7 @@ def prop_a0_bound(phi0: float, n: int, t) -> float:
     stated for phi0 >= inflection(n) and t <= n^2 phi0; violating either
     precondition raises DomainError naming it.
     """
-    if not n >= 2:
-        raise UsageError(f"dimension must be >= 2, got {n}")
+    _count("dimension", n, 2)
     if not phi0 >= inflection(n):
         raise DomainError(
             f"initial potential {phi0} is below the threshold "
@@ -162,8 +157,7 @@ def theorem1_steps(phi0: float, n: int, target: ConvergenceTarget) -> int:
     """
     if not 0 < phi0 < math.inf:
         raise UsageError(f"phi0 must be > 0, got {phi0}")
-    if not n >= 2:
-        raise UsageError(f"dimension must be >= 2, got {n}")
+    _count("dimension", n, 2)
     if not target.within_stated_regime:
         warnings.warn(
             f"targets eps={target.eps}, delta={target.delta} are outside the "

@@ -18,7 +18,7 @@ from . import tolerances as tol
 from .bounds import f_map, kappa_bounds_from_phi, stopping_tail
 from .errors import PairOrthError, UsageError
 from .generators import GAUSSIAN, NEAR_SINGULAR, GeneratorSpec, generate
-from .matrix import COMPLEX, REAL
+from .matrix import COMPLEX, REAL, _count
 from .metrics import (
     INVERSE_ROWS,
     PROJECTION,
@@ -26,7 +26,7 @@ from .metrics import (
     leave_one_out_distances,
 )
 from .oracle import exact_one_step_expectation, verify_lemma3
-from .process import UNIFORM, _count, derive_replicate_seed, make_rng, run_ensemble
+from .process import UNIFORM, derive_replicate_seed, make_rng, run_ensemble
 
 
 @dataclass

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .matrix import ColumnMatrix, PairIndex, _integer, _norm, _orth_column, validate_pair
-from .process import KernelStats, _ChainStack, _count, _replicate_seeds, _uniform_pairs, make_rng
+from .matrix import ColumnMatrix, PairIndex, _count, _integer, _norm, _orth_column, validate_pair
+from .process import KernelStats, _ChainStack, _replicate_seeds, _uniform_pairs, make_rng
 
 ORTH = "orth"
 KACZ = "kacz"
@@ -122,10 +122,13 @@ def run_cosolve(
     Returns the per-operation history and the final state.
     """
     steps = _count("steps", steps, 0)
-    counts = [_count("interleave count", k, 0) for k in interleave]
-    if len(counts) != 2 or counts == [0, 0]:
+    try:
+        p, q = interleave
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise UsageError(f"interleave ratio must be two counts, got {interleave!r}") from None
+    p, q = _count("interleave count", p, 0), _count("interleave count", q, 0)
+    if p == q == 0:
         raise UsageError(f"interleave ratio must be two counts, not 0:0, got {interleave!r}")
-    p, q = counts
     state = initial_state(A0, x_true)
     rng_pairs, rng_rows = map(make_rng, _replicate_seeds(seed, np.arange(2, dtype=np.uint64)))
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ConstructionError, UsageError
-from .matrix import COMPLEX, REAL, ColumnMatrix, inner
+from .matrix import COMPLEX, REAL, ColumnMatrix, _count, inner
 from .metrics import MetricsSnapshot, snapshot
-from .process import _count, make_rng
+from .process import make_rng
 
 HAAR = "haar_orthonormal"
 GAUSSIAN = "gaussian_normalized"

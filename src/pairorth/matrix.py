@@ -131,6 +131,13 @@ def _integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int; UsageError unless it is an integer >= least."""
+    if not _integer(value) or value < least:
+        raise UsageError(f"{name} must be >= {least} and an integer, got {value!r}")
+    return int(value)
+
+
 def validate_pair(n: int, pair: PairIndex) -> PairIndex:
     try:
         i, j = pair

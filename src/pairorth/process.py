@@ -54,8 +54,8 @@ import numpy as np
 from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
 from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
-from .matrix import (REAL, ColumnMatrix, PairIndex, _gram_offdiag_fro, _integer, _orth_column,
-                     _sq_norms)
+from .matrix import (REAL, ColumnMatrix, PairIndex, _count, _gram_offdiag_fro, _integer,
+                     _orth_column, _sq_norms)
 from .metrics import (_distances_full, _pair_distances, _phi_from_distances, _start_distances,
                       condition_number)
 
@@ -245,8 +245,9 @@ class _ChainStack:
     step; since[r] counts the steps since the last full recompute, est0[r] is
     the condition estimate sqrt(n sum_k 1 / d_k^2) there and est_sum[r] sums
     it over the steps since; refreshes, fallbacks, worst_drift,
-    uniform_fallbacks and worst_bound make counters(r). A degenerate pair
-    clears live[r] and keeps its DegeneratePairError in aborts[r], with chain r untouched.
+    uniform_fallbacks and worst_bound make counters(r). t counts the stack's
+    steps; a degenerate pair clears live[r] and keeps (t, its
+    DegeneratePairError) in aborts[r], with chain r untouched.
     _plan is step's _split, None once a chain refreshes, crosses or retires;
     rows[r] is chain r's _views, None until its first scalar step.
     """
@@ -264,8 +265,8 @@ class _ChainStack:
         self.w = None if kind == UNIFORM else np.empty((count, n, n))
         self.refreshes, self.fallbacks, self.uniform_fallbacks = np.zeros((3, count), dtype=np.intp)
         self.worst_drift, self.worst_bound, self.est_sum = np.zeros((3, count))
-        self.live = np.ones(count, dtype=bool)
-        self.aborts: dict[int, DegeneratePairError] = {}
+        self.live, self.t = np.ones(count, dtype=bool), 0
+        self.aborts: dict[int, tuple[int, DegeneratePairError]] = {}
         self._all = np.arange(count)
         self.rows = [None] * count
         # every chain starts from A0: its kept distances, and one Gram, to all
@@ -310,7 +311,7 @@ class _ChainStack:
 
     def _retire(self, r: int, exc: DegeneratePairError) -> None:
         self.live[r] = False
-        self.aborts[r] = exc
+        self.aborts[r] = self.t, exc
         self._plan = None
 
     def orth(self, r: int, i: int, j: int):
@@ -379,6 +380,7 @@ class _ChainStack:
         those take one vectorized step, whatever the sampler; every other live
         chain runs orth on its own row.
         """
+        self.t += 1
         if self._plan is None:
             self._plan = self._split()
         vectorized, scalar = self._plan
@@ -487,8 +489,6 @@ class _ChainStack:
         STACK_MIN_REPLICATES steps a level, or a pair is degenerate or an
         estimate above 1e8 or NaN."""
         live, (n, m) = self._all[self.live], (self.n, pairs.shape[1])
-        if not live.size:
-            return False
         levels = {}
         for r in live.tolist():
             if np.bincount(pairs[r].ravel()).max() * STACK_MIN_REPLICATES > m:
@@ -527,6 +527,7 @@ class _ChainStack:
                 self.d[rs] = np.minimum(1.0 / np.sqrt(row_sq[:, -1]), 1.0)
                 self.est_sum[rs] = np.hstack((self.est_sum[rs, None], est)).cumsum(axis=1)[:, -1]
                 self.since[rs] += m
+                self.t += m
                 self._close(rs, est[:, -1], True)
                 phi[rs, -1] = self.phi[rs]  # a refresh's phi, if any
                 return True
@@ -590,13 +591,6 @@ def detect_t_star(traj: Trajectory) -> int | None:
     return int(below[0]) if below.size else None
 
 
-def _count(name: str, value, least: int) -> int:
-    """value as an int; UsageError unless it is an integer >= least."""
-    if not _integer(value) or value < least:
-        raise UsageError(f"{name} must be >= {least} and an integer, got {value!r}")
-    return int(value)
-
-
 def _record_grid(steps: int, stride: int) -> list[int]:
     """Steps whose condition is recorded: every multiple of stride, and the last."""
     steps, stride = _count("steps", steps, 0), _count("metrics_stride", stride, 1)
@@ -608,10 +602,10 @@ def _record_grid(steps: int, stride: int) -> list[int]:
 
 def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     """The chains of run_chain(A0, steps, kind, seed) for each seed, with
-    records on grid, stepped as one _ChainStack: (phi, pairs, inner_abs,
-    records, aborted_at, stack), each array by chain in seed order, records
-    sigma_min, kappa and gram_offdiag on the grid and aborted_at the failing
-    step of each retired chain; _chain_result reads one chain off them."""
+    records on grid, stepped as one _ChainStack until its last live chain
+    retires: (phi, pairs, inner_abs, records, stack), each array by chain in
+    seed order and records sigma_min, kappa and gram_offdiag on the grid;
+    _chain_result reads one chain off them."""
     if kind not in SAMPLER_KINDS:
         raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
     n, count = A0.n, len(seeds)
@@ -647,7 +641,6 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     # condition_number (the bits of the stacked SVD), and copy the rest
     record(slice(0, 1), 0, condition_number(A0)[1][None])
     records[:, 1:, 0] = records[:, :1, 0]
-    aborted_at: dict[int, int] = {}
     # a uniform stack too small for the vectorized step, with every chain on the inverse
     # path, tries each stretch to a grid point or a live chain's checkpoint by level,
     # where a level (at most n // 2 pairs) and a stretch (at most grid[1] steps) can
@@ -668,26 +661,25 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
                     stack.uniform_fallbacks[r] += fell_back
                 stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
                 phi[:, t] = stack.phi
-                if len(stack.aborts) > len(aborted_at):
-                    for r in stack.aborts:
-                        aborted_at.setdefault(r, t)
+                if stack.aborts and not stack.live.any():
+                    return phi, pairs, inner_abs, records, stack
         # a slice while all are live: a stack of one records a view, not a copy
         record(slice(None) if stack.live.all() else np.flatnonzero(stack.live), k)
-    return phi, pairs, inner_abs, records, aborted_at, stack
+    return phi, pairs, inner_abs, records, stack
 
 
 def _chain_result(grid: list[int], run, r: int):
     """Chain r of a _run_stack run: the trajectory run_chain returns for its
     seed, or the ChainAbortError it raises."""
-    phi, pairs, inner_abs, records, aborted_at, stack = run
+    phi, pairs, inner_abs, records, stack = run
     # an aborted chain keeps the prefix recorded before its failing step
-    last = aborted_at.get(r, phi.shape[1]) - 1
+    at, exc = stack.aborts.get(r, (phi.shape[1], None))
+    last = at - 1
     k = bisect.bisect_right(grid, last)
     result = Trajectory(stack.n, phi[r, : last + 1], pairs[r, :last], inner_abs[r, :last], grid[:k],
                         *records[:, r, :k], stack.matrix(r), stack.counters(r))
-    if r in stack.aborts:
-        exc = stack.aborts[r]
-        result = ChainAbortError(last + 1, exc.pair, exc.inner_abs, result)
+    if exc is not None:
+        result = ChainAbortError(at, exc.pair, exc.inner_abs, result)
         result.__cause__ = exc
     return result
 
@@ -796,7 +788,7 @@ def run_ensemble(
         seeds = (_replicate_seeds(base_seed, rs) if chunk.stop <= 2**32
                  else [derive_replicate_seed(base_seed, r) for r in chunk])
         run = _run_stack(A0, steps, kind, seeds, grid)
-        phi, _, _, records, _, stack = run
+        phi, _, _, records, stack = run
         live = np.flatnonzero(stack.live)
         if trajectory_sink is not None:
             for r in live.tolist():

@@ -256,6 +256,24 @@ class TestNonFiniteArguments:
             theorem1_steps(math.inf, 4, target)
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize("name", IN_DOMAIN)
+    def test_dimension_must_be_an_integer(self, name):
+        # a fractional, float-typed or bool n raises, as the 60-digit
+        # reference takes only integers; a numpy integer counts as one
+        evaluate, args = IN_DOMAIN[name]
+        n_at = 3 if name == "theorem1_steps" else 1
+        assert evaluate(*args[:n_at], np.int64(4), *args[n_at + 1:]) == evaluate(*args)
+        for n in (2.5, 4.0, np.float64(4.0), True, "4"):
+            with pytest.raises(UsageError, match="dimension must be"):
+                evaluate(*args[:n_at], n, *args[n_at + 1:])
+
+    @pytest.mark.parametrize("c", [True, 2.0, 1.5, np.float64(3.0)])
+    def test_stopping_tail_c_must_be_an_integer(self, c):
+        with pytest.raises(UsageError, match="c must be"):
+            stopping_tail(1.0, 3, c)
+
+
 EXTREMES = (0.0, 1e-300, 5.0, 1e300, math.inf)
 
 

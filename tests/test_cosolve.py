@@ -55,6 +55,10 @@ class TestInitialState:
             initial_state(A, np.ones(3))
         with pytest.raises(UsageError, match="0:0"):
             run_cosolve(A, np.ones(4), interleave=(0, 0))
+        # not a pair of counts: UsageError, not a bare TypeError or ValueError
+        for interleave in (3, None, (1, 2, 3), (1,), (1.5, 1), (True, 1)):
+            with pytest.raises(UsageError, match="interleave"):
+                run_cosolve(A, np.ones(4), interleave=interleave)
 
 
 class TestOrthWithRhs:

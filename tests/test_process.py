@@ -1193,6 +1193,28 @@ def degenerate_pair_state(n, seed=1):
     return build_unit_column_matrix(M, normalize=True)
 
 
+def test_a_stack_stops_when_its_last_chain_retires(monkeypatch):
+    """_run_stack takes no step after its last live chain retires: a chain
+    that aborts at step 1 of 200,000 returns after one step, with the abort
+    the 20-step run gives."""
+    A = degenerate_pair_state(6)
+    short = chain_or_abort(A, 20, 13, 1)
+    calls = []
+    step = process._ChainStack.step
+    monkeypatch.setattr(process._ChainStack, "step",
+                        lambda self, *args: calls.append(self.live.sum()) or step(self, *args))
+    long = chain_or_abort(A, 200_000, 13, 1)
+    assert calls == [1]
+    for exc in (short, long):
+        assert isinstance(exc, ChainAbortError) and exc.step == 1
+        assert exc.pair == (0, 1) and exc.inner_abs > 1.0 - 1e-12
+        partial = exc.partial_trajectory
+        assert len(partial.phi) == 1 and len(partial.pairs) == len(partial.inner_abs) == 0
+        assert partial.grid == [0] and np.array_equal(partial.final_matrix.array, A.array)
+    assert (long.pair, long.inner_abs) == (short.pair, short.inner_abs)
+    assert_same_trajectory(long.partial_trajectory, short.partial_trajectory)
+
+
 def reference_stats(A, steps, kind, replicates, base_seed, stride):
     """EnsembleStats from run_chain alone on each replicate's seed,
     aggregated replicate by replicate."""

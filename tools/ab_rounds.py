@@ -1,42 +1,104 @@
-"""Paired in-process A/B of two checkouts on one perfbench workload.
+"""Paired in-process A/B of two checkouts: perfbench workloads and step-cost tables.
 
-Usage: python tools/ab_rounds.py CHECKOUT_A CHECKOUT_B --workload W --pairs K [--seed S]
+Usage: python tools/ab_rounds.py CHECKOUT_A CHECKOUT_B --workload W [W ...] [--pairs K] [--seed S]
 
-Loads each checkout's src/pairorth under its own module name (pairorth_a,
-pairorth_b) and, for each, a fresh copy of perfbench/workloads.py (and of
-the probe module it imports) with `pairorth` bound to that package while it
-loads; perfbench is read from this checkout and not edited. Each side
-builds the workload's inputs from --seed (default 1), runs one untimed
-warm-up round and gives it the workload's correctness checks. Then come K
-pairs (default 10): in each, both sides run three timed rounds, A first in
-even pairs and B first in odd ones, and a side's value is the workload's
-ops over its median round's wall time. It prints each side's
-median ops/s, the median and the quartiles of the paired ratios B / A, and
-the pairs B won. Both trees run in one process, on the same inputs and
-at the same moment of the machine, so a change of a few percent shows
-where separate perfbench runs spread wider than that; the numbers are raw
-ops/s, not the reference-normalized ones of perfbench/run.py. BLAS runs
-one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
-say otherwise, as in perfbench.
+Loads each checkout's src/pairorth as pairorth_a or pairorth_b, with its
+own copy of this checkout's perfbench/workloads.py (and probe.py) bound to
+it. One checkout passed twice gives that tree's numbers and its noise floor.
+
+Each W names a list of cells. A perfbench workload (small-n, large-n,
+near-singular, verify-all) is one cell: raw ops/s of a round (not
+perfbench/run.py's reference-normalized ones), inputs from --seed (default
+1), checks run on the warm-up round. A table has a cell per call below,
+from a gaussian_normalized start (seed 1, chain seed 2) in both fields,
+the record grid at t = 0 and the end only, n in {4, 8, 32, 128}:
+
+  run_chain      one chain, uniform and proportional: µs per step;
+  run_ensemble   R = 50, all three samplers: µs per chain-step;
+  setup          0-step run_chain from the generated start, which keeps its
+                 inverse and distances ("kept"), and from a ColumnMatrix._wrap
+                 copy, which recomputes them and takes one SVD: µs per call;
+  near_singular  uniform run_chain from near_singular eta = 1e-10 (seed 1):
+                 µs per step and the share of projection-path steps, or the
+                 error a refused start or an aborted chain raises;
+  stack          0-step uniform run_ensemble, n = 8 only, R in {10, 50, 200}:
+                 µs per replicate, the fixed cost of a stack.
+
+Every cell runs once untimed on each side. Then come K pairs (--pairs,
+default 10): cell by cell, A first in even pairs and B in odd ones, a
+side's value is its median wall time of three calls (a cell that either
+side's warm-up refused is not timed). It prints each pair's values, then
+per cell each side's median, the median and quartiles of the paired ratio
+B / A and the pairs B was better in (lower µs, higher ops/s). Both trees
+run in one process on the same inputs at the same moment of the machine,
+so a change of a few percent shows where separate runs spread wider.
+First come nproc, Python, numpy and the BLAS with its threads (one, unless
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS say otherwise, as
+in perfbench); before and after the pairs, the median seconds of
+perfbench's reference kernels, which set one session's raw numbers beside
+another's.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import os
 import platform
 import statistics
 import sys
 import time
+from dataclasses import dataclass, field
+from functools import partial
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 
-ROUNDS = 3
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+sys.path.insert(0, PERFBENCH)
+import harness  # noqa: E402
+
+ROUNDS = 3
+REFERENCE_RUNS = 5
+TABLES = ("run_chain", "run_ensemble", "setup", "near_singular", "stack")
+FIELDS = ("real", "complex")
+STEPS = {4: 2000, 8: 2000, 32: 1000, 128: 200}
+ENSEMBLE_STEPS = {4: 200, 8: 200, 32: 100, 128: 200}
+SAMPLERS = ("uniform", "proportional", "greedy")
+REPLICATES = 50
+ETA = 1e-10
+STACK_REPLICATES = (10, 50, 200)
+
+
+@dataclass
+class Cell:
+    """call() runs the cell once and work counts what its values are per: µs
+    per work, or work per second for ops/s. call is None for a cell whose
+    start is refused or whose warm-up call raises; note then names the error."""
+
+    label: str
+    call: object
+    work: int
+    unit: str = "µs"
+    note: str = ""
+    values: list = field(default_factory=list)
+
+    def run(self) -> None:
+        """Append the value of the median wall time of ROUNDS calls."""
+        walls = []
+        for _ in range(ROUNDS):
+            start = time.perf_counter()
+            self.call()
+            walls.append(time.perf_counter() - start)
+        wall = statistics.median(walls)
+        self.values.append(self.work / wall if self.unit == "ops/s" else 1e6 * wall / self.work)
+
+    def shown(self) -> str:
+        median = f"{statistics.median(self.values):.1f} {self.unit}" if self.values else ""
+        return ", ".join(filter(None, (median, self.note)))
 
 
 def _load(path: str, name: str, package_dir: str | None = None):
@@ -73,55 +135,104 @@ def load_side(checkout: str, tag: str):
     return package, workloads
 
 
-def _quartiles(values: list[float]) -> tuple[float, float]:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
+def _workload(name: str, workloads, seed: int) -> Cell:
+    """A perfbench workload's cell, after its checked warm-up round."""
+    workload = workloads.make(name)
+    inputs = workload.build(seed, harness.NullTracer())
+    out, checks = workload.round(inputs, harness.NullTracer()), harness.Checks()
+    workload.check(inputs, out, None, checks)
+    return Cell(name, partial(workload.round, inputs, harness.NullTracer()), out.ops, "ops/s",
+                f"warm-up check failures {checks.failures}")
+
+
+def _table(name: str, p) -> list[Cell]:
+    """The cells of one step-cost table for package p, each after its warm-up call."""
+    cells = []
+    for n, field in itertools.product((8,) if name == "stack" else STEPS, FIELDS):
+        label, steps = f"{name} n={n} {field}", STEPS[n]
+        gen, eta = (name, ETA) if name == "near_singular" else ("gaussian_normalized", None)
+        try:
+            A0 = p.generate(p.generators.GeneratorSpec(gen, n=n, field=field, seed=1, eta=eta))[0]
+        except p.errors.ConstructionError as exc:
+            cells.append(Cell(label, None, steps, note=type(exc).__name__))
+            continue
+        if name == "run_chain":
+            cells += [Cell(f"{label} {kind}", partial(p.run_chain, A0, steps, kind, seed=2,
+                                                      metrics_stride=steps), steps)
+                      for kind in SAMPLERS[:2]]
+        elif name == "run_ensemble":
+            steps = ENSEMBLE_STEPS[n]
+            cells += [Cell(f"{label} {kind}", partial(p.run_ensemble, A0, steps, kind, REPLICATES,
+                                                      base_seed=2, metrics_stride=steps),
+                           steps * REPLICATES) for kind in SAMPLERS]
+        elif name == "setup":
+            wrapped = p.ColumnMatrix._wrap(np.array(A0.array, order="F"), field)
+            cells += [Cell(f"{label} {how}", partial(p.run_chain, A, 0, seed=2), 1)
+                      for how, A in (("kept", A0), ("wrapped", wrapped))]
+        elif name == "stack":
+            cells += [Cell(f"{label} R={R}", partial(p.run_ensemble, A0, 0, "uniform", R,
+                                                     base_seed=2), R) for R in STACK_REPLICATES]
+        else:
+            cells.append(Cell(label, partial(p.run_chain, A0, steps, seed=2, metrics_stride=steps),
+                              steps))
+    for cell in cells:
+        try:
+            out = cell.call and cell.call()
+        except p.ChainAbortError as exc:
+            cell.call, cell.note = None, f"{type(exc).__name__} at step {exc.step}"
+            continue
+        if name == "near_singular" and out:
+            cell.note = f"{out.kernel.projection_fallbacks / cell.work:.0%} projection path"
+    return cells
+
+
+def _reference(when: str) -> None:
+    """Print the median seconds of each perfbench reference kernel."""
+    seconds = [statistics.median(harness.reference_seconds(kernel) for _ in range(REFERENCE_RUNS))
+               for kernel in harness.REFERENCE_KERNELS]
+    print(f"reference kernels {when}, median of {REFERENCE_RUNS}: " + ", ".join(
+        f"{kernel} {s:.4f} s" for kernel, s in zip(harness.REFERENCE_KERNELS, seconds)))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout_a")
     parser.add_argument("checkout_b")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    sys.path.insert(0, PERFBENCH)
-    import harness
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"nproc {os.cpu_count()}, python {platform.python_version()}, numpy {np.__version__}, "
+          f"{blas.get('name')} {blas.get('version')} on {harness.blas_threads_in_use()} "
+          f"thread(s), seed {args.seed}, {args.pairs} pairs of {ROUNDS} calls a side")
     sides = {}
     for tag, checkout in (("a", args.checkout_a), ("b", args.checkout_b)):
         package, workloads = load_side(checkout, tag)
-        workload = workloads.make(args.workload)
-        inputs = workload.build(args.seed, harness.NullTracer())
-        checks = harness.Checks()
-        workload.check(inputs, workload.round(inputs, harness.NullTracer()), None, checks)
-        print(f"{tag}: pairorth {package.__version__} from {os.path.abspath(checkout)}, "
-              f"warm-up check failures {checks.failures}")
-        sides[tag] = (workload, inputs)
-    print(f"nproc {os.cpu_count()}, python {platform.python_version()}, numpy {np.__version__}, "
-          f"BLAS threads {harness.blas_threads_in_use()}, workload {args.workload}, "
-          f"seed {args.seed}, {args.pairs} pairs of {ROUNDS} rounds")
+        sides[tag] = [cell for name in args.workload for cell in (
+            _table(name, package) if name in TABLES else [_workload(name, workloads, args.seed)])]
+        print(f"{tag}: pairorth {package.__version__} from {os.path.abspath(checkout)}")
+    _reference("before")
 
-    rates = {"a": [], "b": []}
     for k in range(args.pairs):
-        for tag in ("a", "b") if k % 2 == 0 else ("b", "a"):
-            workload, inputs = sides[tag]
-            walls, ops = [], 0
-            for _ in range(ROUNDS):
-                start = time.perf_counter()
-                ops = workload.round(inputs, harness.NullTracer()).ops
-                walls.append(time.perf_counter() - start)
-            rates[tag].append(ops / statistics.median(walls))
-        print(f"pair {k}: a {rates['a'][-1]:.1f}, b {rates['b'][-1]:.1f} ops/s, "
-              f"b / a {rates['b'][-1] / rates['a'][-1]:.4f}")
-    ratios = [b / a for a, b in zip(rates["a"], rates["b"])]
-    for tag in ("a", "b"):
-        q1, q3 = _quartiles(rates[tag])
-        print(f"{tag}: median {statistics.median(rates[tag]):.1f} ops/s (q1 {q1:.1f}, q3 {q3:.1f})")
-    q1, q3 = _quartiles(ratios)
-    print(f"b / a: median {statistics.median(ratios):.4f} (q1 {q1:.4f}, q3 {q3:.4f}), "
-          f"b faster on {sum(r > 1.0 for r in ratios)} of {len(ratios)} pairs")
+        for a, b in zip(sides["a"], sides["b"]):
+            if a.call and b.call:
+                for cell in (a, b) if k % 2 == 0 else (b, a):
+                    cell.run()
+                print(f"pair {k}: {a.label}: a {a.values[-1]:.1f}, b {b.values[-1]:.1f} {a.unit}, "
+                      f"b / a {b.values[-1] / a.values[-1]:.4f}")
+    _reference("after")
+
+    print("\n| cell | a | b | b / a median (q1, q3) | b better |\n" + "| --- " * 5 + "|")
+    for a, b in zip(sides["a"], sides["b"]):
+        row = [a.label, a.shown(), b.shown(), "-", "-"]
+        if a.values and b.values:
+            ratios = [y / x for x, y in zip(a.values, b.values)]
+            q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+            better = sum(r > 1.0 if a.unit == "ops/s" else r < 1.0 for r in ratios)
+            row[3:] = [f"{median:.4f} ({q1:.4f}, {q3:.4f})", f"{better} of {len(ratios)}"]
+        print("| " + " | ".join(row) + " |")
     return 0
 
 
