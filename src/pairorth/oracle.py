@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import SingularityError, UsageError
-from .matrix import ColumnMatrix, PairIndex, inner, orth_step, validate_pair
+from .matrix import ColumnMatrix, PairIndex, _count, inner, orth_step, validate_pair
 from .metrics import leave_one_out_distances, potential_phi
 
 
@@ -132,17 +132,18 @@ def highprec_bound_reference(name: str, *args) -> float:
     Argument order matches the double-precision evaluator of the same
     name. The production path must agree within 1e-12 relative. For
     "stopping-threshold" and "theorem1-steps" the value returned is the
-    real number before the final ceil.
+    real number before the final ceil; n and c are checked as the
+    evaluator checks them.
     """
     import mpmath as mp
 
     with mp.workdps(60):
         if name == "f":
-            x, n = mp.mpf(args[0]), int(args[1])
+            x, n = mp.mpf(args[0]), _count("dimension", args[1], 2)
             u = 1 - mp.e ** (-2 * x / n)
             out = x - u * u / (2 * (n - 1) ** 2)
         elif name == "theorem7":
-            phi0, n, t = mp.mpf(args[0]), int(args[1]), mp.mpf(args[2])
+            phi0, n, t = mp.mpf(args[0]), _count("dimension", args[1], 2), mp.mpf(args[2])
             infl = mp.log(2) / 2 * n
             if phi0 < infl:
                 cn = 2 * mp.log(2) ** 2 * n**2 * (n - 1) ** 2
@@ -153,10 +154,10 @@ def highprec_bound_reference(name: str, *args) -> float:
                     -t / (47 * n**2 * phi0)
                 )
         elif name == "kappa-lower":
-            phi, n = mp.mpf(args[0]), int(args[1])
+            phi, n = mp.mpf(args[0]), _count("dimension", args[1], 2)
             out = mp.e ** (phi / n)
         elif name == "kappa-upper-loose":
-            phi, n = mp.mpf(args[0]), int(args[1])
+            phi, n = mp.mpf(args[0]), _count("dimension", args[1], 2)
             out = n * mp.e**phi
         elif name == "kappa-upper-tight":
             phi = mp.mpf(args[0])
@@ -165,16 +166,16 @@ def highprec_bound_reference(name: str, *args) -> float:
             s = mp.sqrt(2 * phi)
             out = (1 + s) / (1 - s)
         elif name == "stopping-threshold":
-            phi0, n, c = mp.mpf(args[0]), int(args[1]), int(args[2])
+            phi0, n, c = mp.mpf(args[0]), _count("dimension", args[1], 2), _count("c", args[2], 1)
             out = c * 16 * (n - 1) ** 2 * phi0
         elif name == "prop-a0":
-            phi0, n, t = mp.mpf(args[0]), int(args[1]), mp.mpf(args[2])
+            phi0, n, t = mp.mpf(args[0]), _count("dimension", args[1], 2), mp.mpf(args[2])
             infl = mp.log(2) / 2 * n
             out = mp.log(n) + phi0 - (1 - infl / phi0) / 96 * t / n**2
         elif name == "theorem1-steps":
             phi0, n, eps, delta = (
                 mp.mpf(args[0]),
-                int(args[1]),
+                _count("dimension", args[1], 2),
                 mp.mpf(args[2]),
                 mp.mpf(args[3]),
             )

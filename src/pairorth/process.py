@@ -19,10 +19,11 @@ Its step updates the chains on the inverse path as one vectorized step
 when enough of them are (through a slice when they are all the chains),
 with the scalar code's reductions row by row, and runs the scalar code
 on each other chain's row, so every chain gets the same bits either way.
-A uniform stack too small for that (every run_chain) applies each stretch
-to a grid point or checkpoint by dependency level: steps on disjoint
-pairs touch disjoint data, so a level is one vectorized update with the
-same bits (README, "Steps by level"); other stretches step one by one.
+A uniform stack too small for that applies each stretch to a grid point
+or checkpoint by dependency level (README, "Steps by level"); a stack of
+one otherwise makes only the updates the next step reads, and reads d,
+phi, the estimate and the refresh rule off the stretch (README, "Steps by
+stretch"). Stretches under STACK_MIN_REPLICATES steps go one by one.
 A chain refreshes when a running bound on its rounding comes due, tested
 every INVERSE_REFRESH_STEPS steps on either path, or when its condition
 estimate crosses 1e8 or, on the projection path, falls by a factor n; the
@@ -53,7 +54,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .bounds import inflection, theorem7_bound
-from .errors import ChainAbortError, DegeneratePairError, PairOrthError, UsageError
+from .errors import (ChainAbortError, DegeneratePairError, PairOrthError, SingularityError,
+                     UsageError)
 from .matrix import (REAL, ColumnMatrix, PairIndex, _count, _gram_offdiag_fro, _integer,
                      _orth_column, _sq_norms)
 from .metrics import (_distances_full, _pair_distances, _phi_from_distances, _start_distances,
@@ -240,8 +242,8 @@ class _ChainStack:
     potential. While on_inv[r] holds, inv[r] is its A^-1 (rows contiguous)
     and row_sq[r] the squared norms of those rows; on the projection path
     both are stale, and a step keeps d[r] but d_i and d_j, read off one QR.
-    w[r] is _weights(A^H A) for the proportional and greedy samplers (w is
-    None for uniform), updated in row and column i from one product per
+    w[r] is _weights(A^H A) for the proportional and greedy samplers (kind;
+    w is None for uniform), updated in row and column i from one product per
     step; since[r] counts the steps since the last full recompute, est0[r] is
     the condition estimate sqrt(n sum_k 1 / d_k^2) there and est_sum[r] sums
     it over the steps since; refreshes, fallbacks, worst_drift,
@@ -254,7 +256,7 @@ class _ChainStack:
 
     def __init__(self, A0: ColumnMatrix, count: int, kind: str = UNIFORM):
         n, dtype = A0.n, A0.array.dtype
-        self.n, self.count, self.field = n, count, A0.field
+        self.n, self.count, self.field, self.kind = n, count, A0.field, kind
         self.cols = np.empty((count, n, n), dtype=dtype)
         self.cols[:] = A0.array.T
         self.inv = np.empty((count, n, n), dtype=dtype)
@@ -319,7 +321,25 @@ class _ChainStack:
         column j and update its kept values; returns (c, c2, nu) of
         _orth_column. A degenerate pair raises DegeneratePairError before
         the chain is touched."""
-        arr, d, inv, row_sq, w = self.rows[r] or self._views(r)
+        c, c2, nu, new = self._move(r, i, j)
+        _, d, _, row_sq, _ = self.rows[r]
+        self.since[r] += 1
+        if self.on_inv[r]:
+            row_sq[i], row_sq[j] = new
+            d[i], d[j] = min(1.0 / math.sqrt(new[0]), 1.0), min(1.0 / math.sqrt(new[1]), 1.0)
+            sum_sq = float(np.add.reduce(row_sq))
+        else:
+            d[i], d[j] = new
+            sum_sq = float(np.add.reduce(1.0 / (d * d)))
+        self.phi[r] = _phi_from_distances(d)
+        self._settle(r, sum_sq)
+        return c, c2, nu
+
+    def _move(self, r: int, i: int, j: int):
+        """orth's updates that chain r's next step reads (column i, row and
+        column i of w, rows i and j of inv on the inverse path): (c, c2, nu)
+        and the new (row_sq[i], row_sq[j]), or (d_i, d_j) off the inverse path."""
+        arr, _, inv, _, w = self.rows[r] or self._views(r)
         c, c2, nu = _orth_column(arr, i, j)
         if w is not None:
             # row i of A^H A, so row and column i of _weights(A^H A), bit for
@@ -328,22 +348,13 @@ class _ChainStack:
             row_w *= row_w
             row_w[i] = 0.0
             w[i, :] = w[:, i] = row_w
-        self.since[r] += 1
-        if self.on_inv[r]:
-            inv_i, inv_j = inv[i], inv[j]
-            inv_j += (c + c2) * inv_i
-            inv_i *= nu
-            for k, inv_k in ((i, inv_i), (j, inv_j)):
-                row_sq[k] = sq = np.vdot(inv_k, inv_k).real
-                d[k] = min(1.0 / math.sqrt(sq), 1.0)
-            sum_sq = float(np.add.reduce(row_sq))
-        else:
+        if not self.on_inv[r]:
             # span{a_i', a_j} = span{a_i, a_j}: d_k for k not in {i, j} stays
-            d[i], d[j] = _pair_distances(arr, i, j)
-            sum_sq = float(np.add.reduce(1.0 / (d * d)))
-        self.phi[r] = _phi_from_distances(d)
-        self._settle(r, sum_sq)
-        return c, c2, nu
+            return c, c2, nu, _pair_distances(arr, i, j)
+        inv_i, inv_j = inv[i], inv[j]
+        inv_j += (c + c2) * inv_i
+        inv_i *= nu
+        return c, c2, nu, (np.vdot(inv_i, inv_i).real, np.vdot(inv_j, inv_j).real)
 
     def _settle(self, r: int, sum_sq: float) -> None:
         """End a step of chain r whose kept distances give
@@ -436,11 +447,17 @@ class _ChainStack:
         self.est_sum[a] += est
         self.since[a] += 1
         inner_abs[a] = c_abs
+        # _settle's rule as one stack: a crossing or NaN estimate refreshes, and
         # _comes_due only at the stack's checkpoint, after which step re-derives the next
+        due = ~(est <= tol.DISTANCE_FALLBACK_KAPPA)
         self._until -= 1
         if not self._until:
             self._plan = None
-        self._close(a, est, not self._until)
+            due |= self._comes_due(a, est)
+        if due.any():
+            due = self._all[a][due]
+            self._refresh(due)
+            self.fallbacks[due] += ~self.on_inv[due]
 
     def _orth_slots(self, rows, ij):
         """orth on inverse-path chain rows[k] with pair ij[:, k], for disjoint slots k:
@@ -468,26 +485,14 @@ class _ChainStack:
         self.inv[rows, ij] = v
         return c_abs, ok, np.vecdot(v, v).real
 
-    def _close(self, a, est, at: bool) -> None:
-        # _settle's rule for inverse-path chains a after a step, as one stack: a crossing
-        # or NaN estimate refreshes, and at a checkpoint a bound come due
-        due = ~(est <= tol.DISTANCE_FALLBACK_KAPPA)
-        if at:
-            due |= self._comes_due(a, est)
-        if due.any():
-            due = self._all[a][due]
-            self._refresh(due)
-            self.fallbacks[due] += ~self.on_inv[due]
-
     def levels(self, pairs, inner_abs, phi) -> bool:
         """Step the live chains, all on the inverse path, through pairs (a row
         each) by level, writing each step's |c| and phi. Step s of chain r gets
         1 + the level of r's last earlier step on its i or j, so one
-        _orth_slots gives a level's disjoint steps orth's bits; then row_sq, d,
-        phi and est are read off per step, est_sum by a sequential cumsum.
-        False, with every chain as it was, where a chain averages fewer than
-        STACK_MIN_REPLICATES steps a level, or a pair is degenerate or an
-        estimate above 1e8 or NaN."""
+        _orth_slots gives a level's disjoint steps orth's bits; then _commit
+        reads the rest off the stretch. False, with every chain as it was,
+        where a chain averages fewer than STACK_MIN_REPLICATES steps a level,
+        a pair is degenerate or a step before the last would refresh."""
         live, (n, m) = self._all[self.live], (self.n, pairs.shape[1])
         levels = {}
         for r in live.tolist():
@@ -508,31 +513,76 @@ class _ChainStack:
                 break
             inner_abs[rows, s], sq[rows, s] = c_abs, new.T
         else:
-            # row_sq and log d after each step, keyed (chain, column, step): each
-            # column's start value and each write, repeated up to the next key.
-            # The per-chain arrays take rs, views while every chain is live
-            R, span, rs = live.size, m + 1, slice(None) if live.size == self.count else live
-            keys = np.concatenate((np.arange(0, R * n * span, span), (
-                (pairs[rs] + n * np.arange(R)[:, None, None]) * span + np.arange(1, span)[:, None]
-            ).ravel(), [R * n * span]))
-            order = np.argsort(keys)
-            vals = np.concatenate((self.row_sq[rs].ravel(), sq[rs].ravel()))[order[:-1]]
-            vals = np.stack((vals, np.log(np.minimum(1.0 / np.sqrt(vals), 1.0))))
-            row_sq, log_d = np.repeat(vals, np.diff(keys[order]), axis=1).reshape(
-                2, R, n, span)[..., 1:].swapaxes(2, 3).copy()
-            est = np.sqrt(n * np.add.reduce(row_sq, axis=-1))
-            if (est <= tol.DISTANCE_FALLBACK_KAPPA).all():
-                phi[rs] = -np.add.reduce(log_d, axis=-1) + 0.0
-                self.row_sq[rs], self.phi[rs] = row_sq[:, -1], phi[rs, -1]
-                self.d[rs] = np.minimum(1.0 / np.sqrt(row_sq[:, -1]), 1.0)
-                self.est_sum[rs] = np.hstack((self.est_sum[rs, None], est)).cumsum(axis=1)[:, -1]
-                self.since[rs] += m
-                self.t += m
-                self._close(rs, est[:, -1], True)
-                phi[rs, -1] = self.phi[rs]  # a refresh's phi, if any
+            # the per-chain arrays take rs, views while every chain is live
+            if self._commit(slice(None) if live.size == self.count else live, pairs, sq, phi):
                 return True
         self.cols[:], self.inv[:] = saved
         return False
+
+    def stretch(self, pairs, inner_abs, phi, rng=None) -> bool:
+        """Step a stack of one through pairs as levels does (a weighted sampler
+        draws each from rng off the kept w), each step making only the updates
+        the next one reads (_move). False, with chain and rng as they were, where
+        a pair is degenerate, a QR finds A singular or an earlier step would refresh."""
+        saved = [(x, x.copy()) for x in (self.cols, self.inv, self.w) if x is not None]
+        state = None if rng is None else rng.bit_generator.state
+        ij, new, fell = pairs[0].tolist(), [], 0
+        try:
+            for s in range(pairs.shape[1]):
+                if rng is not None:
+                    ij[s], fell_back = _draw_pair(self.n, self.kind, rng, self.w[0])
+                    fell += fell_back
+                c, _, _, written = self._move(0, *ij[s])
+                inner_abs[0, s] = abs(c)
+                new.append(written)
+        except (DegeneratePairError, SingularityError, np.linalg.LinAlgError):
+            pass
+        else:
+            pairs[0] = ij
+            if self._commit(slice(None), pairs, np.array(new)[None], phi):
+                self.uniform_fallbacks[0] += fell
+                return True
+        for x, kept in saved:
+            x[:] = kept
+        if rng is not None:
+            rng.bit_generator.state = state
+        return False
+
+    def _commit(self, rs, pairs, new, phi) -> bool:
+        """Read the rest off a stretch of chains rs on one path, whose step s on
+        pairs[r, s] wrote new[r, s], the new row_sq (inverse path) or d of its
+        two columns: orth's bits by a forward fill, a reduction each for phi and
+        the estimate and a cumsum for est_sum; the last step runs _settle.
+        False, with nothing written, where an earlier step would refresh."""
+        (R, n), m, on_inv = self.d[rs].shape, pairs.shape[1], bool(self.on_inv[rs].all())
+        # each chain's start values then its writes, flat, and at[r, s, k] the
+        # index of column k's value after step s: the start's or its latest write
+        flat = np.concatenate((self.row_sq[rs] if on_inv else self.d[rs],
+                               new[rs].reshape(R, 2 * m)), axis=1).ravel()
+        at = np.zeros((R, m, 1), dtype=np.intp) + np.arange(n)
+        at[np.arange(R)[:, None, None], np.arange(m)[:, None], pairs[rs]] = np.arange(
+            n, n + 2 * m).reshape(m, 2)
+        at = np.maximum.accumulate(at, axis=1) + (n + 2 * m) * np.arange(R)[:, None, None]
+        # each value's d and term of sum_sq = sum_k 1 / d_k^2, then each step's
+        d = np.minimum(1.0 / np.sqrt(flat), 1.0) if on_inv else flat
+        sum_sq = np.add.reduce((flat if on_inv else 1.0 / (d * d))[at], axis=-1)
+        est = np.concatenate((self.est_sum[rs, None], np.sqrt(n * sum_sq[:, :-1])), axis=1)
+        below = est[:, 1:] <= tol.DISTANCE_FALLBACK_KAPPA  # est[:, 0] is est_sum
+        if not below.all() if on_inv else (below | (n * est[:, 1:] < self.est0[rs, None])).any():
+            return False
+        phi[rs] = -np.add.reduce(np.log(d)[at], axis=-1) + 0.0
+        if on_inv:
+            self.row_sq[rs] = flat[at[:, -1]]
+        else:
+            self.fallbacks[rs] += m - 1  # the last step's, if any, is _settle's
+        self.d[rs], self.phi[rs] = d[at[:, -1]], phi[rs, -1]
+        self.est_sum[rs] = est.cumsum(axis=1)[:, -1]
+        self.since[rs] += m
+        self.t += m
+        for r, last in zip(self._all[rs].tolist(), sum_sq[:, -1].tolist()):
+            self._settle(r, last)
+        phi[rs, -1] = self.phi[rs]  # a refresh's phi, if any
+        return True
 
 
 @dataclass
@@ -641,24 +691,27 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     # condition_number (the bits of the stacked SVD), and copy the rest
     record(slice(0, 1), 0, condition_number(A0)[1][None])
     records[:, 1:, 0] = records[:, :1, 0]
-    # a uniform stack too small for the vectorized step, with every chain on the inverse
-    # path, tries each stretch to a grid point or a live chain's checkpoint by level,
-    # where a level (at most n // 2 pairs) and a stretch (at most grid[1] steps) can
-    # hold STACK_MIN_REPLICATES steps; otherwise it steps to the grid point as below
-    by_level = kind == UNIFORM and count < STACK_MIN_REPLICATES <= min([n // 2] + grid[1:2])
+    # a stretch to a grid point or live chain's checkpoint, of STACK_MIN_REPLICATES steps
+    # or more, goes by level (a uniform stack of fewer chains, all on the inverse path,
+    # where n // 2 pairs can fill a level) or by stretch (a stack of one)
+    by_level = kind == UNIFORM and count < STACK_MIN_REPLICATES <= n // 2
     K, t = tol.INVERSE_REFRESH_STEPS, 0
     for k, t1 in enumerate(grid[1:], 1):
         while t < t1:
             end = t1
-            if by_level and stack.on_inv.all():
+            if (by_level or count == 1) and t1 - t >= STACK_MIN_REPLICATES:
                 end = min(t1, t + K - int((stack.since[stack.live] % K).max(initial=0)))
-                if stack.levels(pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1]):
+                args = pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1]
+                if end - t >= STACK_MIN_REPLICATES and (
+                        by_level and stack.on_inv.all() and stack.levels(*args)
+                        or count == 1 and stack.stretch(*args, None if kind == UNIFORM else rng)):
                     t = end
                     continue
             for t in range(t + 1, end + 1):
-                for r in np.flatnonzero(stack.live).tolist() if kind != UNIFORM else ():
-                    pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
-                    stack.uniform_fallbacks[r] += fell_back
+                for r in range(count) if kind != UNIFORM else ():
+                    if stack.live[r]:
+                        pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
+                        stack.uniform_fallbacks[r] += fell_back
                 stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
                 phi[:, t] = stack.phi
                 if stack.aborts and not stack.live.any():

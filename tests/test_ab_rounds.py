@@ -25,3 +25,22 @@ def test_one_pair_of_the_stack_table_prints_every_cell():
         assert re.fullmatch(r"\d+\.\d µs", a) and re.fullmatch(r"\d+\.\d µs", b)
         assert re.fullmatch(r"\d+\.\d{4} \(\d+\.\d{4}, \d+\.\d{4}\)", ratio)
         assert re.fullmatch(r"[01] of 1 \|", better)
+
+
+def test_one_pair_of_the_stride_table_prints_every_cell():
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_rounds.py"), ROOT, ROOT,
+         "--workload", "stride", "--pairs", "1"],
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    # each cell's batch is set once, for both sides, before the pairs
+    batches = re.findall(r"^batch: stride .*: (\d+) call\(s\) a sample$", out, re.M)
+    rows = [line.split(" | ") for line in out.splitlines() if line.startswith("| stride ")]
+    assert [row[0] for row in rows] == [
+        f"| stride n={n} real {kind} stride={stride}" for n in (8, 32, 128)
+        for kind in ("uniform", "proportional") for stride in (1, 2, 4, 8, 16)]
+    assert len(batches) == len(rows) and all(int(b) >= 1 for b in batches)
+    for _, a, b, ratio, better in rows:
+        assert re.fullmatch(r"\d+\.\d µs", a) and re.fullmatch(r"\d+\.\d µs", b)
+        assert re.fullmatch(r"\d+\.\d{4} \(\d+\.\d{4}, \d+\.\d{4}\)", ratio)
+        assert re.fullmatch(r"[01] of 1 \|", better)

@@ -140,6 +140,22 @@ class TestHighPrecReference:
         with pytest.raises(UsageError):
             highprec_bound_reference("lemma42", 1.0)
 
+    @pytest.mark.parametrize("name,args", [
+        ("f", (1.0, 2.5)), ("f", (1.0, True)), ("f", (1.0, 1)), ("f", (1.0, 2.0)),
+        ("theorem7", (0.2, 3.5, 10)), ("kappa-lower", (2.4, 5.5)),
+        ("kappa-upper-loose", (2.4, False)), ("prop-a0", (4.0, 4.0, 16)),
+        ("stopping-threshold", (5.0, 4, 2.5)), ("stopping-threshold", (5.0, 4, 0)),
+        ("stopping-threshold", (5.0, 4, True)), ("theorem1-steps", (5.0, 1.5, 0.01, 0.01)),
+    ])
+    def test_dimension_and_count_are_checked(self, name, args):
+        # int() would read 2.5 as 2 and True as 1: the reference of another input
+        with pytest.raises(UsageError):
+            highprec_bound_reference(name, *args)
+
+    def test_numpy_integer_dimension_passes(self):
+        assert highprec_bound_reference("f", 1.0, np.int64(3)) == highprec_bound_reference(
+            "f", 1.0, 3)
+
     def test_double_paths_agree(self):
         from pairorth import (
             kappa_bounds_from_phi,

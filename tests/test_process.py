@@ -30,7 +30,7 @@ from pairorth import (
 import pairorth
 from pairorth import metrics, process
 from pairorth import tolerances as tol
-from pairorth.errors import PairOrthError
+from pairorth.errors import PairOrthError, SingularityError
 from pairorth.generators import GeneratorSpec
 from pairorth.matrix import _gram_offdiag_fro, _sq_norms
 from pairorth.process import (
@@ -1073,6 +1073,152 @@ class TestLevelPath:
         monkeypatch.setattr(process._ChainStack, "levels", lambda *args: calls.append(args))
         run_chain(random_state(n, 1), 60, UNIFORM, 2, stride)
         assert calls == []
+
+
+def chain_outcome(A, steps, kind, seed, stride):
+    """run_chain's trajectory, or the error it raises."""
+    try:
+        return run_chain(A, steps, kind, seed, stride)
+    except (PairOrthError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def assert_same_outcome(a, b):
+    """The same trajectory, or the same error with the same partial trajectory."""
+    assert type(a) is type(b)
+    if isinstance(a, ChainAbortError):
+        assert (a.step, a.pair, a.inner_abs) == (b.step, b.pair, b.inner_abs)
+        a, b = a.partial_trajectory, b.partial_trajectory
+    elif isinstance(a, Exception):
+        assert (str(a), getattr(a, "column", None)) == (str(b), getattr(b, "column", None))
+        return
+    assert_same_trajectory(a, b)
+
+
+class TestStretchPath:
+    """A stack of one steps each stretch to a grid point or checkpoint that
+    holds at least STACK_MIN_REPLICATES steps by stretch: a step makes only
+    the updates the next one reads, and d, phi, the estimate and the refresh
+    rule are read off the stretch. Every chain must get the bits of the
+    same chain with every stretch declined, so through orth step by step,
+    with its refreshes, crossings, aborts and errors. levels declines in
+    both runs, so that the uniform stretches go by stretch too."""
+
+    @staticmethod
+    def by_stretch_and_by_step(A, steps, kind, seed, stride, monkeypatch):
+        """The chain by stretch and with every stretch declined, with (steps,
+        taken, refreshes, uniform fallbacks) of each stretch call of the first."""
+        stretch, calls = process._ChainStack.stretch, []
+
+        def spy(self, pairs, *args):
+            before = int(self.refreshes[0]), int(self.uniform_fallbacks[0])
+            taken = stretch(self, pairs, *args)
+            calls.append((pairs.shape[1], taken, int(self.refreshes[0]) - before[0],
+                          int(self.uniform_fallbacks[0]) - before[1]))
+            return taken
+
+        monkeypatch.setattr(process._ChainStack, "levels", lambda *args: False)
+        monkeypatch.setattr(process._ChainStack, "stretch", spy)
+        by_stretch = chain_outcome(A, steps, kind, seed, stride)
+        monkeypatch.setattr(process._ChainStack, "stretch", lambda *args: False)
+        by_step = chain_outcome(A, steps, kind, seed, stride)
+        assert_same_outcome(by_stretch, by_step)
+        return by_stretch, calls
+
+    @pytest.mark.parametrize("kind", [UNIFORM, PROPORTIONAL, GREEDY])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [4, 8, 32, 128])
+    @pytest.mark.parametrize("eta", [None, 1e-10])
+    def test_bit_identical_to_step_by_step(self, n, field, kind, eta, monkeypatch):
+        # stride 50: stretches end at the grid points 50, 100, ... and at the
+        # checkpoints 64, 128, ...; from the planted distance 1e-10 they start
+        # on the projection path (n = 4 aborts at step 19)
+        A = random_state(n, 3, field) if eta is None else near_singular_state(n, 1, field, eta)
+        steps = 70 if n == 128 else 200
+        result, calls = self.by_stretch_and_by_step(A, steps, kind, 5, 50, monkeypatch)
+        assert any(taken for _, taken, _, _ in calls) or isinstance(result, ChainAbortError)
+
+    def test_crossing_replays_the_stretch(self, monkeypatch):
+        # an estimate just below the 1e8 crossing, which a step of the first
+        # stretch takes above: the stretch replays, and orth refreshes onto
+        # the projection path
+        A = near_singular_state(32, 0, "real", 2.4e-7)
+        result, calls = self.by_stretch_and_by_step(A, 200, UNIFORM, 8, 100, monkeypatch)
+        assert calls[0][:2] == (64, False) and result.kernel.projection_fallbacks > 0
+
+    def test_projection_path_falls_and_checkpoints(self, monkeypatch):
+        # planted distance 1e-12 at n = 8: every step stays on the projection
+        # path, so a declined stretch is a fall of the estimate by a factor n,
+        # and a taken stretch that refreshes does so at its last step
+        A = near_singular_state(8, 0, "real", 1e-12)
+        result, calls = self.by_stretch_and_by_step(A, 300, UNIFORM, 3, 50, monkeypatch)
+        assert result.kernel.projection_fallbacks == 300
+        assert any(not taken for _, taken, _, _ in calls)
+        assert any(taken and refreshed for _, taken, refreshed, _ in calls)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_refresh_at_a_checkpoint(self, field, monkeypatch):
+        # planted distance 1e-6: the running bound comes due at the checkpoint
+        # that ends a taken stretch
+        A = near_singular_state(32, 0, field, 1e-6)
+        result, calls = self.by_stretch_and_by_step(A, 1100, UNIFORM, 1, 550, monkeypatch)
+        assert result.kernel.inverse_refreshes == 1 and result.kernel.projection_fallbacks == 0
+        assert [(steps, taken) for steps, taken, refreshed, _ in calls if refreshed] == [(64, True)]
+
+    @pytest.mark.parametrize("kind", [UNIFORM, PROPORTIONAL])
+    def test_degenerate_pair_replays_the_stretch(self, kind, monkeypatch):
+        # columns 0 and 1 lie 1e-7 apart: the chain draws them in its first
+        # stretch, which replays and aborts there
+        result, calls = self.by_stretch_and_by_step(degenerate_pair_state(32), 200, kind, 14, 100,
+                                                    monkeypatch)
+        assert isinstance(result, ChainAbortError) and result.step < 64
+        assert calls == [(64, False, 0, 0)]
+
+    def test_singularity_error_replays_the_stretch(self, monkeypatch):
+        # a QR that finds the matrix singular at step 30 of the first stretch,
+        # made to happen by raising where _pair_distances returns one recorded
+        # value: the stretch replays, and orth raises the same error
+        A = near_singular_state(32, 1, "real", 1e-10)
+        pair_distances, seen = process._pair_distances, []
+        monkeypatch.setattr(process, "_pair_distances",
+                            lambda arr, i, j: seen.append(pair_distances(arr, i, j)) or seen[-1])
+        run_chain(A, 40, UNIFORM, 5, 40)
+        target = seen[29]
+
+        def singular(arr, i, j):
+            d = pair_distances(arr, i, j)
+            if d == target:
+                raise SingularityError(f"column {j} is numerically in the span of the others",
+                                       column=j)
+            return d
+
+        monkeypatch.setattr(process, "_pair_distances", singular)
+        result, calls = self.by_stretch_and_by_step(A, 100, UNIFORM, 5, 100, monkeypatch)
+        assert isinstance(result, SingularityError) and calls == [(64, False, 0, 0)]
+
+    def test_proportional_fallback_inside_a_stretch(self, monkeypatch):
+        # near orthonormal every inner product drops below 1e-15 and the
+        # proportional draw falls back to uniform, inside taken stretches
+        result, calls = self.by_stretch_and_by_step(random_state(4, 5), 60, PROPORTIONAL, 2, 10,
+                                                    monkeypatch)
+        assert result.kernel.uniform_fallbacks > 0
+        assert any(taken and fell for _, taken, _, fell in calls)
+
+    def test_never_taken_below_the_floor_or_in_a_stack(self, monkeypatch):
+        # a stride below STACK_MIN_REPLICATES gives no stretch that long, and
+        # stacks of two or more go by level or step by step
+        calls = []
+        monkeypatch.setattr(process._ChainStack, "stretch",
+                            lambda self, *args: calls.append(self.count) or False)
+        A = random_state(8, 1)
+        for kind in (UNIFORM, PROPORTIONAL, GREEDY):
+            for stride in range(1, STACK_MIN_REPLICATES):
+                run_chain(A, 60, kind, 2, stride)
+            for replicates in (2, 3, 5):
+                run_ensemble(A, 60, kind, replicates, 2, 20)
+        assert calls == []
+        run_chain(A, 60, UNIFORM, 2, STACK_MIN_REPLICATES)
+        assert calls and set(calls) == {1}
 
 
 class TestRunEnsemble:

@@ -11,7 +11,8 @@ near-singular, verify-all) is one cell: raw ops/s of a round (not
 perfbench/run.py's reference-normalized ones), inputs from --seed (default
 1), checks run on the warm-up round. A table has a cell per call below,
 from a gaussian_normalized start (seed 1, chain seed 2) in both fields,
-the record grid at t = 0 and the end only, n in {4, 8, 32, 128}:
+the record grid at t = 0 and the end only (stride sets its own), n in
+{4, 8, 32, 128}:
 
   run_chain      one chain, uniform and proportional: µs per step;
   run_ensemble   R = 50, all three samplers: µs per chain-step;
@@ -22,11 +23,17 @@ the record grid at t = 0 and the end only, n in {4, 8, 32, 128}:
                  µs per step and the share of projection-path steps, or the
                  error a refused start or an aborted chain raises;
   stack          0-step uniform run_ensemble, n = 8 only, R in {10, 50, 200}:
-                 µs per replicate, the fixed cost of a stack.
+                 µs per replicate, the fixed cost of a stack;
+  stride         run_chain, uniform and proportional, real, n in {8, 32, 128},
+                 metrics_stride in {1, 2, 4, 8, 16} (STRIDE_STEPS steps):
+                 µs per step, on both sides of the shortest stretch that a
+                 stack of one takes (STACK_MIN_REPLICATES steps).
 
-Every cell runs once untimed on each side. Then come K pairs (--pairs,
+Every cell runs once untimed on each side, then once timed on each side:
+the faster call sets the cell's batch, the count of calls that lasts at
+least BATCH_SECONDS, the same on both sides. Then come K pairs (--pairs,
 default 10): cell by cell, A first in even pairs and B in odd ones, a
-side's value is its median wall time of three calls (a cell that either
+side's value is its median wall time of three batches (a cell that either
 side's warm-up refused is not timed). It prints each pair's values, then
 per cell each side's median, the median and quartiles of the paired ratio
 B / A and the pairs B was better in (lower µs, higher ops/s). Both trees
@@ -44,6 +51,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import itertools
+import math
 import os
 import platform
 import statistics
@@ -62,8 +70,9 @@ sys.path.insert(0, PERFBENCH)
 import harness  # noqa: E402
 
 ROUNDS = 3
+BATCH_SECONDS = 0.02
 REFERENCE_RUNS = 5
-TABLES = ("run_chain", "run_ensemble", "setup", "near_singular", "stack")
+TABLES = ("run_chain", "run_ensemble", "setup", "near_singular", "stack", "stride")
 FIELDS = ("real", "complex")
 STEPS = {4: 2000, 8: 2000, 32: 1000, 128: 200}
 ENSEMBLE_STEPS = {4: 200, 8: 200, 32: 100, 128: 200}
@@ -71,13 +80,16 @@ SAMPLERS = ("uniform", "proportional", "greedy")
 REPLICATES = 50
 ETA = 1e-10
 STACK_REPLICATES = (10, 50, 200)
+STRIDES = (1, 2, 4, 8, 16)
+STRIDE_STEPS = {8: 256, 32: 128, 128: 32}
 
 
 @dataclass
 class Cell:
     """call() runs the cell once and work counts what its values are per: µs
     per work, or work per second for ops/s. call is None for a cell whose
-    start is refused or whose warm-up call raises; note then names the error."""
+    start is refused or whose warm-up call raises; note then names the error.
+    A sample times batch calls."""
 
     label: str
     call: object
@@ -85,16 +97,19 @@ class Cell:
     unit: str = "µs"
     note: str = ""
     values: list = field(default_factory=list)
+    batch: int = 1
+
+    def wall(self) -> float:
+        """Seconds of one batch of calls."""
+        start = time.perf_counter()
+        for _ in range(self.batch):
+            self.call()
+        return time.perf_counter() - start
 
     def run(self) -> None:
-        """Append the value of the median wall time of ROUNDS calls."""
-        walls = []
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            self.call()
-            walls.append(time.perf_counter() - start)
-        wall = statistics.median(walls)
-        self.values.append(self.work / wall if self.unit == "ops/s" else 1e6 * wall / self.work)
+        """Append the value of the median wall time of ROUNDS batches."""
+        wall, work = statistics.median(self.wall() for _ in range(ROUNDS)), self.work * self.batch
+        self.values.append(work / wall if self.unit == "ops/s" else 1e6 * wall / work)
 
     def shown(self) -> str:
         median = f"{statistics.median(self.values):.1f} {self.unit}" if self.values else ""
@@ -148,7 +163,8 @@ def _workload(name: str, workloads, seed: int) -> Cell:
 def _table(name: str, p) -> list[Cell]:
     """The cells of one step-cost table for package p, each after its warm-up call."""
     cells = []
-    for n, field in itertools.product((8,) if name == "stack" else STEPS, FIELDS):
+    sizes = {"stack": (8,), "stride": STRIDE_STEPS}.get(name, STEPS)
+    for n, field in itertools.product(sizes, FIELDS[:1] if name == "stride" else FIELDS):
         label, steps = f"{name} n={n} {field}", STEPS[n]
         gen, eta = (name, ETA) if name == "near_singular" else ("gaussian_normalized", None)
         try:
@@ -169,6 +185,11 @@ def _table(name: str, p) -> list[Cell]:
             wrapped = p.ColumnMatrix._wrap(np.array(A0.array, order="F"), field)
             cells += [Cell(f"{label} {how}", partial(p.run_chain, A, 0, seed=2), 1)
                       for how, A in (("kept", A0), ("wrapped", wrapped))]
+        elif name == "stride":
+            steps = STRIDE_STEPS[n]
+            cells += [Cell(f"{label} {kind} stride={stride}", partial(
+                p.run_chain, A0, steps, kind, seed=2, metrics_stride=stride), steps)
+                for kind in SAMPLERS[:2] for stride in STRIDES]
         elif name == "stack":
             cells += [Cell(f"{label} R={R}", partial(p.run_ensemble, A0, 0, "uniform", R,
                                                      base_seed=2), R) for R in STACK_REPLICATES]
@@ -206,13 +227,17 @@ def main() -> int:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     print(f"nproc {os.cpu_count()}, python {platform.python_version()}, numpy {np.__version__}, "
           f"{blas.get('name')} {blas.get('version')} on {harness.blas_threads_in_use()} "
-          f"thread(s), seed {args.seed}, {args.pairs} pairs of {ROUNDS} calls a side")
+          f"thread(s), seed {args.seed}, {args.pairs} pairs of {ROUNDS} batches a side")
     sides = {}
     for tag, checkout in (("a", args.checkout_a), ("b", args.checkout_b)):
         package, workloads = load_side(checkout, tag)
         sides[tag] = [cell for name in args.workload for cell in (
             _table(name, package) if name in TABLES else [_workload(name, workloads, args.seed)])]
         print(f"{tag}: pairorth {package.__version__} from {os.path.abspath(checkout)}")
+    for a, b in zip(sides["a"], sides["b"]):
+        if a.call and b.call:
+            a.batch = b.batch = max(1, math.ceil(BATCH_SECONDS / min(a.wall(), b.wall())))
+            print(f"batch: {a.label}: {a.batch} call(s) a sample")
     _reference("before")
 
     for k in range(args.pairs):

@@ -129,6 +129,27 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "near_singular", "--n", "5", "--eta", "1e-10",
         "--steps", "120", "--stride", "40", "--replicates", "8", "--seed", "5", *EMIT,
     ]
+    # a stack of one steps by stretch to each grid point or checkpoint: uniform
+    # (n = 8, where levels decline), both weighted samplers, the near-singular
+    # shape on the projection path, and stride 1, where no stretch is taken
+    for field in ("real", "complex"):
+        cases[f"run-one-uniform-{field}"] = [
+            "run", "--gen", "gaussian", "--n", "8", "--field", field, "--steps", "300",
+            "--stride", "50", "--replicates", "1", "--seed", "5", *EMIT,
+        ]
+    for sampler, n in (("proportional", "32"), ("greedy", "8")):
+        cases[f"run-one-{sampler}"] = [
+            "run", "--gen", "gaussian", "--n", n, "--sampler", sampler, "--steps", "300",
+            "--stride", "50", "--replicates", "1", "--seed", "5", *EMIT,
+        ]
+    cases["run-one-projection-path"] = [
+        "run", "--gen", "near_singular", "--n", "32", "--eta", "1e-10", "--steps", "100",
+        "--stride", "100", "--replicates", "1", "--seed", "5", *EMIT,
+    ]
+    cases["run-one-stride-1"] = [
+        "run", "--gen", "gaussian", "--n", "8", "--steps", "200", "--replicates", "1",
+        "--seed", "5", *EMIT,
+    ]
     for field in ("real", "complex"):
         cases[f"cosolve-1-1-{field}"] = [
             "cosolve", "--gen", "prescribed", "--n", "8", "--sigma", SIGMA, "--field", field,
