@@ -19,17 +19,15 @@ Its step updates the chains on the inverse path as one vectorized step
 when enough of them are (through a slice when they are all the chains),
 with the scalar code's reductions row by row, and runs the scalar code
 on each other chain's row, so every chain gets the same bits either way.
-A uniform stack too small for that applies each stretch to a grid point
-or checkpoint by dependency level (README, "Steps by level"); a stack of
-one otherwise makes only the updates the next step reads, and reads d,
-phi, the estimate and the refresh rule off the stretch (README, "Steps by
-stretch"). Stretches under STACK_MIN_REPLICATES steps go one by one.
+A smaller stack steps from checkpoint to checkpoint by stretch, grid
+records inside: uniform inverse-path chains by dependency level, others
+by the updates the next step reads (README, "Steps by stretch").
 A chain refreshes when a running bound on its rounding comes due, tested
 every INVERSE_REFRESH_STEPS steps on either path, or when its condition
 estimate crosses 1e8 or, on the projection path, falls by a factor n; the
-chains due recompute by one stacked inv. A record-grid
-point is one stacked SVD and one stacked Gram over the live chains; each
-chain gets the bits of the call on its matrix alone. The update rules,
+chains due recompute by one stacked inv. A record-grid point is one
+stacked SVD and one stacked Gram over the live chains; each chain gets
+the bits of the call on its matrix alone. The update rules,
 the refresh policy, the measured drift, the selection rule and the
 proportional draw are in README, "How the step kernel keeps phi".
 
@@ -485,75 +483,80 @@ class _ChainStack:
         self.inv[rows, ij] = v
         return c_abs, ok, np.vecdot(v, v).real
 
-    def levels(self, pairs, inner_abs, phi) -> bool:
-        """Step the live chains, all on the inverse path, through pairs (a row
-        each) by level, writing each step's |c| and phi. Step s of chain r gets
-        1 + the level of r's last earlier step on its i or j, so one
-        _orth_slots gives a level's disjoint steps orth's bits; then _commit
-        reads the rest off the stretch. False, with every chain as it was,
-        where a chain averages fewer than STACK_MIN_REPLICATES steps a level,
-        a pair is degenerate or a step before the last would refresh."""
-        live, (n, m) = self._all[self.live], (self.n, pairs.shape[1])
-        levels = {}
-        for r in live.tolist():
-            if np.bincount(pairs[r].ravel()).max() * STACK_MIN_REPLICATES > m:
-                return False  # a column's steps take distinct levels
-            last = [0] * n
-            for s, (i, j) in enumerate(pairs[r].tolist()):
-                last[i] = last[j] = k = max(last[i], last[j]) + 1
-                if k * STACK_MIN_REPLICATES > m:
-                    return False
-                levels.setdefault(k, []).append((r, s, i, j))
-        saved = self.cols.copy(), self.inv.copy()
-        sq = np.empty((self.count, m, 2))  # the row_sq[i] and row_sq[j] each step writes
-        for slots in map(np.array, levels.values()):
-            rows, s = slots[:, 0], slots[:, 1]
-            c_abs, _, new = self._orth_slots(rows, slots[:, 2:].T)
-            if new is None:
-                break
-            inner_abs[rows, s], sq[rows, s] = c_abs, new.T
-        else:
-            # the per-chain arrays take rs, views while every chain is live
-            if self._commit(slice(None) if live.size == self.count else live, pairs, sq, phi):
-                return True
-        self.cols[:], self.inv[:] = saved
-        return False
-
-    def stretch(self, pairs, inner_abs, phi, rng=None) -> bool:
-        """Step a stack of one through pairs as levels does (a weighted sampler
-        draws each from rng off the kept w), each step making only the updates
-        the next one reads (_move). False, with chain and rng as they were, where
-        a pair is degenerate, a QR finds A singular or an earlier step would refresh."""
+    def stretch(self, pairs, inner_abs, phi, rngs, stops, record) -> bool:
+        """Step the live chains through pairs (a weighted sampler draws them from
+        rngs[r] off the kept w), writing |c| and phi, with record(k) after offset
+        steps for each (offset, k) of stops: it reads only cols, which no refresh
+        touches. Between stops a uniform inverse-path chain goes by level where its
+        levels average STACK_MIN_REPLICATES steps (step s takes 1 + the level of
+        its last step on i or j, and one _orth_slots a level), any other by one
+        _move a step; _commit reads the rest off. False, with chains and rngs as
+        they were, where the chains sit on both paths, a pair is degenerate, a QR
+        finds A singular or a step before the last would refresh."""
+        live, (n, m) = self._all[self.live].tolist(), (self.n, pairs.shape[1])
+        on_inv = self.on_inv[self.live].tolist()
+        if min(on_inv) != max(on_inv):
+            return False
+        # each of the busiest column's steps takes a level
+        leveled = [r for r in live if rngs is None and on_inv[0]
+                   and np.bincount(pairs[r].ravel()).max() * STACK_MIN_REPLICATES <= m]
         saved = [(x, x.copy()) for x in (self.cols, self.inv, self.w) if x is not None]
-        state = None if rng is None else rng.bit_generator.state
-        ij, new, fell = pairs[0].tolist(), [], 0
+        states = [rngs[r].bit_generator.state for r in live] if rngs else []
+        new = np.empty((self.count, m, 2))  # the two values (row_sq or d) each step writes
+        ij, fell, lo = pairs.tolist(), [0] * self.count, 0
         try:
-            for s in range(pairs.shape[1]):
-                if rng is not None:
-                    ij[s], fell_back = _draw_pair(self.n, self.kind, rng, self.w[0])
-                    fell += fell_back
-                c, _, _, written = self._move(0, *ij[s])
-                inner_abs[0, s] = abs(c)
-                new.append(written)
+            for hi, k in [*stops, (m, None)]:
+                levels, moved = {}, [r for r in live if r not in leveled]
+                for r in leveled:
+                    last, mine = [0] * n, {}
+                    for s, (i, j) in enumerate(ij[r][lo:hi], lo):
+                        last[i] = last[j] = level = max(last[i], last[j]) + 1
+                        if level * STACK_MIN_REPLICATES > hi - lo:
+                            moved.append(r)
+                            break
+                        mine.setdefault(level, []).append((r, s, i, j))
+                    else:
+                        for level, slots in mine.items():
+                            levels.setdefault(level, []).extend(slots)
+                for slots in map(np.array, levels.values()):
+                    rows, s = slots[:, 0], slots[:, 1]
+                    c_abs, ok, sq = self._orth_slots(rows, slots[:, 2:].T)
+                    if sq is None:
+                        raise DegeneratePairError(slots[~ok][0, 2:], c_abs[~ok][0])
+                    inner_abs[rows, s], new[rows, s] = c_abs, sq.T
+                for r in moved:
+                    pairs_r, abs_r, out = ij[r], inner_abs[r], []
+                    for s in range(lo, hi):
+                        if rngs is not None:
+                            pairs_r[s], fell_back = _draw_pair(n, self.kind, rngs[r], self.w[r])
+                            fell[r] += fell_back
+                        c, _, _, values = self._move(r, *pairs_r[s])
+                        abs_r[s] = abs(c)
+                        out.append(values)
+                    new[r, lo:hi] = out
+                if k is not None:
+                    record(k)
+                lo = hi
         except (DegeneratePairError, SingularityError, np.linalg.LinAlgError):
             pass
         else:
-            pairs[0] = ij
-            if self._commit(slice(None), pairs, np.array(new)[None], phi):
-                self.uniform_fallbacks[0] += fell
+            if rngs:
+                pairs[:] = ij
+            # the per-chain arrays take a slice, views, while all are live
+            if self._commit(slice(None) if len(live) == self.count else live, pairs, new, phi):
+                self.uniform_fallbacks += fell
                 return True
         for x, kept in saved:
             x[:] = kept
-        if rng is not None:
-            rng.bit_generator.state = state
+        for r, state in zip(live, states):
+            rngs[r].bit_generator.state = state
         return False
 
     def _commit(self, rs, pairs, new, phi) -> bool:
         """Read the rest off a stretch of chains rs on one path, whose step s on
-        pairs[r, s] wrote new[r, s], the new row_sq (inverse path) or d of its
-        two columns: orth's bits by a forward fill, a reduction each for phi and
-        the estimate and a cumsum for est_sum; the last step runs _settle.
-        False, with nothing written, where an earlier step would refresh."""
+        pairs[r, s] wrote new[r, s] (row_sq or d of its two columns): orth's bits by
+        a forward fill, reductions for phi and the estimate, a cumsum for est_sum,
+        _settle for the last step. False, with nothing written, where one before would refresh."""
         (R, n), m, on_inv = self.d[rs].shape, pairs.shape[1], bool(self.on_inv[rs].all())
         # each chain's start values then its writes, flat, and at[r, s, k] the
         # index of column k's value after step s: the start's or its latest write
@@ -619,26 +622,29 @@ class Trajectory:
         return detect_t_star(self)
 
     @property
-    def _phi_rises(self) -> np.ndarray:
-        # every one-step rise of phi beyond the 1e-10 slack, in step order
-        rise = self.phi[1:] - self.phi[:-1]
-        return rise[self.phi[1:] > self.phi[:-1] + tol.MONOTONE_ABS]
-
-    @property
     def monotonicity_violations(self) -> int:
-        return int(self._phi_rises.size)
+        return int(np.count_nonzero(_phi_marks(self.phi, self.n)[1]))
 
     @property
     def worst_phi_rise(self) -> float:
-        return float(self._phi_rises.max(initial=0.0))
+        return float(_phi_marks(self.phi, self.n)[1].max(initial=0.0))
+
+
+def _phi_marks(phi: np.ndarray, n: int):
+    """For phi of shape (..., steps + 1): t_star, the first t with phi[..., t]
+    strictly below (log2/2) n, or -1, and each step's rise of phi where it
+    exceeds the 1e-10 slack, else 0."""
+    below, rise = phi < inflection(n), np.diff(phi)
+    return (np.where(below.any(axis=-1), below.argmax(axis=-1), -1) if phi.shape[-1] else -1,
+            np.where(phi[..., 1:] > phi[..., :-1] + tol.MONOTONE_ABS, rise, 0.0))
 
 
 def detect_t_star(traj: Trajectory) -> int | None:
     """First step index with phi strictly below (log2/2) n, if any."""
     if len(traj.phi) == 0:
         raise UsageError("trajectory has no recorded steps")
-    below = np.flatnonzero(traj.phi < inflection(traj.n))
-    return int(below[0]) if below.size else None
+    t_star = int(_phi_marks(traj.phi, traj.n)[0])
+    return t_star if t_star >= 0 else None
 
 
 def _record_grid(steps: int, stride: int) -> list[int]:
@@ -660,6 +666,7 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
         raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
     n, count = A0.n, len(seeds)
     rng = make_rng(seeds[0])
+    rngs = None if kind == UNIFORM else [rng] + [make_rng(seed) for seed in seeds[1:]]
     pairs = np.empty((count, steps, 2), dtype=np.intp)
     if kind == UNIFORM:
         # Philox is counter-based: keyed [seed, 0] at counter 0 with its
@@ -673,8 +680,6 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
             pairs[r, :, 0] = rng.integers(n * (n - 1), size=steps)
         i, j = np.divmod(pairs[..., 0], n - 1, out=(pairs[..., 0], pairs[..., 1]))
         j += j >= i
-    else:
-        rngs = [rng] + [make_rng(seed) for seed in seeds[1:]]
     phi = np.empty((count, steps + 1))
     inner_abs = np.empty((count, steps))
     stack = _ChainStack(A0, count, kind)
@@ -682,42 +687,39 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     # sigma_min, kappa and gram_offdiag of each chain at each grid point
     records = np.empty((3, count, len(grid)))
 
-    def record(rs, k: int, sigma=None) -> None:
+    def record(k: int) -> None:
+        rs = slice(None) if stack.live.all() else np.flatnonzero(stack.live)  # a view for one
         cols = stack.cols[rs]
-        sigma = np.linalg.svd(cols.mT, compute_uv=False) if sigma is None else sigma
+        sigma = np.linalg.svd(cols.mT, compute_uv=False)
         records[:, rs, k] = sigma[:, -1], sigma[:, 0] / sigma[:, -1], _gram_offdiag_fro(cols)
 
-    # every chain starts from A0: record once, from the singular values of
-    # condition_number (the bits of the stacked SVD), and copy the rest
-    record(slice(0, 1), 0, condition_number(A0)[1][None])
-    records[:, 1:, 0] = records[:, :1, 0]
-    # a stretch to a grid point or live chain's checkpoint, of STACK_MIN_REPLICATES steps
-    # or more, goes by level (a uniform stack of fewer chains, all on the inverse path,
-    # where n // 2 pairs can fill a level) or by stretch (a stack of one)
-    by_level = kind == UNIFORM and count < STACK_MIN_REPLICATES <= n // 2
-    K, t = tol.INVERSE_REFRESH_STEPS, 0
-    for k, t1 in enumerate(grid[1:], 1):
-        while t < t1:
-            end = t1
-            if (by_level or count == 1) and t1 - t >= STACK_MIN_REPLICATES:
-                end = min(t1, t + K - int((stack.since[stack.live] % K).max(initial=0)))
-                args = pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1]
-                if end - t >= STACK_MIN_REPLICATES and (
-                        by_level and stack.on_inv.all() and stack.levels(*args)
-                        or count == 1 and stack.stretch(*args, None if kind == UNIFORM else rng)):
-                    t = end
-                    continue
+    # every chain starts from A0, by condition_number's singular values (the stacked SVD's bits)
+    sigma = condition_number(A0)[1]
+    records[..., 0] = np.array([[sigma[-1]], [sigma[0] / sigma[-1]],
+                                _gram_offdiag_fro(stack.cols[:1])])
+    # checkpoint to checkpoint (or the end): a stack of fewer than STACK_MIN_REPLICATES chains
+    # takes a stretch of that many steps or more, grid[k:top] recorded inside; else one by one
+    K, end, k = tol.INVERSE_REFRESH_STEPS, 0, 1
+    while end < steps:
+        t, end = end, min(steps, end + K - int((stack.since[stack.live] % K).max(initial=0)))
+        top = bisect.bisect_left(grid, end, k)
+        if not (count < STACK_MIN_REPLICATES <= end - t and stack.stretch(
+                pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1], rngs,
+                [(g - t, q) for q, g in enumerate(grid[k:top], k)], record)):
             for t in range(t + 1, end + 1):
-                for r in range(count) if kind != UNIFORM else ():
-                    if stack.live[r]:
-                        pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
-                        stack.uniform_fallbacks[r] += fell_back
+                for r in np.flatnonzero(stack.live).tolist() if rngs else ():
+                    pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
+                    stack.uniform_fallbacks[r] += fell_back
                 stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
                 phi[:, t] = stack.phi
                 if stack.aborts and not stack.live.any():
                     return phi, pairs, inner_abs, records, stack
-        # a slice while all are live: a stack of one records a view, not a copy
-        record(slice(None) if stack.live.all() else np.flatnonzero(stack.live), k)
+                if grid[k] == t < end:
+                    record(k)
+                    k += 1
+        if grid[top] == end:
+            record(top)
+        k = bisect.bisect_right(grid, end, top)
     return phi, pairs, inner_abs, records, stack
 
 
@@ -727,9 +729,8 @@ def _chain_result(grid: list[int], run, r: int):
     phi, pairs, inner_abs, records, stack = run
     # an aborted chain keeps the prefix recorded before its failing step
     at, exc = stack.aborts.get(r, (phi.shape[1], None))
-    last = at - 1
-    k = bisect.bisect_right(grid, last)
-    result = Trajectory(stack.n, phi[r, : last + 1], pairs[r, :last], inner_abs[r, :last], grid[:k],
+    k = bisect.bisect_left(grid, at)
+    result = Trajectory(stack.n, phi[r, :at], pairs[r, :at - 1], inner_abs[r, :at - 1], grid[:k],
                         *records[:, r, :k], stack.matrix(r), stack.counters(r))
     if exc is not None:
         result = ChainAbortError(at, exc.pair, exc.inner_abs, result)
@@ -850,11 +851,9 @@ def run_ensemble(
         phi_mat[kept: kept + live.size] = phi[:, grid]
         lk_mat[kept: kept + live.size] = np.log(records[1, live])
         kept += live.size
-        # t_star and the rises beyond the 1e-10 slack, as each Trajectory reads them
-        below = phi < inflection(n)
-        t_stars += [int(t) if b else None
-                    for t, b in zip(below.argmax(axis=1).tolist(), below.any(axis=1).tolist())]
-        violations += int(np.count_nonzero(phi[:, 1:] > phi[:, :-1] + tol.MONOTONE_ABS))
+        t_star, rises = _phi_marks(phi, n)
+        t_stars += [t if t >= 0 else None for t in t_star.tolist()]
+        violations += int(np.count_nonzero(rises))
         kernels.append(stack.counters(live))
         del run, stack  # before the next chunk's stack is built
     aborts = replicates - kept

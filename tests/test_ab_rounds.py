@@ -37,7 +37,7 @@ def test_one_pair_of_the_stride_table_prints_every_cell():
     batches = re.findall(r"^batch: stride .*: (\d+) call\(s\) a sample$", out, re.M)
     rows = [line.split(" | ") for line in out.splitlines() if line.startswith("| stride ")]
     assert [row[0] for row in rows] == [
-        f"| stride n={n} real {kind} stride={stride}" for n in (8, 32, 128)
+        f"| stride n={n} real {kind} stride={stride}" for n in (8, 16, 32, 128)
         for kind in ("uniform", "proportional") for stride in (1, 2, 4, 8, 16)]
     assert len(batches) == len(rows) and all(int(b) >= 1 for b in batches)
     for _, a, b, ratio, better in rows:

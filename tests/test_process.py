@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
@@ -513,6 +514,14 @@ class TestDetectTStar:
         flat = self._traj([1.0, 0.9])
         assert (flat.monotonicity_violations, flat.worst_phi_rise) == (0, 0.0)
 
+    def test_empty_phi(self):
+        # no rises on an empty phi; t* has no step to read it off
+        traj = self._traj([0.0])
+        traj.phi = np.empty(0)
+        assert (traj.monotonicity_violations, traj.worst_phi_rise) == (0, 0.0)
+        with pytest.raises(UsageError, match="no recorded steps"):
+            detect_t_star(traj)
+
     def test_phi_rises_match_the_scalar_rule(self):
         A, _ = generate(GeneratorSpec("near_singular", n=4, field="real", seed=5, eta=1e-3))
         traj = run_chain(A, steps=400, seed=17)
@@ -950,133 +959,11 @@ def chain_or_abort(A, steps, seed, stride):
         return exc
 
 
-class TestLevelPath:
-    """A uniform stack of fewer than STACK_MIN_REPLICATES chains steps each
-    stretch up to a grid point or a checkpoint by dependency level where
-    that pays; every step must get the bits orth gives it step by step, with
-    orth's refreshes, crossings and aborts."""
-
-    @staticmethod
-    def by_level_and_by_step(A, steps, seed, stride, monkeypatch):
-        """run_chain by level, and with every stretch declined by levels, so
-        through orth step by step; with (steps, result, refreshes) of each
-        levels call of the first run."""
-        levels, calls = process._ChainStack.levels, []
-
-        def spy(self, pairs, *args):
-            before = int(self.refreshes[0])
-            calls.append((pairs.shape[1], levels(self, pairs, *args), self.refreshes[0] - before))
-            return calls[-1][1]
-
-        monkeypatch.setattr(process._ChainStack, "levels", spy)
-        by_level = chain_or_abort(A, steps, seed, stride)
-        monkeypatch.setattr(process._ChainStack, "levels", lambda *args: False)
-        return by_level, chain_or_abort(A, steps, seed, stride), calls
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("n", [4, 8, 32, 128])
-    def test_bit_identical_to_step_by_step(self, n, field, monkeypatch):
-        # stride 50: the stretches end at the grid points 50, 100, 150 and 200
-        # and at the checkpoints 64, 128 and 192
-        by_level, by_step, calls = self.by_level_and_by_step(
-            random_state(n, n, field), 200, 3, 50, monkeypatch)
-        assert_same_trajectory(by_level, by_step)
-        taken = [steps for steps, ok, _ in calls if ok]
-        if n == 4:
-            assert calls == []  # a level holds at most 2 pairs
-        elif n == 8:
-            assert calls and taken == []  # fewer than 4 steps a level
-        elif n == 128:
-            assert taken == [50, 14, 36, 28, 22, 42, 8]
-        else:
-            assert taken
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_refresh_at_a_checkpoint(self, field, monkeypatch):
-        # planted distance 1e-6, condition estimate ~1e7: the running bound
-        # comes due at a checkpoint after about n^2 steps, which ends a
-        # stretch taken by level
-        A = near_singular_state(32, 0, field, 1e-6)
-        by_level, by_step, calls = self.by_level_and_by_step(A, 1100, 1, 550, monkeypatch)
-        assert_same_trajectory(by_level, by_step)
-        assert by_level.kernel.inverse_refreshes == 1 and by_level.kernel.projection_fallbacks == 0
-        assert [(steps, ok) for steps, ok, refreshed in calls if refreshed] == [(64, True)]
-
-    def test_crossing_replays_the_stretch(self, monkeypatch):
-        # the start's estimate is just below the 1e8 crossing, and a step of
-        # the first stretch takes it above: the stretch replays through orth,
-        # which refreshes onto the projection path
-        A = near_singular_state(32, 0, "real", 2.4e-7)
-        est0 = math.sqrt(32 * (1.0 / leave_one_out_distances(A) ** 2).sum())
-        assert 0.9e8 < est0 <= tol.DISTANCE_FALLBACK_KAPPA
-        by_level, by_step, calls = self.by_level_and_by_step(A, 200, 8, 100, monkeypatch)
-        assert_same_trajectory(by_level, by_step)
-        assert calls[0][:2] == (64, False) and by_level.kernel.projection_fallbacks > 0
-
-    def test_degenerate_pair_replays_the_stretch(self, monkeypatch):
-        # columns 0 and 1 lie 1e-7 apart, as in the retirement test above, at
-        # n = 32: step 26 draws them, so its stretch replays and aborts there
-        rng = np.random.default_rng(1)
-        M = rng.standard_normal((32, 32))
-        M[:, 1] = M[:, 0] + 1e-7 * np.linalg.norm(M[:, 0]) * rng.standard_normal(32)
-        A = build_unit_column_matrix(M, normalize=True)
-        by_level, by_step, calls = self.by_level_and_by_step(A, 200, 14, 100, monkeypatch)
-        assert isinstance(by_level, ChainAbortError) and isinstance(by_step, ChainAbortError)
-        assert (by_level.step, by_level.pair, by_level.inner_abs) == (by_step.step, by_step.pair,
-                                                                      by_step.inner_abs)
-        assert by_level.step == 26 and calls[0] == (64, False, 0)
-        assert not any(ok for _, ok, _ in calls)
-        assert_same_trajectory(by_level.partial_trajectory, by_step.partial_trajectory)
-
-    @pytest.mark.parametrize("start,steps,stride", [
-        ("gaussian", 200, 50), ("near_singular", 1100, 550)])
-    def test_stack_of_three(self, start, steps, stride, monkeypatch):
-        # three replicates step as one stack, whose stretches end at the first
-        # checkpoint of a live chain; from the planted distance 1e-6 a chain's
-        # running bound comes due, after which the chains' checkpoints differ
-        A = random_state(32, 4, "complex") if start == "gaussian" else near_singular_state(
-            32, 0, "real", 1e-6)
-        levels, taken = process._ChainStack.levels, []
-        monkeypatch.setattr(process._ChainStack, "levels",
-                            lambda self, *args: taken.append(levels(self, *args)) or taken[-1])
-        stacked, error = ensemble_trajectories(A, steps, 3, 6, stride)
-        monkeypatch.setattr(process._ChainStack, "levels", lambda *args: False)
-        assert error is None and any(taken)
-        for r in range(3):
-            alone = run_chain(A, steps, UNIFORM, derive_replicate_seed(6, r), stride)
-            assert_same_trajectory(stacked[r], alone)
-        assert (start == "gaussian") == all(t.kernel.inverse_refreshes == 0 for t in stacked.values())
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_full_levels_at_n_8(self, field):
-        # 16 rounds of 4 disjoint pairs, each round one level: the only way a
-        # level holds STACK_MIN_REPLICATES steps at n = 8
-        A = random_state(8, 5, field)
-        rng = np.random.default_rng(2)
-        pairs = np.concatenate([rng.permutation(8).reshape(4, 2) for _ in range(16)])
-        by_level, by_step = process._ChainStack(A, 1), process._ChainStack(A, 1)
-        phi, inner_abs = np.empty((2, 64)), np.empty((2, 64))
-        assert by_level.levels(pairs[None], inner_abs[:1], phi[:1])
-        for s, (i, j) in enumerate(pairs.tolist()):
-            inner_abs[1, s] = abs(by_step.orth(0, i, j)[0])
-            phi[1, s] = by_step.phi[0]
-        assert np.array_equal(phi[0], phi[1]) and np.array_equal(inner_abs[0], inner_abs[1])
-        for name in ("cols", "inv", "row_sq", "d", "phi", "est_sum", "since"):
-            assert np.array_equal(getattr(by_level, name), getattr(by_step, name)), name
-        assert by_level.counters(0) == by_step.counters(0)
-
-    @pytest.mark.parametrize("n,stride", [(4, 50), (128, 1)])
-    def test_never_taken_where_it_cannot_pay(self, n, stride, monkeypatch):
-        # a level at n = 4 holds 2 pairs, a stretch at stride 1 one step:
-        # the chain steps through orth, as before the level path
-        calls = []
-        monkeypatch.setattr(process._ChainStack, "levels", lambda *args: calls.append(args))
-        run_chain(random_state(n, 1), 60, UNIFORM, 2, stride)
-        assert calls == []
-
-
-def chain_outcome(A, steps, kind, seed, stride):
-    """run_chain's trajectory, or the error it raises."""
+def chain_outcome(A, steps, kind, seed, stride, replicates=1):
+    """run_chain's trajectory, or the error it raises; for more replicates,
+    run_ensemble's kept trajectories and the error it raised, if any."""
+    if replicates > 1:
+        return ensemble_trajectories(A, steps, replicates, seed, stride, kind)
     try:
         return run_chain(A, steps, kind, seed, stride)
     except (PairOrthError, np.linalg.LinAlgError) as exc:
@@ -1084,8 +971,14 @@ def chain_outcome(A, steps, kind, seed, stride):
 
 
 def assert_same_outcome(a, b):
-    """The same trajectory, or the same error with the same partial trajectory."""
+    """The same trajectory, or the same error with the same partial trajectory;
+    for ensembles the same kept trajectories and error."""
     assert type(a) is type(b)
+    if isinstance(a, tuple):
+        assert list(a[0]) == list(b[0]) and a[1] == b[1]
+        for r in a[0]:
+            assert_same_trajectory(a[0][r], b[0][r])
+        return
     if isinstance(a, ChainAbortError):
         assert (a.step, a.pair, a.inner_abs) == (b.step, b.pair, b.inner_abs)
         a, b = a.partial_trajectory, b.partial_trajectory
@@ -1095,34 +988,53 @@ def assert_same_outcome(a, b):
     assert_same_trajectory(a, b)
 
 
-class TestStretchPath:
-    """A stack of one steps each stretch to a grid point or checkpoint that
-    holds at least STACK_MIN_REPLICATES steps by stretch: a step makes only
-    the updates the next one reads, and d, phi, the estimate and the refresh
-    rule are read off the stretch. Every chain must get the bits of the
-    same chain with every stretch declined, so through orth step by step,
-    with its refreshes, crossings, aborts and errors. levels declines in
-    both runs, so that the uniform stretches go by stretch too."""
+# one stretch call: its steps, whether it was taken, the refreshes and
+# proportional fallbacks it made, the grid records it took, whether any of
+# its steps went by level, and whether its live chains sat on both paths
+Stretch = namedtuple("Stretch", "steps taken refreshed fell recorded by_level both_paths")
+
+
+class TestStretch:
+    """A stack of fewer than STACK_MIN_REPLICATES chains steps from one
+    checkpoint to the next by stretch, recording the grid points inside it:
+    uniform inverse-path chains by level where their levels average
+    STACK_MIN_REPLICATES steps, any other chain by _move, making only the
+    updates the next step reads; d, phi, the estimate and the refresh rule
+    are read off the stretch. Every chain must get the bits of the same
+    chains with every stretch declined, so through orth step by step, with
+    its refreshes, crossings, aborts, errors and records."""
 
     @staticmethod
-    def by_stretch_and_by_step(A, steps, kind, seed, stride, monkeypatch):
-        """The chain by stretch and with every stretch declined, with (steps,
-        taken, refreshes, uniform fallbacks) of each stretch call of the first."""
+    def spy(monkeypatch):
+        """Spy on stretch; returns the list of its calls, as Stretch."""
         stretch, calls = process._ChainStack.stretch, []
 
-        def spy(self, pairs, *args):
-            before = int(self.refreshes[0]), int(self.uniform_fallbacks[0])
-            taken = stretch(self, pairs, *args)
-            calls.append((pairs.shape[1], taken, int(self.refreshes[0]) - before[0],
-                          int(self.uniform_fallbacks[0]) - before[1]))
+        def spy(self, pairs, inner_abs, phi, rngs, stops, record):
+            live = self.live.copy()
+            both_paths = 0 < self.on_inv[live].sum() < live.sum()
+            before = int(self.refreshes.sum()), int(self.uniform_fallbacks.sum())
+            recorded, levels, orth_slots = [], [], self._orth_slots
+            self._orth_slots = lambda *args: levels.append(args) or orth_slots(*args)
+            try:
+                taken = stretch(self, pairs, inner_abs, phi, rngs, stops,
+                                lambda k: recorded.append(k) or record(k))
+            finally:
+                del self._orth_slots
+            calls.append(Stretch(pairs.shape[1], taken, int(self.refreshes.sum()) - before[0],
+                                 int(self.uniform_fallbacks.sum()) - before[1], len(recorded),
+                                 bool(levels), both_paths))
             return taken
 
-        monkeypatch.setattr(process._ChainStack, "levels", lambda *args: False)
         monkeypatch.setattr(process._ChainStack, "stretch", spy)
-        by_stretch = chain_outcome(A, steps, kind, seed, stride)
+        return calls
+
+    def by_stretch_and_by_step(self, A, steps, kind, seed, stride, monkeypatch, replicates=1):
+        """The chains by stretch, checked against the same chains with every
+        stretch declined, and the stretch calls of the first run."""
+        calls = self.spy(monkeypatch)
+        by_stretch = chain_outcome(A, steps, kind, seed, stride, replicates)
         monkeypatch.setattr(process._ChainStack, "stretch", lambda *args: False)
-        by_step = chain_outcome(A, steps, kind, seed, stride)
-        assert_same_outcome(by_stretch, by_step)
+        assert_same_outcome(by_stretch, chain_outcome(A, steps, kind, seed, stride, replicates))
         return by_stretch, calls
 
     @pytest.mark.parametrize("kind", [UNIFORM, PROPORTIONAL, GREEDY])
@@ -1130,21 +1042,71 @@ class TestStretchPath:
     @pytest.mark.parametrize("n", [4, 8, 32, 128])
     @pytest.mark.parametrize("eta", [None, 1e-10])
     def test_bit_identical_to_step_by_step(self, n, field, kind, eta, monkeypatch):
-        # stride 50: stretches end at the grid points 50, 100, ... and at the
-        # checkpoints 64, 128, ...; from the planted distance 1e-10 they start
-        # on the projection path (n = 4 aborts at step 19)
+        # stride 50: stretches end at the checkpoints 64, 128, ... and the end,
+        # with the grid points 50, 100, ... inside; from the planted distance
+        # 1e-10 they start on the projection path (n = 4 aborts at step 19)
         A = random_state(n, 3, field) if eta is None else near_singular_state(n, 1, field, eta)
         steps = 70 if n == 128 else 200
         result, calls = self.by_stretch_and_by_step(A, steps, kind, 5, 50, monkeypatch)
-        assert any(taken for _, taken, _, _ in calls) or isinstance(result, ChainAbortError)
+        assert any(c.taken for c in calls) or isinstance(result, ChainAbortError)
+        if kind == UNIFORM and eta is None:
+            # no refresh: a stretch to each checkpoint and one to the end; a
+            # level holds at most 2 pairs at n = 4 and averages under 2 at n = 8
+            assert [c.steps for c in calls] == [64] * (steps // 64) + [steps % 64]
+            assert all(c.taken for c in calls)
+            assert any(c.by_level for c in calls) == (n >= 32)
+        else:
+            assert not any(c.by_level for c in calls)
 
-    def test_crossing_replays_the_stretch(self, monkeypatch):
-        # an estimate just below the 1e8 crossing, which a step of the first
-        # stretch takes above: the stretch replays, and orth refreshes onto
-        # the projection path
+    @pytest.mark.parametrize("kind", [UNIFORM, PROPORTIONAL])
+    @pytest.mark.parametrize("stride", [1, 4, 7])
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_records_inside_a_stretch(self, n, stride, kind, monkeypatch):
+        # a grid point no longer ends a stretch: the first, of 64 steps, takes
+        # the records at the multiples of the stride below 64, the bits of the
+        # records taken step by step. Its steps go by level only where the
+        # 4 steps between records at n = 32 can share a level
+        result, calls = self.by_stretch_and_by_step(random_state(n, 2, "complex"), 200, kind, 3,
+                                                    stride, monkeypatch)
+        assert len(result.grid) == 200 // stride + 1 + (200 % stride > 0)
+        assert calls[0] == Stretch(64, True, 0, 0, 63 // stride, kind == UNIFORM and n == 32
+                                   and stride == 4, False)
+
+    @pytest.mark.parametrize("stride", [50, 100])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_records_inside_a_stretch_by_level_at_n_128(self, field, stride, monkeypatch):
+        # the large-n chain's shape: a stretch to each checkpoint, every one by
+        # level, and the grid points 50, 100, 150 (or 100 alone) inside the
+        # stretches; 64, 128 and 192 are not grid points, 200 is recorded after
+        result, calls = self.by_stretch_and_by_step(random_state(128, 3, field), 200, UNIFORM, 5,
+                                                    stride, monkeypatch)
+        assert result.grid == list(range(0, 201, stride))
+        assert calls == [Stretch(m, True, 0, 0, k, True, False) for m, k in
+                         zip([64, 64, 64, 8], [1, 1, 1, 0] if stride == 50 else [0, 1, 0, 0])]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_refresh_at_a_checkpoint(self, field, monkeypatch):
+        # planted distance 1e-6, condition estimate ~1e7: the running bound
+        # comes due at a checkpoint after about n^2 steps, which ends a
+        # stretch taken by level, with the grid point 550 inside another
+        A = near_singular_state(32, 0, field, 1e-6)
+        result, calls = self.by_stretch_and_by_step(A, 1100, UNIFORM, 1, 550, monkeypatch)
+        assert result.kernel.inverse_refreshes == 1 and result.kernel.projection_fallbacks == 0
+        assert [(c.steps, c.taken, c.by_level) for c in calls if c.refreshed] == [(64, True, True)]
+        assert sum(c.recorded for c in calls) == 1
+
+    @pytest.mark.parametrize("stride", [100, 10])
+    def test_crossing_replays_the_stretch(self, stride, monkeypatch):
+        # the start's estimate is just below the 1e8 crossing, and a step of
+        # the first stretch takes it above: the stretch replays through orth,
+        # which refreshes onto the projection path; at stride 10 the stretch
+        # declines after the records it took inside, and the replay takes them again
         A = near_singular_state(32, 0, "real", 2.4e-7)
-        result, calls = self.by_stretch_and_by_step(A, 200, UNIFORM, 8, 100, monkeypatch)
+        est0 = math.sqrt(32 * (1.0 / leave_one_out_distances(A) ** 2).sum())
+        assert 0.9e8 < est0 <= tol.DISTANCE_FALLBACK_KAPPA
+        result, calls = self.by_stretch_and_by_step(A, 200, UNIFORM, 8, stride, monkeypatch)
         assert calls[0][:2] == (64, False) and result.kernel.projection_fallbacks > 0
+        assert (calls[0].recorded > 0) == (stride == 10)
 
     def test_projection_path_falls_and_checkpoints(self, monkeypatch):
         # planted distance 1e-12 at n = 8: every step stays on the projection
@@ -1153,26 +1115,23 @@ class TestStretchPath:
         A = near_singular_state(8, 0, "real", 1e-12)
         result, calls = self.by_stretch_and_by_step(A, 300, UNIFORM, 3, 50, monkeypatch)
         assert result.kernel.projection_fallbacks == 300
-        assert any(not taken for _, taken, _, _ in calls)
-        assert any(taken and refreshed for _, taken, refreshed, _ in calls)
+        assert any(not c.taken for c in calls)
+        assert any(c.taken and c.refreshed for c in calls)
 
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_refresh_at_a_checkpoint(self, field, monkeypatch):
-        # planted distance 1e-6: the running bound comes due at the checkpoint
-        # that ends a taken stretch
-        A = near_singular_state(32, 0, field, 1e-6)
-        result, calls = self.by_stretch_and_by_step(A, 1100, UNIFORM, 1, 550, monkeypatch)
-        assert result.kernel.inverse_refreshes == 1 and result.kernel.projection_fallbacks == 0
-        assert [(steps, taken) for steps, taken, refreshed, _ in calls if refreshed] == [(64, True)]
-
+    @pytest.mark.parametrize("stride", [100, 10])
     @pytest.mark.parametrize("kind", [UNIFORM, PROPORTIONAL])
-    def test_degenerate_pair_replays_the_stretch(self, kind, monkeypatch):
+    def test_degenerate_pair_replays_the_stretch(self, kind, stride, monkeypatch):
         # columns 0 and 1 lie 1e-7 apart: the chain draws them in its first
-        # stretch, which replays and aborts there
-        result, calls = self.by_stretch_and_by_step(degenerate_pair_state(32), 200, kind, 14, 100,
-                                                    monkeypatch)
+        # stretch (the uniform one at step 26), which declines after the records
+        # it took inside, replays and aborts there; the uniform chain's steps go
+        # by level until then at stride 100, by _move at stride 10
+        result, calls = self.by_stretch_and_by_step(degenerate_pair_state(32), 200, kind, 14,
+                                                    stride, monkeypatch)
         assert isinstance(result, ChainAbortError) and result.step < 64
-        assert calls == [(64, False, 0, 0)]
+        assert kind != UNIFORM or result.step == 26
+        recorded, by_level = (result.step - 1) // stride, kind == UNIFORM and stride == 100
+        assert calls == [Stretch(64, False, 0, 0, recorded, by_level, False)]
+        assert recorded > 0 or stride == 100
 
     def test_singularity_error_replays_the_stretch(self, monkeypatch):
         # a QR that finds the matrix singular at step 30 of the first stretch,
@@ -1194,31 +1153,118 @@ class TestStretchPath:
 
         monkeypatch.setattr(process, "_pair_distances", singular)
         result, calls = self.by_stretch_and_by_step(A, 100, UNIFORM, 5, 100, monkeypatch)
-        assert isinstance(result, SingularityError) and calls == [(64, False, 0, 0)]
+        assert isinstance(result, SingularityError)
+        assert calls == [Stretch(64, False, 0, 0, 0, False, False)]
 
     def test_proportional_fallback_inside_a_stretch(self, monkeypatch):
         # near orthonormal every inner product drops below 1e-15 and the
-        # proportional draw falls back to uniform, inside taken stretches
-        result, calls = self.by_stretch_and_by_step(random_state(4, 5), 60, PROPORTIONAL, 2, 10,
-                                                    monkeypatch)
+        # proportional draw falls back to uniform, inside taken stretches; a
+        # stretch that declines after its draws puts back the generators and
+        # counts none of its fallbacks
+        A = random_state(4, 5)
+        result, calls = self.by_stretch_and_by_step(A, 60, PROPORTIONAL, 2, 10, monkeypatch)
         assert result.kernel.uniform_fallbacks > 0
-        assert any(taken and fell for _, taken, _, fell in calls)
+        assert any(c.taken and c.fell for c in calls)
+        monkeypatch.undo()
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(process._ChainStack, "_commit", lambda *args: False)
+        assert_same_outcome(result, chain_outcome(A, 60, PROPORTIONAL, 2, 10))
+        assert calls and not any(c.taken for c in calls)
 
-    def test_never_taken_below_the_floor_or_in_a_stack(self, monkeypatch):
-        # a stride below STACK_MIN_REPLICATES gives no stretch that long, and
-        # stacks of two or more go by level or step by step
-        calls = []
-        monkeypatch.setattr(process._ChainStack, "stretch",
-                            lambda self, *args: calls.append(self.count) or False)
+    @pytest.mark.parametrize("start,steps,stride", [
+        ("gaussian", 200, 50), ("near_singular", 1100, 550)])
+    def test_stack_of_three(self, start, steps, stride, monkeypatch):
+        # three replicates step as one stack, whose stretches end at the first
+        # checkpoint of a live chain; from the planted distance 1e-6 a chain's
+        # running bound comes due, after which the chains' checkpoints differ
+        A = random_state(32, 4, "complex") if start == "gaussian" else near_singular_state(
+            32, 0, "real", 1e-6)
+        stacked, calls = self.by_stretch_and_by_step(A, steps, UNIFORM, 6, stride, monkeypatch, 3)
+        assert stacked[1] is None and any(c.taken and c.by_level for c in calls)
+        for r in range(3):
+            alone = run_chain(A, steps, UNIFORM, derive_replicate_seed(6, r), stride)
+            assert_same_trajectory(stacked[0][r], alone)
+        assert (start == "gaussian") == all(t.kernel.inverse_refreshes == 0
+                                            for t in stacked[0].values())
+
+    @pytest.mark.parametrize("replicates", [2, 3])
+    @pytest.mark.parametrize("kind,eta", [
+        (PROPORTIONAL, None), (GREEDY, None), (UNIFORM, 1e-10), (PROPORTIONAL, 1e-10)])
+    def test_weighted_and_projection_path_stacks(self, kind, eta, replicates, monkeypatch):
+        # each chain of a weighted stack draws from its own generator inside the
+        # stretch; from the planted distance 1e-10 the chains start on the
+        # projection path, and one of the uniform replicates aborts
+        A = random_state(8, 5, "complex") if eta is None else near_singular_state(6, 2, "real", eta)
+        (stacked, error), calls = self.by_stretch_and_by_step(A, 200, kind, 5, 50, monkeypatch,
+                                                              replicates)
+        assert any(c.taken for c in calls) and not any(c.by_level for c in calls)
+        assert (error is not None) == (kind == UNIFORM and eta is not None)
+        monkeypatch.undo()
+        assert_stack_matches_run_chain(A, 200, replicates, 5, 50, kind)
+
+    @pytest.mark.parametrize("field,seed,base_seed", [("real", 2, 9), ("complex", 2, 19)])
+    def test_a_stack_on_both_paths_steps_one_by_one(self, field, seed, base_seed, monkeypatch):
+        # planted distance 1e-10: the three chains leave the projection path at
+        # different steps, and a stretch that finds them on both paths declines
+        A, _ = generate(GeneratorSpec("near_singular", n=6, field=field, seed=seed, eta=1e-10))
+        (stacked, error), calls = self.by_stretch_and_by_step(A, 200, UNIFORM, base_seed, 50,
+                                                              monkeypatch, 3)
+        assert error is None and len(stacked) == 3
+        assert any(c.taken for c in calls)
+        # such a stretch declines before its first step, so before the record
+        # at the grid point 100 inside it
+        both = [c for c in calls if c.both_paths]
+        assert both and all(not c.taken and c.recorded == 0 for c in both)
+        monkeypatch.undo()
+        assert_stack_matches_run_chain(A, 200, 3, base_seed, 50)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_full_levels_at_n_8(self, field, monkeypatch):
+        # 16 rounds of 4 disjoint pairs, each round one level: the only way a
+        # level holds STACK_MIN_REPLICATES steps at n = 8
+        A = random_state(8, 5, field)
+        rng = np.random.default_rng(2)
+        pairs = np.concatenate([rng.permutation(8).reshape(4, 2) for _ in range(16)])
+        by_level, by_step = process._ChainStack(A, 1), process._ChainStack(A, 1)
+        phi, inner_abs = np.empty((2, 64)), np.empty((2, 64))
+        levels, orth_slots = [], by_level._orth_slots
+        monkeypatch.setattr(by_level, "_orth_slots",
+                            lambda *args: levels.append(args) or orth_slots(*args))
+        assert by_level.stretch(pairs[None], inner_abs[:1], phi[:1], None, [], None)
+        assert len(levels) == 16
+        for s, (i, j) in enumerate(pairs.tolist()):
+            inner_abs[1, s] = abs(by_step.orth(0, i, j)[0])
+            phi[1, s] = by_step.phi[0]
+        assert np.array_equal(phi[0], phi[1]) and np.array_equal(inner_abs[0], inner_abs[1])
+        for name in ("cols", "inv", "row_sq", "d", "phi", "est_sum", "since"):
+            assert np.array_equal(getattr(by_level, name), getattr(by_step, name)), name
+        assert by_level.counters(0) == by_step.counters(0)
+
+    @pytest.mark.parametrize("n,stride", [(4, 50), (128, 1)])
+    def test_never_by_level_where_it_cannot_pay(self, n, stride, monkeypatch):
+        # a level at n = 4 holds 2 pairs, one between stride-1 records one
+        # step: every stretch is taken, by _move
+        calls = self.spy(monkeypatch)
+        run_chain(random_state(n, 1), 60, UNIFORM, 2, stride)
+        assert calls == [Stretch(60, True, 0, 0, 59 // stride, False, False)]
+
+    def test_taken_by_stacks_under_the_floor(self, monkeypatch):
+        # stacks of one to three take stretches at every stride, stacks of
+        # four or more step as one vectorized step, and a stretch shorter than
+        # STACK_MIN_REPLICATES steps (here the last 3) goes one by one
+        counts, stretch = [], process._ChainStack.stretch
+        monkeypatch.setattr(process._ChainStack, "stretch", lambda self, pairs, *args: (
+            counts.append((self.count, pairs.shape[1])) or stretch(self, pairs, *args)))
         A = random_state(8, 1)
         for kind in (UNIFORM, PROPORTIONAL, GREEDY):
             for stride in range(1, STACK_MIN_REPLICATES):
-                run_chain(A, 60, kind, 2, stride)
+                run_chain(A, 67, kind, 2, stride)
             for replicates in (2, 3, 5):
                 run_ensemble(A, 60, kind, replicates, 2, 20)
-        assert calls == []
-        run_chain(A, 60, UNIFORM, 2, STACK_MIN_REPLICATES)
-        assert calls and set(calls) == {1}
+        assert counts == ([(1, 64)] * (STACK_MIN_REPLICATES - 1) + [(2, 60), (3, 60)]) * 3
+        counts[:] = []
+        run_chain(A, STACK_MIN_REPLICATES - 1, UNIFORM, 2, 1)
+        assert counts == []
 
 
 class TestRunEnsemble:

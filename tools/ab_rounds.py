@@ -14,8 +14,8 @@ from a gaussian_normalized start (seed 1, chain seed 2) in both fields,
 the record grid at t = 0 and the end only (stride sets its own), n in
 {4, 8, 32, 128}:
 
-  run_chain      one chain, uniform and proportional: µs per step;
-  run_ensemble   R = 50, all three samplers: µs per chain-step;
+  run_chain      one chain, uniform and proportional, n = 16 too: µs per step;
+  run_ensemble   R in {3, 50}, all three samplers: µs per chain-step;
   setup          0-step run_chain from the generated start, which keeps its
                  inverse and distances ("kept"), and from a ColumnMatrix._wrap
                  copy, which recomputes them and takes one SVD: µs per call;
@@ -24,10 +24,9 @@ the record grid at t = 0 and the end only (stride sets its own), n in
                  error a refused start or an aborted chain raises;
   stack          0-step uniform run_ensemble, n = 8 only, R in {10, 50, 200}:
                  µs per replicate, the fixed cost of a stack;
-  stride         run_chain, uniform and proportional, real, n in {8, 32, 128},
-                 metrics_stride in {1, 2, 4, 8, 16} (STRIDE_STEPS steps):
-                 µs per step, on both sides of the shortest stretch that a
-                 stack of one takes (STACK_MIN_REPLICATES steps).
+  stride         run_chain, uniform and proportional, real, n in {8, 16, 32,
+                 128}, metrics_stride in {1, 2, 4, 8, 16} (STRIDE_STEPS
+                 steps): µs per step with a grid record every few steps.
 
 Every cell runs once untimed on each side, then once timed on each side:
 the faster call sets the cell's batch, the count of calls that lasts at
@@ -74,14 +73,14 @@ BATCH_SECONDS = 0.02
 REFERENCE_RUNS = 5
 TABLES = ("run_chain", "run_ensemble", "setup", "near_singular", "stack", "stride")
 FIELDS = ("real", "complex")
-STEPS = {4: 2000, 8: 2000, 32: 1000, 128: 200}
+STEPS = {4: 2000, 8: 2000, 16: 2000, 32: 1000, 128: 200}
 ENSEMBLE_STEPS = {4: 200, 8: 200, 32: 100, 128: 200}
 SAMPLERS = ("uniform", "proportional", "greedy")
-REPLICATES = 50
+REPLICATES = (3, 50)
 ETA = 1e-10
 STACK_REPLICATES = (10, 50, 200)
 STRIDES = (1, 2, 4, 8, 16)
-STRIDE_STEPS = {8: 256, 32: 128, 128: 32}
+STRIDE_STEPS = {8: 256, 16: 256, 32: 128, 128: 32}
 
 
 @dataclass
@@ -163,7 +162,7 @@ def _workload(name: str, workloads, seed: int) -> Cell:
 def _table(name: str, p) -> list[Cell]:
     """The cells of one step-cost table for package p, each after its warm-up call."""
     cells = []
-    sizes = {"stack": (8,), "stride": STRIDE_STEPS}.get(name, STEPS)
+    sizes = {"stack": (8,), "stride": STRIDE_STEPS, "run_chain": STEPS}.get(name, ENSEMBLE_STEPS)
     for n, field in itertools.product(sizes, FIELDS[:1] if name == "stride" else FIELDS):
         label, steps = f"{name} n={n} {field}", STEPS[n]
         gen, eta = (name, ETA) if name == "near_singular" else ("gaussian_normalized", None)
@@ -178,9 +177,9 @@ def _table(name: str, p) -> list[Cell]:
                       for kind in SAMPLERS[:2]]
         elif name == "run_ensemble":
             steps = ENSEMBLE_STEPS[n]
-            cells += [Cell(f"{label} {kind}", partial(p.run_ensemble, A0, steps, kind, REPLICATES,
-                                                      base_seed=2, metrics_stride=steps),
-                           steps * REPLICATES) for kind in SAMPLERS]
+            cells += [Cell(f"{label} {kind} R={R}", partial(
+                p.run_ensemble, A0, steps, kind, R, base_seed=2, metrics_stride=steps), steps * R)
+                for R in REPLICATES for kind in SAMPLERS]
         elif name == "setup":
             wrapped = p.ColumnMatrix._wrap(np.array(A0.array, order="F"), field)
             cells += [Cell(f"{label} {how}", partial(p.run_chain, A, 0, seed=2), 1)

@@ -129,9 +129,9 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "near_singular", "--n", "5", "--eta", "1e-10",
         "--steps", "120", "--stride", "40", "--replicates", "8", "--seed", "5", *EMIT,
     ]
-    # a stack of one steps by stretch to each grid point or checkpoint: uniform
-    # (n = 8, where levels decline), both weighted samplers, the near-singular
-    # shape on the projection path, and stride 1, where no stretch is taken
+    # a stack of one steps by stretch from checkpoint to checkpoint, grid records
+    # inside: uniform (n = 8, by _move), both weighted samplers, the near-singular
+    # shape on the projection path, and stride 1, a record after every step
     for field in ("real", "complex"):
         cases[f"run-one-uniform-{field}"] = [
             "run", "--gen", "gaussian", "--n", "8", "--field", field, "--steps", "300",
@@ -149,6 +149,25 @@ def _cases() -> dict[str, list[str]]:
     cases["run-one-stride-1"] = [
         "run", "--gen", "gaussian", "--n", "8", "--steps", "200", "--replicates", "1",
         "--seed", "5", *EMIT,
+    ]
+    # a record every 4 steps at n = 8 and after every step at n = 32: one
+    # stretch per checkpoint either way, by _move between the records
+    for n, stride in (("8", "4"), ("32", "1")):
+        cases[f"run-one-{n}-stride-{stride}"] = [
+            "run", "--gen", "gaussian", "--n", n, "--steps", "200", "--stride", stride,
+            "--replicates", "1", "--seed", "5", *EMIT,
+        ]
+    # stacks of two and three step by stretch too: proportional chains each
+    # drawing from their own generator, uniform chains by level at n = 32, and
+    # projection-path chains from a planted distance 1e-10
+    for sampler, n in (("proportional", "8"), ("uniform", "32")):
+        cases[f"run-three-{sampler}-{n}"] = [
+            "run", "--gen", "gaussian", "--n", n, "--sampler", sampler, "--steps", "300",
+            "--stride", "50", "--replicates", "3", "--seed", "5", *EMIT,
+        ]
+    cases["run-two-projection-path"] = [
+        "run", "--gen", "near_singular", "--n", "12", "--eta", "1e-10", "--steps", "300",
+        "--stride", "50", "--replicates", "2", "--seed", "11", *EMIT,
     ]
     for field in ("real", "complex"):
         cases[f"cosolve-1-1-{field}"] = [
