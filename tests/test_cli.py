@@ -169,6 +169,25 @@ class TestRun:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("change,message", [
+        ({"--gen": "bogus"}, "unknown generator 'bogus'"),
+        ({"--n": None}, "missing required value 'n'"),
+        ({"--sampler": "bogus"}, "unknown sampler 'bogus'"),
+        ({"--steps": "0"}, "steps must be >= 1, got 0"),
+        ({"--replicates": "0"}, "replicates must be >= 1, got 0"),
+    ])
+    def test_bad_run_value_is_usage_error_before_output_dir(self, tmp_path, capsys, change,
+                                                            message):
+        out = tmp_path / "out"
+        flags = {"--gen": "haar", "--n": "4", "--steps": "5", "--replicates": "1", "--seed": "1",
+                 "--out": str(out)}
+        flags.update(change)
+        code = main(["run"] + [x for flag, value in flags.items() if value is not None
+                               for x in (flag, value)])
+        assert code == 1
+        assert f"pairorth: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_n2_instance_fails_before_output_dir(self, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["run", "--gen", "near_singular", "--n", "2", "--steps", "10",
@@ -295,6 +314,10 @@ class TestVerify:
         assert main(["verify", "lemma10", "--trials", "40", "--seed", "2"]) == 0
         assert "pass 40/40" in capsys.readouterr().out
 
+    def test_hadamard_passes(self, capsys):
+        assert main(["verify", "hadamard", "--trials", "1000", "--seed", "20260808"]) == 0
+        assert "hadamard: pass 1000/1000" in capsys.readouterr().out
+
     def test_failing_suite_dumps_instance(self, tmp_path, capsys):
         # the per-step distance monotonicity claim genuinely fails for
         # n >= 3, so this suite must report the failure and exit 2
@@ -400,6 +423,20 @@ class TestCosolve:
         assert int(summary["inverse_refreshes"]) == 0  # 20 orth steps, no refresh due
         assert int(summary["projection_fallbacks"]) == 0
         assert float(summary["worst_refresh_drift"]) == 0.0
+
+    def test_complex_field_solves_for_a_complex_x(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_cosolve",
+                            lambda *args, **kw: runs.append(args) or run_cosolve(*args, **kw))
+        code = main(
+            ["cosolve", "--gen", "gaussian", "--n", "4", "--field", "complex", "--interleave",
+             "1:1", "--steps", "40", "--seed", "6", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        A0, x_true = runs[0]
+        assert A0.field == "complex" and np.all(x_true.imag != 0.0)
+        summary = read_summary(tmp_path / "cosolve_summary.txt")
+        assert summary["field"] == "complex" and float(summary["final_residual"]) <= 1e-8
 
     def test_summary_carries_the_kernel_record(self, tmp_path, monkeypatch):
         # the projection-path start makes refreshes, projection steps and

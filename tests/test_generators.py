@@ -35,6 +35,10 @@ class TestSpecValidation:
         with pytest.raises(UsageError):
             GeneratorSpec("toeplitz", n=4, seed=1)
 
+    def test_unknown_field(self):
+        with pytest.raises(UsageError, match="^field must be 'real' or 'complex', got 'quaternion'$"):
+            GeneratorSpec(GAUSSIAN, n=4, field="quaternion", seed=1)
+
     def test_seed_required_for_random_kinds(self):
         with pytest.raises(UsageError, match="seed"):
             GeneratorSpec(GAUSSIAN, n=4)

@@ -45,6 +45,17 @@ class TestMatrixFormat:
         with pytest.raises(UsageError):
             io.matrix_from_text("something-else v1 2 real\n1 0\n0 1\n")
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(UsageError, match="^matrix file is empty$"):
+            io.load_matrix(str(path))
+
+    def test_bad_field_tag_rejected(self):
+        with pytest.raises(UsageError, match="^bad field tag 'quaternion' in matrix header$"):
+            io.matrix_from_text("pairorth-matrix v1 2 quaternion\n1 0\n0 1\n")
+
     def test_row_count_mismatch(self):
         with pytest.raises(UsageError, match="rows"):
             io.matrix_from_text("pairorth-matrix v1 3 real\n1 0 0\n0 1 0\n")

@@ -98,6 +98,15 @@ class TestBuild:
         with pytest.raises(ConstructionError):
             build_unit_column_matrix(np.ones((2, 3)))
 
+    def test_one_by_one_rejected(self):
+        with pytest.raises(ConstructionError, match="^dimension must be >= 2, got 1$"):
+            build_unit_column_matrix([[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ConstructionError, match="^entries contain non-finite values$"):
+            build_unit_column_matrix([[1.0, bad], [0.0, 1.0]])
+
     def test_array_is_read_only(self):
         A = build_unit_column_matrix(np.eye(2))
         with pytest.raises(ValueError):

@@ -140,6 +140,10 @@ class TestHighPrecReference:
         with pytest.raises(UsageError):
             highprec_bound_reference("lemma42", 1.0)
 
+    def test_tight_kappa_needs_two_phi_below_one(self):
+        with pytest.raises(UsageError, match="^tight bound needs 2 phi < 1, got phi = 0.6$"):
+            highprec_bound_reference("kappa-upper-tight", 0.6, 3)
+
     @pytest.mark.parametrize("name,args", [
         ("f", (1.0, 2.5)), ("f", (1.0, True)), ("f", (1.0, 1)), ("f", (1.0, 2.0)),
         ("theorem7", (0.2, 3.5, 10)), ("kappa-lower", (2.4, 5.5)),

@@ -271,6 +271,11 @@ class TestGreedySampler:
         assert np.array_equal(traj.final_matrix.array, A.array)
 
 
+
+def test_unknown_sampler_kind_is_a_usage_error():
+    with pytest.raises(UsageError, match="unknown sampler kind 'bogus'; expected one of"):
+        sample_pair(random_state(3, seed=1), "bogus", make_rng(0))
+
 class TestRunChain:
     def test_orthonormal_fixed_point(self):
         A = build_unit_column_matrix(np.eye(3))
