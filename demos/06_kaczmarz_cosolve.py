@@ -25,9 +25,10 @@ budget = 3000  # kaczmarz projections available to each run
 plain, plain_final = run_cosolve(A0, x_true, interleave=(0, 1), steps=budget, seed=9)
 mixed, mixed_final = run_cosolve(A0, x_true, interleave=(1, 1), steps=2 * budget, seed=9)
 
-plain_err = [r.err_norm for r in plain]
-mixed_err = [r.err_norm for r in mixed if r.kind == KACZ]
-mixed_phi = [r.phi for r in mixed if r.kind == KACZ]
+# the histories are record arrays: read them by column
+plain_err = plain.err_norm
+mixed_err = mixed.err_norm[mixed.kind == KACZ]
+mixed_phi = mixed.phi[mixed.kind == KACZ]
 
 print(f"{'kacz steps':>10} {'plain err':>12} {'interleaved err':>16} {'phi (interleaved)':>18}")
 for k in (0, 99, 299, 999, 2999):

@@ -24,7 +24,6 @@ from .bounds import (
     theorem7_bound,
 )
 from .cosolve import (
-    CosolveRecord,
     CosolveState,
     initial_state,
     kaczmarz_step,

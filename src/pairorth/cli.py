@@ -313,7 +313,7 @@ def _cmd_cosolve(args) -> int:
             "kappa0": achieved.kappa,
             "phi0": achieved.phi,
             "final_err": final.error(),
-            "final_phi": history[-1].phi if history else achieved.phi,
+            "final_phi": history.phi[-1] if len(history) else achieved.phi,
             "final_residual": final.residual(),
             **asdict(final.kernel),
         },
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (UsageError, DomainError, FileNotFoundError) as exc:
+    except (UsageError, DomainError, OSError) as exc:
         print(f"pairorth: error: {exc}", file=sys.stderr)
         return 1
     except PairOrthError as exc:

@@ -98,28 +98,20 @@ def kaczmarz_step(state: CosolveState, row: int) -> CosolveState:
     return replace(state, x=x)
 
 
-@dataclass(frozen=True)
-class CosolveRecord:
-    step: int
-    kind: str
-    err_norm: float
-    phi: float
-
-
 def run_cosolve(
     A0: ColumnMatrix,
     x_true,
     interleave: tuple[int, int] = (1, 1),
     steps: int = 1000,
     seed: int = 0,
-) -> tuple[list[CosolveRecord], CosolveState]:
+) -> tuple[np.recarray, CosolveState]:
     """Run the interleaved process for a total number of operations.
 
     The schedule is a fixed round-robin: p orthogonalization steps then q
     Kaczmarz steps, repeated. Pair choices and row choices come from two
     generators split off the seed, so runs with different ratios but the
     same seed see identical row draws (paired comparisons stay paired).
-    Returns the per-operation history and the final state.
+    Returns a record array, one row (step, kind, err_norm, phi) per op, and the final state.
     """
     steps = _count("steps", steps, 0)
     try:
@@ -132,23 +124,25 @@ def run_cosolve(
     state = initial_state(A0, x_true)
     rng_pairs, rng_rows = map(make_rng, _replicate_seeds(seed, np.arange(2, dtype=np.uint64)))
 
-    cycle: list[str] = [ORTH] * p + [KACZ] * q
-    cycles, rest = divmod(steps, p + q)
-    pairs = iter(_uniform_pairs(A0.n, rng_pairs, cycles * p + min(rest, p)).tolist())
-    rows = iter(rng_rows.integers(A0.n, size=cycles * q + max(rest - p, 0)).tolist())
+    kinds = np.resize(np.array([ORTH] * p + [KACZ] * q), steps)
+    orth = kinds == ORTH
+    n_orth = int(np.count_nonzero(orth))
+    pairs = iter(_uniform_pairs(A0.n, rng_pairs, n_orth).tolist())
+    rows = iter(rng_rows.integers(A0.n, size=steps - n_orth).tolist())
     chain = _ChainStack(A0, 1)
     arr = chain.cols[0].T
     b, x = np.array(state.b), state.x
     err_norm = _norm(x - state.x_true)
-    history: list[CosolveRecord] = []
-    for step in range(1, steps + 1):
-        kind = cycle[(step - 1) % len(cycle)]
-        if kind == ORTH:
+    errs, phis = np.empty(steps), np.empty(steps)
+    for k, is_orth in enumerate(orth.tolist()):
+        if is_orth:
             i, j = next(pairs)
             c, c2, nu = chain.orth(0, i, j)
             _update_rhs(b, i, j, c, c2, nu)
         else:
             _kaczmarz(arr, b, x, next(rows))
             err_norm = _norm(x - state.x_true)
-        history.append(CosolveRecord(step, kind, err_norm, float(chain.phi[0])))
+        errs[k], phis[k] = err_norm, chain.phi[0]
+    history = np.rec.fromarrays([np.arange(1, steps + 1), kinds, errs, phis],
+                                names="step,kind,err_norm,phi")
     return history, replace(state, A=chain.matrix(0), b=b, x=x, kernel=chain.counters(0))

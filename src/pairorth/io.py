@@ -13,7 +13,6 @@ import tempfile
 
 import numpy as np
 
-from .cosolve import CosolveRecord
 from .errors import UsageError
 from .matrix import COMPLEX, REAL, ColumnMatrix
 from .process import EnsembleStats, Trajectory
@@ -138,10 +137,10 @@ def ensemble_to_csv(stats: EnsembleStats) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cosolve_to_csv(history: list[CosolveRecord]) -> str:
+def cosolve_to_csv(history: np.recarray) -> str:
     lines = [COSOLVE_HEADER]
-    for rec in history:
-        lines.append(f"{rec.step},{rec.kind},{format_float(rec.err_norm)},{format_float(rec.phi)}")
+    for step, kind, err_norm, phi in history.tolist():
+        lines.append(f"{step},{kind},{format_float(err_norm)},{format_float(phi)}")
     return "\n".join(lines) + "\n"
 
 

@@ -271,13 +271,8 @@ def test_criterion_9_kappa_convergence():
 
 
 def kacz_steps_to_target(history, target=1e-6):
-    count = 0
-    for rec in history:
-        if rec.kind == KACZ:
-            count += 1
-            if rec.err_norm <= target:
-                return count
-    return None
+    hits = np.flatnonzero(history.err_norm[history.kind == KACZ] <= target)
+    return int(hits[0]) + 1 if len(hits) else None
 
 
 def test_criterion_10_kaczmarz_cosolve():

@@ -473,3 +473,22 @@ class TestCosolve:
             ["cosolve", "--gen", "gaussian", "--n", "4", "--interleave", "11",
              "--steps", "5", "--seed", "5", "--out", str(tmp_path)]
         ) == 1
+
+
+# an OS error on a path the user gave: `taken` is an existing file, `dir` a directory
+@pytest.mark.parametrize("argv", [
+    "run --gen haar --n 4 --steps 5 --replicates 1 --seed 1 --out taken",
+    "run --gen haar --n 4 --steps 5 --replicates 1 --seed 1 --config dir",
+    "gen --kind haar --n 4 --seed 3 --out dir",
+    "cosolve --gen gaussian --n 4 --steps 5 --seed 5 --out taken/x",
+], ids=["run-out-is-a-file", "run-config-is-a-directory", "gen-out-is-a-directory",
+        "cosolve-out-under-a-file"])
+def test_os_error_on_a_given_path_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "dir").mkdir()
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pairorth: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob(".tmp-*"))

@@ -83,6 +83,13 @@ def _cases() -> dict[str, list[str]]:
         "run", "--gen", "gaussian", "--n", "32", "--steps", "1000", "--stride", "250",
         "--replicates", "4", "--seed", "5", *EMIT,
     ]
+    # n = 128 and 160, where the bits still depend on the BLAS thread count
+    # (ROADMAP item 1): compare two trees under the same thread count
+    for n in ("128", "160"):
+        cases[f"run-gaussian-{n}"] = [
+            "run", "--gen", "gaussian", "--n", n, "--steps", "256", "--stride", "64",
+            "--replicates", "2", "--seed", "5", *EMIT,
+        ]
     # planted distance 1e-10 keeps the condition estimate above 1e8, so
     # every step recomputes the distances by projection
     cases["run-projection-path"] = [

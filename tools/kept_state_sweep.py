@@ -39,7 +39,11 @@ import itertools
 import os
 import sys
 
-import numpy as np
+# one BLAS thread, as in tools/ab_rounds.py and perfbench, unless the caller says otherwise
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab_rounds import load_side  # noqa: E402
