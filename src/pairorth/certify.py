@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,16 +35,16 @@ class SuiteResult:
     trials: int
     passes: int
     worst_margin: float
-    failures: list = field(default_factory=list)  # (trial_seed, ColumnMatrix | None)
+    failures: list = field(default_factory=list)  # (trial_seed, ColumnMatrix)
 
     @property
     def ok(self) -> bool:
         return self.passes == self.trials
 
 
-def _random_state(seed: int, trial: int, n_values, fields=(REAL, COMPLEX)):
+def _random_state(seed: int, trial: int, n_values):
     n = n_values[trial % len(n_values)]
-    fld = fields[(trial // len(n_values)) % len(fields)]
+    fld = (REAL, COMPLEX)[(trial // len(n_values)) % 2]
     spec = GeneratorSpec(GAUSSIAN, n=n, field=fld, seed=derive_replicate_seed(seed, trial))
     A, s = generate(spec)
     return A, spec, s
@@ -201,15 +202,14 @@ def _suite_tstar_tail(trials: int, seed: int) -> SuiteResult:
     return SuiteResult(trials, passes, worst, failures)
 
 
-# suite -> (function, default trial count); tstar-tail's function runs the
-# whole suite, every other one a single trial for _run_trials
+# suite -> (its run on (trials, seed), default trial count)
 _SUITES = {
-    "lemma3": (_lemma3_trial, 10000),
-    "lemma10": (_lemma10_trial, 1000),
-    "onestep": (_onestep_trial, 200),
-    "eq9": (_eq9_trial, 500),
-    "hadamard": (_hadamard_trial, 1000),
-    "kappa-sandwich": (_kappa_sandwich_trial, 1000),
+    "lemma3": (partial(_run_trials, _lemma3_trial), 10000),
+    "lemma10": (partial(_run_trials, _lemma10_trial), 1000),
+    "onestep": (partial(_run_trials, _onestep_trial), 200),
+    "eq9": (partial(_run_trials, _eq9_trial), 500),
+    "hadamard": (partial(_run_trials, _hadamard_trial), 1000),
+    "kappa-sandwich": (partial(_run_trials, _kappa_sandwich_trial), 1000),
     "tstar-tail": (_suite_tstar_tail, 200),
 }
 
@@ -220,8 +220,5 @@ def run_suite(suite: str, trials: int | None, seed: int) -> SuiteResult:
     """Run one certification suite; see SUITES for the names."""
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    fn, default_trials = _SUITES[suite]
-    trials = default_trials if trials is None else _count("trials", trials, 1)
-    if suite == "tstar-tail":
-        return fn(trials, seed)
-    return _run_trials(fn, trials, seed)
+    run, default_trials = _SUITES[suite]
+    return run(default_trials if trials is None else _count("trials", trials, 1), seed)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 from . import certify, io
@@ -34,7 +35,6 @@ from .generators import (
     GAUSSIAN,
     HAAR,
     KINDS,
-    NEAR_SINGULAR,
     PRESCRIBED,
     TWO_BY_TWO,
     GeneratorSpec,
@@ -42,13 +42,7 @@ from .generators import (
 )
 from .process import SAMPLER_KINDS, UNIFORM, make_rng, run_ensemble
 
-GEN_ALIASES = {
-    "haar": HAAR,
-    "gaussian": GAUSSIAN,
-    "prescribed": PRESCRIBED,
-    "two_by_two_angle": TWO_BY_TWO,
-    "near_singular": NEAR_SINGULAR,
-}
+GEN_ALIASES = {"haar": HAAR, "gaussian": GAUSSIAN, "prescribed": PRESCRIBED}
 GEN_ALIASES.update({kind: kind for kind in KINDS})
 
 # name -> (evaluator, its flags in the order they are required, the names of its
@@ -232,7 +226,7 @@ def _cmd_run(args) -> int:
             "monotonicity_violations": stats.monotonicity_violations,
             **asdict(stats.kernel),
         }
-        io.write_summary(os.path.join(out_dir, "summary.txt"), summary)
+        io.atomic_write_text(os.path.join(out_dir, "summary.txt"), io.emit_config(summary))
 
     # Per-step phi rises are expected behavior of the process (the kept
     # column's distance can shrink); they are reported in the summary, not
@@ -268,10 +262,8 @@ def _cmd_verify(args) -> int:
             os.makedirs(out_dir, exist_ok=True)
             for k, (trial_seed, A) in enumerate(result.failures[:10]):
                 path = os.path.join(out_dir, f"verify-failure-{suite}-{k}.txt")
-                body = f"# suite {suite} seed {trial_seed}\n"
-                if A is not None:
-                    body += io.matrix_to_text(A)
-                io.atomic_write_text(path, body)
+                io.atomic_write_text(
+                    path, f"# suite {suite} seed {trial_seed}\n" + io.matrix_to_text(A))
                 print(f"  failing instance written to {path}", file=sys.stderr)
     return 0 if all_ok else 2
 
@@ -302,9 +294,9 @@ def _cmd_cosolve(args) -> int:
     history, final = run_cosolve(A0, x_true, interleave=interleave, steps=steps, seed=args.seed)
     os.makedirs(out_dir, exist_ok=True)
     io.atomic_write_text(os.path.join(out_dir, "cosolve.csv"), io.cosolve_to_csv(history))
-    io.write_summary(
+    io.atomic_write_text(
         os.path.join(out_dir, "cosolve_summary.txt"),
-        {
+        io.emit_config({
             "n": A0.n,
             "field": A0.field,
             "interleave": f"{interleave[0]}:{interleave[1]}",
@@ -316,7 +308,7 @@ def _cmd_cosolve(args) -> int:
             "final_phi": history.phi[-1] if len(history) else achieved.phi,
             "final_residual": final.residual(),
             **asdict(final.kernel),
-        },
+        }),
     )
     return 0
 
@@ -367,17 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = _merge_config(parser.parse_args(argv))
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    except (UsageError, DomainError, OSError) as exc:
-        print(f"pairorth: error: {exc}", file=sys.stderr)
-        return 1
-    except PairOrthError as exc:
-        print(f"pairorth: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = _merge_config(parser.parse_args(argv))
+            return args.func(args)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 1
+        except (UsageError, DomainError, OSError) as exc:
+            print(f"pairorth: error: {exc}", file=sys.stderr)
+            return 1
+        except PairOrthError as exc:
+            print(f"pairorth: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for warning in caught:
+                print(f"pairorth: warning: {warning.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -67,7 +67,8 @@ def matrix_to_text(A: ColumnMatrix) -> str:
 
 
 def matrix_from_text(text: str) -> ColumnMatrix:
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Header and n rows; lines that start with # are comments, blank lines ignored."""
+    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
     if not lines:
         raise UsageError("matrix file is empty")
     header = lines[0].split()
@@ -106,7 +107,6 @@ def load_matrix(path: str) -> ColumnMatrix:
 
 TRAJECTORY_HEADER = "t,pair_i,pair_j,inner_abs,phi,sigma_min,kappa,gram_offdiag"
 ENSEMBLE_HEADER = "t,mean_phi,min_phi,max_phi,stderr_phi,theorem7_bound,exceed_flag,mean_log_kappa"
-COSOLVE_HEADER = "step,kind,err_norm,phi"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -138,7 +138,7 @@ def ensemble_to_csv(stats: EnsembleStats) -> str:
 
 
 def cosolve_to_csv(history: np.recarray) -> str:
-    lines = [COSOLVE_HEADER]
+    lines = [",".join(history.dtype.names)]
     for step, kind, err_norm, phi in history.tolist():
         lines.append(f"{step},{kind},{format_float(err_norm)},{format_float(phi)}")
     return "\n".join(lines) + "\n"
@@ -170,7 +170,3 @@ def _format_value(value) -> str:
 def emit_config(values: dict) -> str:
     """key = value lines; floats (numpy's too) at 17 digits, tuples comma-joined."""
     return "".join(f"{key} = {_format_value(value)}\n" for key, value in values.items())
-
-
-def write_summary(path: str, values: dict) -> None:
-    atomic_write_text(path, emit_config(values))

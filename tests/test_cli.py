@@ -1,5 +1,9 @@
 """Command-line interface: subcommands, exit codes, emitted files."""
 
+import os
+import re
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -7,10 +11,12 @@ import pytest
 
 from pairorth import (
     ConvergenceTarget,
+    GeneratorSpec,
     UsageError,
     certify,
     cli,
     f_map,
+    generate,
     io,
     kappa_bounds_from_phi,
     prop_a0_bound,
@@ -21,6 +27,8 @@ from pairorth import (
     theorem7_bound,
 )
 from pairorth.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def read_summary(path):
@@ -288,6 +296,20 @@ class TestBounds:
         assert code == 0
         assert capsys.readouterr().out.strip() == "12288000000"
 
+    def test_a_library_warning_is_one_stderr_line(self):
+        # eps and delta outside the stated regime (0, 0.01): the bound warns
+        # and is evaluated anyway
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairorth.cli", "bounds", "theorem1-steps", "--phi0", "5",
+             "--n", "4", "--eps", "0.05", "--delta", "0.05"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "98304000\n"
+        assert proc.stderr.startswith("pairorth: warning: targets eps=0.05")
+        assert proc.stderr.count("\n") == 1
+
     def test_kappa_reports_absent_branch(self, capsys):
         assert main(["bounds", "kappa", "--phi", "0.6", "--n", "3"]) == 0
         out = capsys.readouterr().out
@@ -327,10 +349,16 @@ class TestVerify:
         assert code == 2
         out = capsys.readouterr().out
         assert "lemma3: FAIL" in out
-        dumps = list(tmp_path.glob("verify-failure-lemma3-*.txt"))
+        dumps = sorted(tmp_path.glob("verify-failure-lemma3-*.txt"))
         assert dumps
-        body = dumps[0].read_text()
-        assert "pairorth-matrix v1" in body
+        assert "pairorth-matrix v1" in dumps[0].read_text()
+        # each dump loads as a matrix file and is its instance, bit for bit
+        for path in dumps:
+            seed = re.fullmatch(r"# suite lemma3 seed (\d+)", path.read_text().splitlines()[0])
+            A = io.load_matrix(str(path))
+            expected, _ = generate(GeneratorSpec("gaussian_normalized", A.n, A.field, int(seed[1])))
+            assert A.array.dtype == expected.array.dtype
+            assert A.array.tobytes() == expected.array.tobytes()
 
     def test_seed_required(self):
         assert main(["verify", "onestep", "--trials", "5"]) == 1

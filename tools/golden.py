@@ -202,8 +202,8 @@ def _cases() -> dict[str, list[str]]:
         "gen", "--gen", "near_singular", "--n", "8", "--eta", "1e-3", "--seed", "3",
     ]
     cases["gen-two-by-two-unseeded"] = ["gen", "--gen", "two_by_two_angle", "--theta", "0.3"]
-    # theorem1-steps stays inside its stated regime (eps, delta < 0.01):
-    # outside it a UserWarning writes the module's absolute path to stderr
+    # theorem1-steps inside its stated regime (eps, delta < 0.01) and outside
+    # it, where the command prints the library's warning as one stderr line
     for case, argv in (
         ("f", "f --x 0.3 --n 4"),
         ("theorem7", "theorem7 --phi0 0.2 --n 2 --t 10"),
@@ -214,6 +214,7 @@ def _cases() -> dict[str, list[str]]:
         ("stopping-tail", "stopping-tail --phi0 5 --n 4 --c 3"),
         ("prop-a0", "prop-a0 --phi0 5 --n 4 --t 16"),
         ("theorem1-steps", "theorem1-steps --phi0 5 --n 4 --eps 0.005 --delta 0.005"),
+        ("theorem1-steps-outside-regime", "theorem1-steps --phi0 5 --n 4 --eps 0.05 --delta 0.05"),
         ("theorem1-steps-missing-flag", "theorem1-steps --n 4 --eps 0.005 --delta 0.005"),
     ):
         cases[f"bounds-{case}"] = ["bounds", *argv.split()]
