@@ -9,9 +9,9 @@ equation's solution hyperplane; columns are unit so no division is
 needed.
 
 run_cosolve advances the matrix as a one-chain stack of the step kernel
-of pairorth.process, and applies the same right-hand-side and Kaczmarz
-updates as the one-op functions orth_with_rhs and kaczmarz_step. It draws
-pairs and rows as one block each, and carries the error over orth ops.
+of pairorth.process, with the right-hand-side and Kaczmarz updates of
+orth_with_rhs and kaczmarz_step, from checkpoint to checkpoint by block
+(README, "Steps by stretch"). It draws pairs and rows up front.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UsageError
+from . import tolerances as tol
+from .errors import DegeneratePairError, SingularityError, UsageError
 from .matrix import ColumnMatrix, PairIndex, _count, _integer, _norm, _orth_column, validate_pair
 from .process import KernelStats, _ChainStack, _replicate_seeds, _uniform_pairs, make_rng
 
@@ -126,23 +127,51 @@ def run_cosolve(
 
     kinds = np.resize(np.array([ORTH] * p + [KACZ] * q), steps)
     orth = kinds == ORTH
-    n_orth = int(np.count_nonzero(orth))
-    pairs = iter(_uniform_pairs(A0.n, rng_pairs, n_orth).tolist())
-    rows = iter(rng_rows.integers(A0.n, size=steps - n_orth).tolist())
+    at = np.flatnonzero(orth)  # the op of each orth op
+    ij = _uniform_pairs(A0.n, rng_pairs, at.size)
+    pairs, rows = iter(ij.tolist()), iter(rng_rows.integers(A0.n, size=steps - at.size).tolist())
+    is_orth = orth.tolist()
+    todo = [next(pairs) if o else next(rows) for o in is_orth]
     chain = _ChainStack(A0, 1)
     arr = chain.cols[0].T
     b, x = np.array(state.b), state.x
-    err_norm = _norm(x - state.x_true)
     errs, phis = np.empty(steps), np.empty(steps)
-    for k, is_orth in enumerate(orth.tolist()):
-        if is_orth:
-            i, j = next(pairs)
-            c, c2, nu = chain.orth(0, i, j)
-            _update_rhs(b, i, j, c, c2, nu)
+
+    def run(lo, hi, err_norm, step, new):
+        # ops lo to hi, each orth op by step, orth or _move (its two values go to new)
+        for k in range(lo, hi):
+            if is_orth[k]:
+                i, j = todo[k]
+                c, c2, nu, *values = step(0, i, j)
+                new += values
+                _update_rhs(b, i, j, c, c2, nu)
+            else:
+                _kaczmarz(arr, b, x, todo[k])
+                err_norm = _norm(x - state.x_true)
+            errs[k], phis[k] = err_norm, chain.phi[0]
+        return err_norm
+
+    # checkpoint to checkpoint (or the end) by block: _commit reads the rest off its
+    # _moves, or the block is put back and replayed; a Kaczmarz op keeps the last phi
+    err_norm, lo, o, K = _norm(x - state.x_true), 0, 0, tol.INVERSE_REFRESH_STEPS
+    while lo < steps:
+        top = min(at.size, o + K - int(chain.since[0]) % K)
+        hi = steps if top == at.size else int(at[top - 1]) + 1
+        moved = np.flatnonzero(np.bincount(ij[o:top].ravel()))  # the rows its _moves write
+        saved, new = (chain.cols[:, moved], chain.inv[:, moved], b.copy(), x.copy(), err_norm), []
+        phi = np.full((1, top - o + 1), chain.phi[0])
+        try:
+            err_norm = run(lo, hi, err_norm, chain._move, new)
+            done = top == o or chain._commit(slice(None), ij[None, o:top],
+                                             np.array(new).reshape(1, -1, 2), phi[:, 1:])
+        except (DegeneratePairError, SingularityError, np.linalg.LinAlgError):
+            done = False
+        if done:
+            phis[lo:hi] = phi[0, np.cumsum(orth[lo:hi])]
         else:
-            _kaczmarz(arr, b, x, next(rows))
-            err_norm = _norm(x - state.x_true)
-        errs[k], phis[k] = err_norm, chain.phi[0]
+            chain.cols[:, moved], chain.inv[:, moved], b[:], x[:], err_norm = saved
+            err_norm = run(lo, hi, err_norm, chain.orth, [])
+        lo, o = hi, top
     history = np.rec.fromarrays([np.arange(1, steps + 1), kinds, errs, phis],
                                 names="step,kind,err_norm,phi")
     return history, replace(state, A=chain.matrix(0), b=b, x=x, kernel=chain.counters(0))

@@ -544,7 +544,8 @@ class _ChainStack:
                 pairs[:] = ij
             # the per-chain arrays take a slice, views, while all are live
             if self._commit(slice(None) if len(live) == self.count else live, pairs, new, phi):
-                self.uniform_fallbacks += fell
+                if rngs:
+                    self.uniform_fallbacks += fell
                 return True
         for x, kept in saved:
             x[:] = kept

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from unittest import mock
 
+import pytest
+
 import pairorth
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -34,19 +36,32 @@ def test_one_pair_of_the_stack_table_prints_every_cell():
         assert re.fullmatch(r"[01] of 1 \|", better)
 
 
-def test_the_stride_table_builds_every_cell(monkeypatch):
+@pytest.fixture
+def ab_rounds(monkeypatch):
     # loading the tool sets its BLAS thread variables and puts perfbench on
     # the path; both are undone after the test
     monkeypatch.setattr(sys, "path", list(sys.path))
     with mock.patch.dict(os.environ):
         spec = importlib.util.spec_from_file_location(
             "ab_rounds", os.path.join(ROOT, "tools", "ab_rounds.py"))
-        ab_rounds = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "ab_rounds", ab_rounds)  # for its dataclass
-        spec.loader.exec_module(ab_rounds)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "ab_rounds", module)  # for its dataclass
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_the_stride_table_builds_every_cell(ab_rounds):
     cells = ab_rounds._table("stride", pairorth)
     assert [cell.label for cell in cells] == [
         f"stride n={n} real {kind} stride={stride}" for n in (8, 16, 32, 128)
         for kind in ("uniform", "proportional") for stride in (1, 2, 4, 8, 16)]
     # every warm-up call was accepted, so every cell is timed
+    assert all(cell.call is not None and cell.note == "" for cell in cells)
+
+
+def test_the_cosolve_table_builds_every_cell(ab_rounds):
+    cells = ab_rounds._table("cosolve", pairorth)
+    assert [cell.label for cell in cells] == [
+        f"cosolve n={n} {field} {ratio}" for n in (4, 8, 32, 128)
+        for field in ("real", "complex") for ratio in ("1:1", "4:1")]
     assert all(cell.call is not None and cell.note == "" for cell in cells)

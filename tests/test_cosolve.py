@@ -1,9 +1,12 @@
 """Right-hand-side co-updates and interleaved Kaczmarz runs."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from pairorth import (
+    DegeneratePairError,
     UsageError,
     build_unit_column_matrix,
     condition_number,
@@ -22,7 +25,7 @@ from pairorth import (
 from pairorth import tolerances as tol
 from pairorth.cosolve import KACZ, ORTH
 from pairorth.generators import GeneratorSpec
-from pairorth.process import UNIFORM
+from pairorth.process import UNIFORM, _ChainStack
 
 SQ3 = np.sqrt(3.0)
 EPS = float(np.finfo(float).eps)
@@ -39,6 +42,16 @@ def random_instance(n, seed, field="real"):
     if field == "complex":
         x_true = x_true + 1j * rng.standard_normal(n)
     return A, x_true
+
+
+def cosolve_bits(A, x_true, interleave, steps):
+    # every output of a run_cosolve, as bits, or the degenerate pair it raises
+    try:
+        history, final = run_cosolve(A, x_true, interleave=interleave, steps=steps, seed=11)
+    except DegeneratePairError as exc:
+        return exc.pair, exc.inner_abs
+    return (history.kind.tolist(), history.err_norm.tobytes(), history.phi.tobytes(),
+            final.A.array.tobytes(), final.b.tobytes(), final.x.tobytes(), final.kernel)
 
 
 class TestInitialState:
@@ -268,3 +281,57 @@ class TestRunCosolve:
         assert np.array_equal(final.A.array, state.A.array)
         assert np.array_equal(final.b, state.b)
         assert np.array_equal(final.x, state.x)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind,eta", [
+        ("gaussian_normalized", None), ("near_singular", 1e-6), ("near_singular", 1e-10),
+    ])
+    def test_declined_blocks_replay_to_the_same_bits(self, monkeypatch, field, kind, eta):
+        # run_cosolve steps by block and replays a block op by op through orth
+        # when _commit declines it: with every block declined, each output
+        # must keep its bits. The starts of test_kernel_counters_match_run_chain
+        # (the inverse path, a refresh that comes due, the projection path);
+        # step counts around the first checkpoint (64 orth ops) and past it
+        A, _ = generate(GeneratorSpec(kind, n=8, field=field, seed=4, eta=eta))
+        x_true = random_instance(8, 3, field)[1]
+        cases = list(itertools.product([(1, 1), (4, 1), (1, 4), (64, 1), (1, 0), (0, 1)],
+                                       [0, 1, 63, 64, 65, 300]))
+        commit, kept = _ChainStack._commit, []
+
+        def spy(self, *args):
+            kept.append(commit(self, *args))
+            return kept[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_ChainStack, "_commit", spy)
+            blocks = [cosolve_bits(A, x_true, *case) for case in cases]
+        assert any(kept)  # some blocks were read off, not replayed
+        monkeypatch.setattr(_ChainStack, "_commit", lambda *args: False)
+        for case, bits in zip(cases, blocks):
+            assert cosolve_bits(A, x_true, *case) == bits, case
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    @pytest.mark.parametrize("interleave", [(1, 1), (4, 1)])
+    def test_degenerate_pair_inside_a_block(self, seed, interleave):
+        # column 2 is e1 tilted by 1e-7: (0, 2) and (2, 0) are degenerate, every
+        # other pair is orthogonal. For these seeds two orth ops pass first, so
+        # the error comes from a _move inside the block, which is put back and
+        # replayed: the error is the one of the one-op functions' replay
+        A = build_unit_column_matrix([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-7]],
+                                     normalize=True)
+        x_true = np.array([1.0, -2.0, 0.5])
+        with pytest.raises(DegeneratePairError) as raised:
+            run_cosolve(A, x_true, interleave=interleave, steps=400, seed=seed)
+        rng_pairs = make_rng(derive_replicate_seed(seed, 0))
+        rng_rows = make_rng(derive_replicate_seed(seed, 1))
+        state, cycle, passed = initial_state(A, x_true), [ORTH] * interleave[0] + [KACZ], 0
+        with pytest.raises(DegeneratePairError) as replayed:
+            for kind in itertools.cycle(cycle):
+                if kind == ORTH:
+                    state = orth_with_rhs(state, sample_pair(state.A, "uniform", rng_pairs))
+                    passed += 1
+                else:
+                    state = kaczmarz_step(state, int(rng_rows.integers(A.n)))
+        assert passed == 2
+        assert (raised.value.pair, raised.value.inner_abs) == (
+            replayed.value.pair, replayed.value.inner_abs)

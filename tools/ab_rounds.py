@@ -26,7 +26,9 @@ the record grid at t = 0 and the end only (stride sets its own), n in
                  µs per replicate, the fixed cost of a stack;
   stride         run_chain, uniform and proportional, real, n in {8, 16, 32,
                  128}, metrics_stride in {1, 2, 4, 8, 16} (STRIDE_STEPS
-                 steps): µs per step with a grid record every few steps.
+                 steps): µs per step with a grid record every few steps;
+  cosolve        run_cosolve of x_true = ones, interleave 1:1 and 4:1,
+                 run_chain's step counts (seed 2): µs per op.
 
 Every cell runs once untimed on each side, then once timed on each side:
 the faster call sets the cell's batch, the count of calls that lasts at
@@ -71,7 +73,7 @@ import harness  # noqa: E402
 ROUNDS = 3
 BATCH_SECONDS = 0.02
 REFERENCE_RUNS = 5
-TABLES = ("run_chain", "run_ensemble", "setup", "near_singular", "stack", "stride")
+TABLES = ("run_chain", "run_ensemble", "setup", "near_singular", "stack", "stride", "cosolve")
 FIELDS = ("real", "complex")
 STEPS = {4: 2000, 8: 2000, 16: 2000, 32: 1000, 128: 200}
 ENSEMBLE_STEPS = {4: 200, 8: 200, 32: 100, 128: 200}
@@ -81,6 +83,7 @@ ETA = 1e-10
 STACK_REPLICATES = (10, 50, 200)
 STRIDES = (1, 2, 4, 8, 16)
 STRIDE_STEPS = {8: 256, 16: 256, 32: 128, 128: 32}
+INTERLEAVES = ((1, 1), (4, 1))
 
 
 @dataclass
@@ -189,6 +192,10 @@ def _table(name: str, p) -> list[Cell]:
             cells += [Cell(f"{label} {kind} stride={stride}", partial(
                 p.run_chain, A0, steps, kind, seed=2, metrics_stride=stride), steps)
                 for kind in SAMPLERS[:2] for stride in STRIDES]
+        elif name == "cosolve":
+            cells += [Cell(f"{label} {ratio[0]}:{ratio[1]}", partial(
+                p.run_cosolve, A0, np.ones(n), ratio, steps, seed=2), steps)
+                for ratio in INTERLEAVES]
         elif name == "stack":
             cells += [Cell(f"{label} R={R}", partial(p.run_ensemble, A0, 0, "uniform", R,
                                                      base_seed=2), R) for R in STACK_REPLICATES]
