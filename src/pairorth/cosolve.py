@@ -163,7 +163,7 @@ def run_cosolve(
         try:
             err_norm = run(lo, hi, err_norm, chain._move, new)
             done = top == o or chain._commit(slice(None), ij[None, o:top],
-                                             np.array(new).reshape(1, -1, 2), phi[:, 1:])
+                                             np.array(new).reshape(1, -1, 2), phi[:, 1:], True)
         except (DegeneratePairError, SingularityError, np.linalg.LinAlgError):
             done = False
         if done:

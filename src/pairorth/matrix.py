@@ -216,6 +216,6 @@ def _norm(x: np.ndarray) -> float:
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(row) ** 2 of each row of x, bit for bit."""
-    if np.iscomplexobj(x):
+    if x.dtype.kind == "c":
         return np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
     return np.vecdot(x, x)

@@ -19,9 +19,11 @@ Its step updates the chains on the inverse path as one vectorized step
 when enough of them are (through a slice when they are all the chains),
 with the scalar code's reductions row by row, and runs the scalar code
 on each other chain's row, so every chain gets the same bits either way.
-A smaller stack steps from checkpoint to checkpoint by stretch, grid
-records inside: uniform inverse-path chains by dependency level, others
-by the updates the next step reads (README, "Steps by stretch").
+Stacks step from checkpoint to checkpoint by stretch, grid records inside.
+In a smaller stack uniform inverse-path chains go by dependency level,
+others by the updates the next step reads; a larger one with n up to 64,
+its chains all live, uniform and on the inverse path, by one vectorized
+update a step up to its checkpoint step (README, "Steps by stretch").
 A chain refreshes when a running bound on its rounding comes due, tested
 every INVERSE_REFRESH_STEPS steps on either path, or when its condition
 estimate crosses 1e8 or, on the projection path, falls by a factor n; the
@@ -206,6 +208,10 @@ def _uniform_pairs(n: int, rng: np.random.Generator, count: int | None = None):
 # in README, "One state for one chain or many".
 STACK_MIN_REPLICATES = 4
 
+# A larger stack steps by stretch only up to this n: at n = 128 its saved rows and
+# read-off cost more than its steps save (README, "One state for one chain or many").
+STACK_STRETCH_MAX_N = 64
+
 # Ensemble chunks are sized so that a stack's working arrays and records
 # (_replicate_bytes per chain) fit this budget.
 STACK_BYTES = 32 * 2**20
@@ -248,8 +254,9 @@ class _ChainStack:
     uniform_fallbacks and worst_bound make counters(r). t counts the stack's
     steps; a degenerate pair clears live[r] and keeps (t, its
     DegeneratePairError) in aborts[r], with chain r untouched.
-    _plan is step's _split, None once a chain refreshes, crosses or retires;
-    rows[r] is chain r's _views, None until its first scalar step.
+    _plan is step's _split, None once a chain refreshes, crosses or retires, at
+    each checkpoint and when a stack stretch starts; rows[r] is chain r's _views,
+    None until its first scalar step.
     """
 
     def __init__(self, A0: ColumnMatrix, count: int, kind: str = UNIFORM):
@@ -421,13 +428,13 @@ class _ChainStack:
         # orth for the chains a, all on the inverse path, one slot each. The
         # per-chain arrays take a (views for a slice), the gathers by i and j rows
         rows, ij = self._all[a], pairs[a].T
-        c_abs, ok, sq = self._orth_slots(rows, ij)
+        c_abs, ok, sq = self._orth_slots(rows * self.n + ij)
         if sq is None:
             for k in np.flatnonzero(~ok):
                 self._retire(rows[k], DegeneratePairError(tuple(ij[:, k].tolist()), c_abs[k]))
             a = rows = rows[ok]
             ij = ij[:, ok]
-            c_abs, _, sq = self._orth_slots(rows, ij)
+            c_abs, _, sq = self._orth_slots(rows * self.n + ij)
         self.row_sq[rows, ij] = sq
         if self.w is not None:
             # orth's row and column i of each chain's weights, from one batched product
@@ -457,13 +464,14 @@ class _ChainStack:
             self._refresh(due)
             self.fallbacks[due] += ~self.on_inv[due]
 
-    def _orth_slots(self, rows, ij):
-        """orth on inverse-path chain rows[k] with pair ij[:, k], for disjoint slots k:
+    def _orth_slots(self, at):
+        """orth on inverse-path chains, for disjoint slots k: chain r's pair (i, j) as
+        at[:, k] = (r n + i, r n + j), its columns' rows of cols and inv taken (-1, n).
         np.vecdot(x, y) gives the bits of np.vdot(x, y), sqrt(_sq_norms) those of _norm.
-        Returns |c|, ok (False: a degenerate pair) and the new row_sq[i] and [j], or
-        None, with nothing written, if any ok is False."""
-        a = self.cols[rows, ij]
-        a_i, a_j = a  # a_i becomes w, then the new column
+        Returns |c|, then None and the new row_sq[i] and [j], or, with nothing written
+        where a pair is degenerate, ok (False there) and None."""
+        cols, inv = self.cols.reshape(-1, self.n), self.inv.reshape(-1, self.n)
+        a_i, a_j = cols.take(at, axis=0)  # a_i becomes w, then the new column
         c = np.vecdot(a_j, a_i)
         a_i -= c[:, None] * a_j
         c2 = np.vecdot(a_j, a_i)
@@ -472,41 +480,59 @@ class _ChainStack:
         # abs() of a complex scalar is hypot; np.abs of an array may differ
         # from it in the last bit
         c_abs = np.abs(c) if self.field == REAL else np.hypot(c.real, c.imag)
-        ok = (c_abs < 1.0 - tol.DEGENERATE_PAIR_GUARD) & (nu > 0.0) & np.isfinite(nu)
-        if not ok.all():
-            return c_abs, ok, None
+        # maximum and minimum carry a NaN, which fails each test
+        top = 1.0 - tol.DEGENERATE_PAIR_GUARD
+        if at.size and not (np.maximum.reduce(c_abs) < top and 0.0 < np.minimum.reduce(nu)
+                            and np.maximum.reduce(nu) < math.inf):
+            return c_abs, (c_abs < top) & (nu > 0.0) & np.isfinite(nu), None
         a_i /= nu[:, None]
-        self.cols[rows, ij] = a
-        v = self.inv[rows, ij]
+        cols[at[0]] = a_i
+        v = inv.take(at, axis=0)
         v[1] += (c + c2)[:, None] * v[0]
         v[0] *= nu[:, None]
-        self.inv[rows, ij] = v
-        return c_abs, ok, np.vecdot(v, v).real
+        inv[at] = v
+        return c_abs, None, np.vecdot(v, v).real
 
     def stretch(self, pairs, inner_abs, phi, rngs, stops, record) -> bool:
         """Step the live chains through pairs (a weighted sampler draws them from
         rngs[r] off the kept w), writing |c| and phi, with record(k) after offset
         steps for each (offset, k) of stops: it reads only cols, which no refresh
-        touches. Between stops a uniform inverse-path chain goes by level where its
-        levels average STACK_MIN_REPLICATES steps (step s takes 1 + the level of
-        its last step on i or j, and one _orth_slots a level), any other by one
-        _move a step; _commit reads the rest off. False, with chains and rngs as
-        they were, where the chains sit on both paths, a pair is degenerate, a QR
-        finds A singular or a step before the last would refresh."""
+        touches. A stack of STACK_MIN_REPLICATES or more chains, all live, uniform
+        and on the inverse path, takes one _orth_slots a step over them all and
+        leaves its last step, a checkpoint, to step. In a smaller stack, between
+        stops, a uniform inverse-path chain goes by level where its levels average
+        STACK_MIN_REPLICATES steps (step s takes 1 + the level of its last step on i
+        or j, and one _orth_slots a level), any other by one _move a step. _commit
+        reads the rest off. False, with chains and rngs as they were, where the
+        chains sit on both paths, a pair is degenerate, a QR finds A singular or a
+        step before the last (in a stack, before the checkpoint) would refresh."""
         live, (n, m) = self._all[self.live].tolist(), (self.n, pairs.shape[1])
         on_inv = self.on_inv[self.live].tolist()
-        if min(on_inv) != max(on_inv):
+        settle = self.count < STACK_MIN_REPLICATES
+        if min(on_inv) != max(on_inv) or not settle and (rngs or sum(on_inv) < self.count):
             return False
-        # each of the busiest column's steps takes a level
-        leveled = [r for r in live if rngs is None and on_inv[0]
-                   and np.bincount(pairs[r].ravel()).max() * STACK_MIN_REPLICATES <= m]
-        saved = [(x, x.copy()) for x in (self.cols, self.inv, self.w) if x is not None]
+        if settle:
+            # each of the busiest column's steps takes a level
+            leveled = [r for r in live if rngs is None and on_inv[0]
+                       and np.bincount(pairs[r].ravel()).max() * STACK_MIN_REPLICATES <= m]
+            others, ij = [r for r in live if r not in leveled], pairs.tolist()
+            saved = [(x, slice(None), x.copy()) for x in (self.cols, self.inv, self.w)
+                     if x is not None]
+        else:
+            # chain r's step s on (i, j) takes rows r n + i and r n + j of cols and inv,
+            # flat[s] for every r; a decline puts back the rows they write. The last step
+            # goes through step, whose _split, redone from here, finds it a checkpoint
+            m, leveled, others, self._plan = m - 1, [], [], None
+            flat = (pairs[:, :m] + (self._all * n)[:, None, None]).transpose(1, 2, 0).copy()
+            written = np.flatnonzero(np.bincount(flat.ravel()))
+            saved = [(x, written, x.take(written, axis=0))
+                     for x in (self.cols.reshape(-1, n), self.inv.reshape(-1, n))]
         states = [rngs[r].bit_generator.state for r in live] if rngs else []
         new = np.empty((self.count, m, 2))  # the two values (row_sq or d) each step writes
-        ij, fell, lo = pairs.tolist(), [0] * self.count, 0
+        fell, lo = [0] * self.count, 0
         try:
             for hi, k in [*stops, (m, None)]:
-                levels, moved = {}, [r for r in live if r not in leveled]
+                levels, moved = {}, others.copy()
                 for r in leveled:
                     last, mine = [0] * n, {}
                     for s, (i, j) in enumerate(ij[r][lo:hi], lo):
@@ -518,11 +544,14 @@ class _ChainStack:
                     else:
                         for level, slots in mine.items():
                             levels.setdefault(level, []).extend(slots)
-                for slots in map(np.array, levels.values()):
-                    rows, s = slots[:, 0], slots[:, 1]
-                    c_abs, ok, sq = self._orth_slots(rows, slots[:, 2:].T)
+                # (flat rows, chains, steps) of each _orth_slots: a step of the stack, a level
+                slots = [(level[:, 0] * n + level[:, 2:].T, level[:, 0], level[:, 1])
+                         for level in map(np.array, levels.values())] if settle else [
+                    (flat[s], slice(None), s) for s in range(lo, hi)]
+                for at, rows, s in slots:
+                    c_abs, ok, sq = self._orth_slots(at)
                     if sq is None:
-                        raise DegeneratePairError(slots[~ok][0, 2:], c_abs[~ok][0])
+                        raise DegeneratePairError(at[:, ~ok][:, 0] % n, c_abs[~ok][0])
                     inner_abs[rows, s], new[rows, s] = c_abs, sq.T
                 for r in moved:
                     pairs_r, abs_r, out = ij[r], inner_abs[r], []
@@ -543,49 +572,53 @@ class _ChainStack:
             if rngs:
                 pairs[:] = ij
             # the per-chain arrays take a slice, views, while all are live
-            if self._commit(slice(None) if len(live) == self.count else live, pairs, new, phi):
+            if self._commit(slice(None) if len(live) == self.count else live, pairs[:, :m], new,
+                            phi[:, :m], settle):
                 if rngs:
                     self.uniform_fallbacks += fell
                 return True
-        for x, kept in saved:
-            x[:] = kept
+        for x, at, kept in saved:
+            x[at] = kept
         for r, state in zip(live, states):
             rngs[r].bit_generator.state = state
         return False
 
-    def _commit(self, rs, pairs, new, phi) -> bool:
+    def _commit(self, rs, pairs, new, phi, settle) -> bool:
         """Read the rest off a stretch of chains rs on one path, whose step s on
         pairs[r, s] wrote new[r, s] (row_sq or d of its two columns): orth's bits by
         a forward fill, reductions for phi and the estimate, a cumsum for est_sum,
-        _settle for the last step. False, with nothing written, where one before would refresh."""
+        and with settle, _settle for the last step; without, whose next step goes through
+        step, the refresh test of every step. False, with nothing written, where one
+        before would refresh."""
         (R, n), m, on_inv = self.d[rs].shape, pairs.shape[1], bool(self.on_inv[rs].all())
         # each chain's start values then its writes, flat, and at[r, s, k] the
         # index of column k's value after step s: the start's or its latest write
         flat = np.concatenate((self.row_sq[rs] if on_inv else self.d[rs],
                                new[rs].reshape(R, 2 * m)), axis=1).ravel()
-        at = np.zeros((R, m, 1), dtype=np.intp) + np.arange(n)
-        at[np.arange(R)[:, None, None], np.arange(m)[:, None], pairs[rs]] = np.arange(
-            n, n + 2 * m).reshape(m, 2)
-        at = np.maximum.accumulate(at, axis=1) + (n + 2 * m) * np.arange(R)[:, None, None]
+        ids = np.arange(R * (n + 2 * m)).reshape(R, -1)  # each chain's indices into flat
+        at = np.repeat(ids[:, None, :n], m, axis=1)
+        np.put(at, pairs[rs] + n * np.arange(R * m).reshape(R, m, 1), ids[:, n:])
+        np.maximum.accumulate(at, axis=1, out=at)
         # each value's d and term of sum_sq = sum_k 1 / d_k^2, then each step's
         d = np.minimum(1.0 / np.sqrt(flat), 1.0) if on_inv else flat
-        sum_sq = np.add.reduce((flat if on_inv else 1.0 / (d * d))[at], axis=-1)
-        est = np.concatenate((self.est_sum[rs, None], np.sqrt(n * sum_sq[:, :-1])), axis=1)
+        sum_sq = np.add.reduce((flat if on_inv else 1.0 / (d * d)).take(at), axis=-1)
+        est = np.concatenate((self.est_sum[rs, None], np.sqrt(n * sum_sq[:, :m - settle])), axis=1)
         below = est[:, 1:] <= tol.DISTANCE_FALLBACK_KAPPA  # est[:, 0] is est_sum
         if not below.all() if on_inv else (below | (n * est[:, 1:] < self.est0[rs, None])).any():
             return False
-        phi[rs] = -np.add.reduce(np.log(d)[at], axis=-1) + 0.0
+        phi[rs] = -np.add.reduce(np.log(d).take(at), axis=-1) + 0.0
         if on_inv:
-            self.row_sq[rs] = flat[at[:, -1]]
+            self.row_sq[rs] = flat.take(at[:, -1])
         else:
             self.fallbacks[rs] += m - 1  # the last step's, if any, is _settle's
-        self.d[rs], self.phi[rs] = d[at[:, -1]], phi[rs, -1]
+        self.d[rs], self.phi[rs] = d.take(at[:, -1]), phi[rs, -1]
         self.est_sum[rs] = est.cumsum(axis=1)[:, -1]
         self.since[rs] += m
         self.t += m
-        for r, last in zip(self._all[rs].tolist(), sum_sq[:, -1].tolist()):
-            self._settle(r, last)
-        phi[rs, -1] = self.phi[rs]  # a refresh's phi, if any
+        if settle:
+            for r, last in zip(self._all[rs].tolist(), sum_sq[:, -1].tolist()):
+                self._settle(r, last)
+            phi[rs, -1] = self.phi[rs]  # a refresh's phi, if any
         return True
 
 
@@ -698,26 +731,28 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     sigma = condition_number(A0)[1]
     records[..., 0] = np.array([[sigma[-1]], [sigma[0] / sigma[-1]],
                                 _gram_offdiag_fro(stack.cols[:1])])
-    # checkpoint to checkpoint (or the end): a stack of fewer than STACK_MIN_REPLICATES chains
-    # takes a stretch of that many steps or more, grid[k:top] recorded inside; else one by one
-    K, end, k = tol.INVERSE_REFRESH_STEPS, 0, 1
+    # checkpoint to checkpoint (or the end): a stretch of STACK_MIN_REPLICATES steps or more,
+    # grid[k:top] recorded inside, or one by one. A stack of fewer chains takes all of it; a
+    # larger one, n <= STACK_STRETCH_MAX_N, all but the checkpoint step of one ending there
+    small, K, end, k = count < STACK_MIN_REPLICATES, tol.INVERSE_REFRESH_STEPS, 0, 1
     while end < steps:
-        t, end = end, min(steps, end + K - int((stack.since[stack.live] % K).max(initial=0)))
+        t, end = end, end + K - int((stack.since[stack.live] % K).max(initial=0))
+        by_stretch, end = small or end <= steps and n <= STACK_STRETCH_MAX_N, min(steps, end)
         top = bisect.bisect_left(grid, end, k)
-        if not (count < STACK_MIN_REPLICATES <= end - t and stack.stretch(
-                pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1], rngs,
-                [(g - t, q) for q, g in enumerate(grid[k:top], k)], record)):
-            for t in range(t + 1, end + 1):
-                for r in np.flatnonzero(stack.live).tolist() if rngs else ():
-                    pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
-                    stack.uniform_fallbacks[r] += fell_back
-                stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
-                phi[:, t] = stack.phi
-                if stack.aborts and not stack.live.any():
-                    return phi, pairs, inner_abs, records, stack
-                if grid[k] == t < end:
-                    record(k)
-                    k += 1
+        taken = by_stretch and STACK_MIN_REPLICATES <= end - t and stack.stretch(
+            pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1], rngs,
+            [(g - t, q) for q, g in enumerate(grid[k:top], k)], record)
+        for t in range(end + small if taken else t + 1, end + 1):
+            for r in np.flatnonzero(stack.live).tolist() if rngs else ():
+                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
+                stack.uniform_fallbacks[r] += fell_back
+            stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
+            phi[:, t] = stack.phi
+            if stack.aborts and not stack.live.any():
+                return phi, pairs, inner_abs, records, stack
+            if grid[k] == t < end:
+                record(k)
+                k += 1
         if grid[top] == end:
             record(top)
         k = bisect.bisect_right(grid, end, top)

@@ -65,3 +65,14 @@ def test_the_cosolve_table_builds_every_cell(ab_rounds):
         f"cosolve n={n} {field} {ratio}" for n in (4, 8, 32, 128)
         for field in ("real", "complex") for ratio in ("1:1", "4:1")]
     assert all(cell.call is not None and cell.note == "" for cell in cells)
+
+
+def test_the_run_ensemble_table_builds_every_cell(ab_rounds):
+    cells = ab_rounds._table("run_ensemble", pairorth)
+    assert [cell.label for cell in cells] == [
+        f"run_ensemble n={n} {field} {kind} R={R}" for n in (4, 8, 16, 32, 64, 128)
+        for field in ("real", "complex") for R in (3, 50)
+        for kind in ("uniform", "proportional", "greedy")]
+    # a cell is per chain-step: ENSEMBLE_STEPS steps times its replicates
+    assert [cell.work for cell in cells[:6]] == [200 * R for R in (3, 50) for _ in range(3)]
+    assert all(cell.call is not None and cell.note == "" for cell in cells)

@@ -1272,6 +1272,146 @@ class TestStretch:
         assert counts == []
 
 
+def stack_outcomes(A, steps, seeds, stride):
+    """Each chain of one _run_stack run: its trajectory, or its ChainAbortError."""
+    grid = _record_grid(steps, stride)
+    run = process._run_stack(A, steps, UNIFORM, seeds, grid)
+    return [process._chain_result(grid, run, r) for r in range(len(seeds))]
+
+
+class TestStackStretch:
+    """A stack of STACK_MIN_REPLICATES or more uniform chains, all live and on
+    the inverse path, steps by stretch up to each checkpoint: one _orth_slots a
+    step over every chain, one _commit, and the checkpoint step through step.
+    Every chain must get run_chain's bits and the bits of the same stack with
+    every stretch declined, through each kind of decline."""
+
+    def by_stretch_and_by_step(self, A, steps, seeds, stride, monkeypatch):
+        """The stack's chains by stretch, checked chain by chain against the
+        same stack with every stretch declined, and the stretch calls."""
+        calls = TestStretch.spy(monkeypatch)
+        by_stretch = stack_outcomes(A, steps, seeds, stride)
+        with monkeypatch.context() as patch:
+            patch.setattr(process._ChainStack, "stretch", lambda *args: False)
+            for a, b in zip(by_stretch, stack_outcomes(A, steps, seeds, stride), strict=True):
+                assert_same_outcome(a, b)
+        return by_stretch, calls
+
+    @pytest.mark.parametrize("replicates", [STACK_MIN_REPLICATES, 50])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_bit_identical_to_run_chain_and_to_step_by_step(self, n, field, replicates,
+                                                             monkeypatch):
+        # 140 steps at stride 7: two stretches to the checkpoints 64 and 128,
+        # each with the records 7, ..., 63 (70, ..., 126) inside and its
+        # checkpoint step left to step, then a tail of 12 steps one by one
+        A = random_state(n, 2, field)
+        seeds = [derive_replicate_seed(9, r) for r in range(replicates)]
+        result, calls = self.by_stretch_and_by_step(A, 140, seeds, 7, monkeypatch)
+        assert calls == [Stretch(64, True, 0, 0, 9, True, False)] * 2
+        monkeypatch.undo()
+        stacked, error = assert_stack_matches_run_chain(A, 140, replicates, 9, 7)
+        assert error is None
+        for r, traj in enumerate(result):
+            assert_same_trajectory(traj, stacked[r])
+
+    @staticmethod
+    def near_parallel_state():
+        """Columns 0 and 1 of a Gaussian n = 6 start 1e-7 apart, on the
+        inverse path: a chain that draws that pair before touching either
+        column aborts."""
+        rng = np.random.default_rng(1)
+        M = rng.standard_normal((6, 6))
+        M[:, 1] = M[:, 0] + 1e-7 * np.linalg.norm(M[:, 0]) * rng.standard_normal(6)
+        return build_unit_column_matrix(M, normalize=True)
+
+    def test_a_degenerate_pair_mid_stretch_replays_it(self, monkeypatch):
+        # chain 5 of 8 draws the near-parallel pair at step 12 of the first
+        # stretch, after its record at 7. The stretch declines and replays
+        # through step, which retires the chain there; the next stretch finds
+        # a retired chain and declines before its first step
+        seeds = [derive_replicate_seed(22, r) for r in range(8)]
+        result, calls = self.by_stretch_and_by_step(self.near_parallel_state(), 140, seeds, 7,
+                                                    monkeypatch)
+        aborted = [(r, out.step) for r, out in enumerate(result)
+                   if isinstance(out, ChainAbortError)]
+        assert aborted == [(5, 12)]
+        assert calls == [Stretch(64, False, 0, 0, 1, True, False),
+                         Stretch(64, False, 0, 0, 0, False, False)]
+
+    def test_a_retired_chain_keeps_the_bits(self, monkeypatch):
+        # the same stack: after chain 5 retires, every stretch of the stack
+        # declines, and each chain keeps run_chain's bits or abort
+        A, seeds = self.near_parallel_state(), [derive_replicate_seed(22, r) for r in range(8)]
+        result, calls = self.by_stretch_and_by_step(A, 300, seeds, 50, monkeypatch)
+        assert [c.taken for c in calls] == [False] * 4
+        for r, out in enumerate(result):
+            assert_same_outcome(out, chain_or_abort(A, 300, seeds[r], 50))
+        assert [isinstance(out, ChainAbortError) for out in result].count(True) == 1
+
+    def test_a_crossing_mid_stretch_replays_it(self, monkeypatch):
+        # the start's estimate is just below the 1e8 crossing: chain 0 of 4
+        # crosses it inside the first stretch, which _commit declines after all
+        # its steps and records. The replay refreshes the chain onto the
+        # projection path, and back by step 64, out of step with the others:
+        # the next stretches end at its checkpoint 116, then at theirs, 128
+        A = near_singular_state(32, 0, "real", 2.4e-7)
+        seeds = [derive_replicate_seed(1, r) for r in range(STACK_MIN_REPLICATES)]
+        result, calls = self.by_stretch_and_by_step(A, 140, seeds, 7, monkeypatch)
+        assert calls == [Stretch(64, False, 0, 0, 9, True, False),
+                         Stretch(52, True, 0, 0, 7, True, False),
+                         Stretch(12, True, 0, 0, 2, True, False)]
+        assert [out.kernel.projection_fallbacks > 0 for out in result] == [True, False, False,
+                                                                          False]
+
+    def test_chains_back_on_the_inverse_path_out_of_step(self, monkeypatch):
+        # five n = 8 chains start on the projection path, so the stretches to 64
+        # and 128 decline and replay through step. There the chains come back
+        # onto the inverse path at different steps, and step's plan at 128
+        # counts to chain 3's checkpoint at 138, which ends the next stretch.
+        # From then on every stretch is taken, and each checkpoint step must
+        # still test _comes_due, as run_chain does
+        A = near_singular_state(8, 3, "real", 1e-8)
+        seeds = [derive_replicate_seed(1, r) for r in range(5)]
+        result, calls = self.by_stretch_and_by_step(A, 400, seeds, 50, monkeypatch)
+        assert [c.taken for c in calls[:3]] == [False, False, True]
+        assert all(c.taken for c in calls[2:]) and len(calls) > 10
+        for r, out in enumerate(result):
+            assert_same_outcome(out, chain_or_abort(A, 400, seeds[r], 50))
+        assert [out.kernel.inverse_refreshes for out in result] == [4, 4, 4, 3, 4]
+
+    def test_a_declined_commit_replays_the_stretch(self, monkeypatch):
+        # _commit refusing every stretch: each is put back after its steps and
+        # records, and steps again through step, taking its records again
+        A = random_state(8, 3, "complex")
+        seeds = [derive_replicate_seed(4, r) for r in range(50)]
+        expected = stack_outcomes(A, 140, seeds, 7)
+        monkeypatch.setattr(process._ChainStack, "_commit", lambda *args: False)
+        calls = TestStretch.spy(monkeypatch)
+        for a, b in zip(expected, stack_outcomes(A, 140, seeds, 7), strict=True):
+            assert_same_outcome(a, b)
+        assert calls == [Stretch(64, False, 0, 0, 9, True, False)] * 2
+
+    @pytest.mark.parametrize("kind", [PROPORTIONAL, GREEDY])
+    def test_weighted_stacks_step_one_by_one(self, kind, monkeypatch):
+        # a weighted stack's stretch declines before its first step
+        calls = TestStretch.spy(monkeypatch)
+        run_ensemble(random_state(8, 1), 70, kind, 5, 2, 35)
+        assert calls == [Stretch(64, False, 0, 0, 0, False, False)]
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_a_stack_steps_by_stretch_up_to_the_widest(self, n, monkeypatch):
+        # at n = 64 one stretch to the checkpoint 64, the record at 35 inside,
+        # then step; above STACK_STRETCH_MAX_N none
+        A = random_state(n, 2, "complex")
+        seeds = [derive_replicate_seed(9, r) for r in range(STACK_MIN_REPLICATES)]
+        result, calls = self.by_stretch_and_by_step(A, 70, seeds, 35, monkeypatch)
+        taken = n <= process.STACK_STRETCH_MAX_N
+        assert calls == [Stretch(64, True, 0, 0, 1, True, False)] * taken
+        for r, out in enumerate(result):
+            assert_same_outcome(out, chain_or_abort(A, 70, seeds[r], 35))
+
+
 class TestRunEnsemble:
     def test_single_replicate_degenerates_to_chain(self):
         A = random_state(4, 31)

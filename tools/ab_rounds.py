@@ -15,7 +15,9 @@ the record grid at t = 0 and the end only (stride sets its own), n in
 {4, 8, 32, 128}:
 
   run_chain      one chain, uniform and proportional, n = 16 too: µs per step;
-  run_ensemble   R in {3, 50}, all three samplers: µs per chain-step;
+  run_ensemble   R in {3, 50}, all three samplers, n = 16 and 64 too
+                 (ENSEMBLE_STEPS steps), around the n where a stack of 50
+                 leaves the stack stretch: µs per chain-step;
   setup          0-step run_chain from the generated start, which keeps its
                  inverse and distances ("kept"), and from a ColumnMatrix._wrap
                  copy, which recomputes them and takes one SVD: µs per call;
@@ -75,8 +77,9 @@ BATCH_SECONDS = 0.02
 REFERENCE_RUNS = 5
 TABLES = ("run_chain", "run_ensemble", "setup", "near_singular", "stack", "stride", "cosolve")
 FIELDS = ("real", "complex")
+SIZES = (4, 8, 32, 128)
 STEPS = {4: 2000, 8: 2000, 16: 2000, 32: 1000, 128: 200}
-ENSEMBLE_STEPS = {4: 200, 8: 200, 32: 100, 128: 200}
+ENSEMBLE_STEPS = {4: 200, 8: 200, 16: 200, 32: 100, 64: 200, 128: 200}
 SAMPLERS = ("uniform", "proportional", "greedy")
 REPLICATES = (3, 50)
 ETA = 1e-10
@@ -165,9 +168,10 @@ def _workload(name: str, workloads, seed: int) -> Cell:
 def _table(name: str, p) -> list[Cell]:
     """The cells of one step-cost table for package p, each after its warm-up call."""
     cells = []
-    sizes = {"stack": (8,), "stride": STRIDE_STEPS, "run_chain": STEPS}.get(name, ENSEMBLE_STEPS)
+    sizes = {"stack": (8,), "stride": STRIDE_STEPS, "run_chain": STEPS,
+             "run_ensemble": ENSEMBLE_STEPS}.get(name, SIZES)
     for n, field in itertools.product(sizes, FIELDS[:1] if name == "stride" else FIELDS):
-        label, steps = f"{name} n={n} {field}", STEPS[n]
+        label, steps = f"{name} n={n} {field}", STEPS.get(n)
         gen, eta = (name, ETA) if name == "near_singular" else ("gaussian_normalized", None)
         try:
             A0 = p.generate(p.generators.GeneratorSpec(gen, n=n, field=field, seed=1, eta=eta))[0]
