@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import DegeneratePairError, SingularityError, UsageError
 from .matrix import ColumnMatrix, PairIndex, _count, _integer, _norm, _orth_column, validate_pair
 from .process import KernelStats, _ChainStack, _replicate_seeds, _uniform_pairs, make_rng
@@ -151,11 +150,11 @@ def run_cosolve(
             errs[k], phis[k] = err_norm, chain.phi[0]
         return err_norm
 
-    # checkpoint to checkpoint (or the end) by block: _commit reads the rest off its
-    # _moves, or the block is put back and replayed; a Kaczmarz op keeps the last phi
-    err_norm, lo, o, K = _norm(x - state.x_true), 0, 0, tol.INVERSE_REFRESH_STEPS
+    # block by block, each to the chain's next checkpoint or the end: _commit reads the rest
+    # off its _moves, or the block is put back and replayed; a Kaczmarz op keeps the last phi
+    err_norm, lo, o = _norm(x - state.x_true), 0, 0
     while lo < steps:
-        top = min(at.size, o + K - int(chain.since[0]) % K)
+        top = min(at.size, o + chain._to_checkpoint(slice(None)))
         hi = steps if top == at.size else int(at[top - 1]) + 1
         moved = np.flatnonzero(np.bincount(ij[o:top].ravel()))  # the rows its _moves write
         saved, new = (chain.cols[:, moved], chain.inv[:, moved], b.copy(), x.copy(), err_norm), []

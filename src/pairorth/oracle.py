@@ -114,16 +114,41 @@ def verify_lemma3(A: ColumnMatrix, pair: PairIndex) -> PairStepReport:
     )
 
 
-_BOUND_NAMES = (
-    "f",
-    "theorem7",
-    "kappa-lower",
-    "kappa-upper-loose",
-    "kappa-upper-tight",
-    "stopping-threshold",
-    "prop-a0",
-    "theorem1-steps",
-)
+def _theorem7(mp, phi0, n, t):
+    infl = mp.log(2) / 2 * n
+    if phi0 < infl:
+        cn = 2 * mp.log(2) ** 2 * n**2 * (n - 1) ** 2
+        return cn / (cn + phi0 * t) * phi0
+    floor_curve = n**4 / (2 / mp.log(2) * n**3 + t / 2)
+    return floor_curve + (phi0 - floor_curve) * mp.e ** (-t / (47 * n**2 * phi0))
+
+
+def _theorem1_steps(mp, phi0, n, eps, delta):
+    log_term = mp.log(7 * phi0 / n)
+    term1 = 200 * n**2 * phi0 * log_term if log_term > 0 else mp.mpf(0)
+    term2 = 48 * n**4 / (delta * eps**2)
+    return max(term1, term2)
+
+
+_DIM = ("dimension", 2)
+
+# name -> (its formula, given mpmath and the arguments in the order of the
+# double-precision evaluator of the same name; per argument, None for an mpf or
+# the name and least value of a count, checked as that evaluator checks it)
+_BOUNDS = {
+    "f": (lambda mp, x, n: x - (u := 1 - mp.e ** (-2 * x / n)) * u / (2 * (n - 1) ** 2),
+          (None, _DIM)),
+    "theorem7": (_theorem7, (None, _DIM, None)),
+    "kappa-lower": (lambda mp, phi, n: mp.e ** (phi / n), (None, _DIM)),
+    "kappa-upper-loose": (lambda mp, phi, n: n * mp.e**phi, (None, _DIM)),
+    "kappa-upper-tight": (lambda mp, phi: (1 + (s := mp.sqrt(2 * phi))) / (1 - s), (None,)),
+    "stopping-threshold": (lambda mp, phi0, n, c: c * 16 * (n - 1) ** 2 * phi0,
+                           (None, _DIM, ("c", 1))),
+    "prop-a0": (
+        lambda mp, phi0, n, t: mp.log(n) + phi0 - (1 - mp.log(2) / 2 * n / phi0) / 96 * t / n**2,
+        (None, _DIM, None)),
+    "theorem1-steps": (_theorem1_steps, (None, _DIM, None, None)),
+}
 
 
 def highprec_bound_reference(name: str, *args) -> float:
@@ -137,54 +162,12 @@ def highprec_bound_reference(name: str, *args) -> float:
     """
     import mpmath as mp
 
+    if name not in _BOUNDS:
+        raise UsageError(f"unknown bound name {name!r}; expected one of {tuple(_BOUNDS)}")
+    formula, kinds = _BOUNDS[name]
     with mp.workdps(60):
-        if name == "f":
-            x, n = mp.mpf(args[0]), _count("dimension", args[1], 2)
-            u = 1 - mp.e ** (-2 * x / n)
-            out = x - u * u / (2 * (n - 1) ** 2)
-        elif name == "theorem7":
-            phi0, n, t = mp.mpf(args[0]), _count("dimension", args[1], 2), mp.mpf(args[2])
-            infl = mp.log(2) / 2 * n
-            if phi0 < infl:
-                cn = 2 * mp.log(2) ** 2 * n**2 * (n - 1) ** 2
-                out = cn / (cn + phi0 * t) * phi0
-            else:
-                floor_curve = n**4 / (2 / mp.log(2) * n**3 + t / 2)
-                out = floor_curve + (phi0 - floor_curve) * mp.e ** (
-                    -t / (47 * n**2 * phi0)
-                )
-        elif name == "kappa-lower":
-            phi, n = mp.mpf(args[0]), _count("dimension", args[1], 2)
-            out = mp.e ** (phi / n)
-        elif name == "kappa-upper-loose":
-            phi, n = mp.mpf(args[0]), _count("dimension", args[1], 2)
-            out = n * mp.e**phi
-        elif name == "kappa-upper-tight":
-            phi = mp.mpf(args[0])
-            if 2 * phi >= 1:
-                raise UsageError(f"tight bound needs 2 phi < 1, got phi = {args[0]}")
-            s = mp.sqrt(2 * phi)
-            out = (1 + s) / (1 - s)
-        elif name == "stopping-threshold":
-            phi0, n, c = mp.mpf(args[0]), _count("dimension", args[1], 2), _count("c", args[2], 1)
-            out = c * 16 * (n - 1) ** 2 * phi0
-        elif name == "prop-a0":
-            phi0, n, t = mp.mpf(args[0]), _count("dimension", args[1], 2), mp.mpf(args[2])
-            infl = mp.log(2) / 2 * n
-            out = mp.log(n) + phi0 - (1 - infl / phi0) / 96 * t / n**2
-        elif name == "theorem1-steps":
-            phi0, n, eps, delta = (
-                mp.mpf(args[0]),
-                _count("dimension", args[1], 2),
-                mp.mpf(args[2]),
-                mp.mpf(args[3]),
-            )
-            log_term = mp.log(7 * phi0 / n)
-            term1 = 200 * n**2 * phi0 * log_term if log_term > 0 else mp.mpf(0)
-            term2 = 48 * n**4 / (delta * eps**2)
-            out = max(term1, term2)
-        else:
-            raise UsageError(
-                f"unknown bound name {name!r}; expected one of {_BOUND_NAMES}"
-            )
-        return float(out)
+        values = [mp.mpf(x) if kind is None else _count(kind[0], x, kind[1])
+                  for kind, x in zip(kinds, args)]
+        if name == "kappa-upper-tight" and 2 * values[0] >= 1:
+            raise UsageError(f"tight bound needs 2 phi < 1, got phi = {args[0]}")
+        return float(formula(mp, *values))

@@ -254,9 +254,9 @@ class _ChainStack:
     uniform_fallbacks and worst_bound make counters(r). t counts the stack's
     steps; a degenerate pair clears live[r] and keeps (t, its
     DegeneratePairError) in aborts[r], with chain r untouched.
-    _plan is step's _split, None once a chain refreshes, crosses or retires, at
-    each checkpoint and when a stack stretch starts; rows[r] is chain r's _views,
-    None until its first scalar step.
+    _plan is step's _split, None once a chain refreshes, crosses or retires and after its
+    checkpoint, the stack step _checkpoint, which no stretch moves: t and since advance
+    together. rows[r] is chain r's _views, None until its first scalar step.
     """
 
     def __init__(self, A0: ColumnMatrix, count: int, kind: str = UNIFORM):
@@ -315,11 +315,6 @@ class _ChainStack:
         self.refreshes[rs] += 1
         # fmax keeps a NaN phi out of the drift, as max() did, and a NaN est_sum out of the bound
         self.worst_drift[rs] = np.fmax(self.worst_drift[rs], np.abs(phi_kept - self.phi[rs]))
-
-    def _retire(self, r: int, exc: DegeneratePairError) -> None:
-        self.live[r] = False
-        self.aborts[r] = self.t, exc
-        self._plan = None
 
     def orth(self, r: int, i: int, j: int):
         """Replace column i of chain r by its unit component orthogonal to
@@ -388,53 +383,55 @@ class _ChainStack:
         slack = self.n * np.maximum(tol.DISTANCE_METHOD_REL, self.n * _EPS * est)
         return at & (_EPS * self.est_sum[rs] * (since + tol.INVERSE_REFRESH_STEPS) >= since * slack)
 
+    def _to_checkpoint(self, rs) -> int:
+        """The steps until the first of chains rs reaches a multiple of INVERSE_REFRESH_STEPS."""
+        K = tol.INVERSE_REFRESH_STEPS
+        return K - max(s % K for s in self.since[rs].tolist())
+
     def step(self, pairs: np.ndarray, inner_abs: np.ndarray) -> None:
         """Step every live chain r with the pair pairs[r] and write |c| into
         inner_abs[r]; a degenerate pair retires the chain instead.
 
         With at least STACK_MIN_REPLICATES live chains on the inverse path,
         those take one vectorized step, whatever the sampler; every other live
-        chain runs orth on its own row.
+        chain runs orth on its own row, and every live chain does where the
+        vectorized step meets a degenerate pair.
         """
-        self.t += 1
         if self._plan is None:
             self._plan = self._split()
+        self.t += 1
         vectorized, scalar = self._plan
-        if vectorized is not None:
-            self._step_inverse(vectorized, pairs, inner_abs)
+        if vectorized is not None and not self._step_inverse(vectorized, pairs, inner_abs):
+            scalar = np.flatnonzero(self.live).tolist()
         for r in scalar:
             i, j = pairs[r].tolist()
             try:
                 c, _, _ = self.orth(r, i, j)
             except DegeneratePairError as exc:
-                self._retire(r, exc)
+                self.live[r], self.aborts[r], self._plan = False, (self.t, exc), None
                 continue
             inner_abs[r] = abs(c)
 
     def _split(self):
         # (the chains of the vectorized step, slice(None) when they are the whole
-        # stack, or None; the others), and _until: the vectorized steps until one
-        # of them reaches a multiple of INVERSE_REFRESH_STEPS since its recompute
+        # stack, or None; the others), and _checkpoint: the stack step at which
+        # the first of them reaches a multiple of INVERSE_REFRESH_STEPS
         on_inv = self.live & self.on_inv
         a = np.flatnonzero(on_inv)
         if a.size < STACK_MIN_REPLICATES:
             return None, np.flatnonzero(self.live).tolist()
-        K = tol.INVERSE_REFRESH_STEPS
-        self._until = K - int((self.since[a] % K).max())
+        self._checkpoint = self.t + self._to_checkpoint(a)
         scalar = np.flatnonzero(self.live & ~on_inv).tolist()
         return (slice(None) if a.size == self.count else a), scalar
 
-    def _step_inverse(self, a, pairs, inner_abs) -> None:
-        # orth for the chains a, all on the inverse path, one slot each. The
-        # per-chain arrays take a (views for a slice), the gathers by i and j rows
+    def _step_inverse(self, a, pairs, inner_abs) -> bool:
+        # orth for the chains a, on the inverse path, one slot each, or False at a degenerate
+        # pair. The per-chain arrays take a (views for a slice), the gathers by i and j rows
         rows, ij = self._all[a], pairs[a].T
-        c_abs, ok, sq = self._orth_slots(rows * self.n + ij)
-        if sq is None:
-            for k in np.flatnonzero(~ok):
-                self._retire(rows[k], DegeneratePairError(tuple(ij[:, k].tolist()), c_abs[k]))
-            a = rows = rows[ok]
-            ij = ij[:, ok]
-            c_abs, _, sq = self._orth_slots(rows * self.n + ij)
+        try:
+            c_abs, sq = self._orth_slots(rows * self.n + ij)
+        except DegeneratePairError:
+            return False
         self.row_sq[rows, ij] = sq
         if self.w is not None:
             # orth's row and column i of each chain's weights, from one batched product
@@ -455,21 +452,21 @@ class _ChainStack:
         # _settle's rule as one stack: a crossing or NaN estimate refreshes, and
         # _comes_due only at the stack's checkpoint, after which step re-derives the next
         due = ~(est <= tol.DISTANCE_FALLBACK_KAPPA)
-        self._until -= 1
-        if not self._until:
+        if self.t == self._checkpoint:
             self._plan = None
             due |= self._comes_due(a, est)
         if due.any():
             due = self._all[a][due]
             self._refresh(due)
             self.fallbacks[due] += ~self.on_inv[due]
+        return True
 
     def _orth_slots(self, at):
         """orth on inverse-path chains, for disjoint slots k: chain r's pair (i, j) as
         at[:, k] = (r n + i, r n + j), its columns' rows of cols and inv taken (-1, n).
         np.vecdot(x, y) gives the bits of np.vdot(x, y), sqrt(_sq_norms) those of _norm.
-        Returns |c|, then None and the new row_sq[i] and [j], or, with nothing written
-        where a pair is degenerate, ok (False there) and None."""
+        Returns |c| and the new row_sq[i] and [j]; a degenerate pair raises
+        DegeneratePairError for the first such slot, with nothing written."""
         cols, inv = self.cols.reshape(-1, self.n), self.inv.reshape(-1, self.n)
         a_i, a_j = cols.take(at, axis=0)  # a_i becomes w, then the new column
         c = np.vecdot(a_j, a_i)
@@ -484,14 +481,15 @@ class _ChainStack:
         top = 1.0 - tol.DEGENERATE_PAIR_GUARD
         if at.size and not (np.maximum.reduce(c_abs) < top and 0.0 < np.minimum.reduce(nu)
                             and np.maximum.reduce(nu) < math.inf):
-            return c_abs, (c_abs < top) & (nu > 0.0) & np.isfinite(nu), None
+            k = np.argmin((c_abs < top) & (0.0 < nu) & (nu < math.inf))
+            raise DegeneratePairError(at[:, k] % self.n, c_abs[k])
         a_i /= nu[:, None]
         cols[at[0]] = a_i
         v = inv.take(at, axis=0)
         v[1] += (c + c2)[:, None] * v[0]
         v[0] *= nu[:, None]
         inv[at] = v
-        return c_abs, None, np.vecdot(v, v).real
+        return c_abs, np.vecdot(v, v).real
 
     def stretch(self, pairs, inner_abs, phi, rngs, stops, record) -> bool:
         """Step the live chains through pairs (a weighted sampler draws them from
@@ -520,9 +518,9 @@ class _ChainStack:
                      if x is not None]
         else:
             # chain r's step s on (i, j) takes rows r n + i and r n + j of cols and inv,
-            # flat[s] for every r; a decline puts back the rows they write. The last step
-            # goes through step, whose _split, redone from here, finds it a checkpoint
-            m, leveled, others, self._plan = m - 1, [], [], None
+            # flat[s] for every r; a decline puts back the rows they write. The last step,
+            # the checkpoint, goes through step
+            m, leveled, others = m - 1, [], []
             flat = (pairs[:, :m] + (self._all * n)[:, None, None]).transpose(1, 2, 0).copy()
             written = np.flatnonzero(np.bincount(flat.ravel()))
             saved = [(x, written, x.take(written, axis=0))
@@ -549,9 +547,7 @@ class _ChainStack:
                          for level in map(np.array, levels.values())] if settle else [
                     (flat[s], slice(None), s) for s in range(lo, hi)]
                 for at, rows, s in slots:
-                    c_abs, ok, sq = self._orth_slots(at)
-                    if sq is None:
-                        raise DegeneratePairError(at[:, ~ok][:, 0] % n, c_abs[~ok][0])
+                    c_abs, sq = self._orth_slots(at)
                     inner_abs[rows, s], new[rows, s] = c_abs, sq.T
                 for r in moved:
                     pairs_r, abs_r, out = ij[r], inner_abs[r], []
@@ -734,9 +730,9 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     # checkpoint to checkpoint (or the end): a stretch of STACK_MIN_REPLICATES steps or more,
     # grid[k:top] recorded inside, or one by one. A stack of fewer chains takes all of it; a
     # larger one, n <= STACK_STRETCH_MAX_N, all but the checkpoint step of one ending there
-    small, K, end, k = count < STACK_MIN_REPLICATES, tol.INVERSE_REFRESH_STEPS, 0, 1
+    small, end, k = count < STACK_MIN_REPLICATES, 0, 1
     while end < steps:
-        t, end = end, end + K - int((stack.since[stack.live] % K).max(initial=0))
+        t, end = end, end + stack._to_checkpoint(stack.live)
         by_stretch, end = small or end <= steps and n <= STACK_STRETCH_MAX_N, min(steps, end)
         top = bisect.bisect_left(grid, end, k)
         taken = by_stretch and STACK_MIN_REPLICATES <= end - t and stack.stretch(

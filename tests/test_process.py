@@ -1412,6 +1412,93 @@ class TestStackStretch:
             assert_same_outcome(out, chain_or_abort(A, 70, seeds[r], 35))
 
 
+
+class TestVectorizedStep:
+    """The vectorized step keeps its checkpoint as a stack step, which no
+    stretch moves, and sends every live chain of a step through orth where it
+    meets a degenerate pair: each chain must get the bits or the abort of the
+    chain alone, and _comes_due must run on the checkpoint steps only."""
+
+    def test_two_chains_retire_in_one_step(self, monkeypatch):
+        # chains 2 and 5 of 8 leave columns 0 and 1 alone, then draw the
+        # near-parallel pair at step 3; the others never draw it. That step's
+        # vectorized step writes nothing and every live chain goes through orth:
+        # the two retire with the pair and |c| of the chain alone, the six others
+        # keep its bits, and step 4 splits the stack again, over their indices
+        A, count, steps = TestStackStretch.near_parallel_state(), 8, 6
+        n, rng = A.n, np.random.default_rng(3)
+        ordered = [(i, j) for i in range(n) for j in range(n) if i != j and {i, j} != {0, 1}]
+        pairs = np.array(ordered)[rng.integers(len(ordered), size=(count, steps))]
+        pairs[[2, 5], :3] = [[(2, 3), (4, 5), (0, 1)], [(3, 4), (5, 2), (1, 0)]]
+        stack, alone = process._ChainStack(A, count), [process._ChainStack(A, 1) for _ in pairs]
+        inner_abs, alone_abs = np.full((2, count, steps), np.nan)
+        orths, splits = [], []
+        orth, split = process._ChainStack.orth, process._ChainStack._split
+        monkeypatch.setattr(process._ChainStack, "orth", lambda self, r, i, j: (
+            self is stack and orths.append((self.t, r))) or orth(self, r, i, j))
+        monkeypatch.setattr(process._ChainStack, "_split", lambda self: (
+            self is stack and splits.append(self.t)) or split(self))
+        for t in range(steps):
+            stack.step(pairs[:, t], inner_abs[:, t])
+            for r, one in enumerate(alone):
+                if one.live[0]:
+                    one.step(pairs[r:r + 1, t], alone_abs[r:r + 1, t])
+        assert orths == [(3, r) for r in range(count)]
+        assert splits == [0, 3] and stack._plan[0].tolist() == [0, 1, 3, 4, 6, 7]
+        assert sorted(stack.aborts) == [2, 5] and stack.on_inv.all()
+        for r, pair in ((2, (0, 1)), (5, (1, 0))):
+            (at, exc), (alone_at, alone_exc) = stack.aborts[r], alone[r].aborts[0]
+            assert at == alone_at == 3 and exc.pair == alone_exc.pair == pair
+            assert exc.inner_abs == alone_exc.inner_abs > 1.0 - tol.DEGENERATE_PAIR_GUARD
+        assert np.array_equal(inner_abs, alone_abs, equal_nan=True)
+        for r, one in enumerate(alone):
+            assert stack.live[r] == one.live[0] and stack.counters(r) == one.counters(0)
+            for name in ("cols", "inv", "row_sq", "d", "phi", "est_sum", "since"):
+                assert np.array_equal(getattr(stack, name)[r], getattr(one, name)[0]), (r, name)
+
+    def test_comes_due_at_the_checkpoints_through_stack_stretches(self, monkeypatch):
+        # the stack of test_chains_back_on_the_inverse_path_out_of_step, through
+        # run_ensemble: the first two stretches decline and replay through step,
+        # where the chains come back onto the inverse path out of step; from then
+        # on every stretch is taken, and only its checkpoint step goes through
+        # step. The vectorized step must call _comes_due on each step at which one
+        # of its chains reaches a multiple of K, and on no other
+        K = tol.INVERSE_REFRESH_STEPS
+        A = near_singular_state(8, 3, "real", 1e-8)
+        calls, expected, out_of_step, taken = [], [], [], []
+        step, comes_due = process._ChainStack.step, process._ChainStack._comes_due
+        stretch = process._ChainStack.stretch
+
+        def spy_step(self, pairs, inner_abs):
+            vectorized = np.flatnonzero(self.live & self.on_inv)
+            since = self.since[vectorized] + 1
+            if vectorized.size >= STACK_MIN_REPLICATES and (since % K == 0).any():
+                expected.append(self.t + 1)
+                out_of_step.append(np.unique(since % K).size > 1)
+            return step(self, pairs, inner_abs)
+
+        def spy_comes_due(self, rs, est):
+            # the scalar step passes one chain, the vectorized step a slice or indices
+            if not isinstance(rs, (int, np.integer)):
+                calls.append(self.t)
+            return comes_due(self, rs, est)
+
+        def spy_stretch(self, *args):
+            t, since = self.t, self.since[self.live]
+            taken.append(stretch(self, *args))
+            # the steps _commit took, which no _comes_due sees
+            expected.extend(t + s for s in range(1, self.t - t + 1) if ((since + s) % K == 0).any())
+            return taken[-1]
+
+        monkeypatch.setattr(process._ChainStack, "step", spy_step)
+        monkeypatch.setattr(process._ChainStack, "_comes_due", spy_comes_due)
+        monkeypatch.setattr(process._ChainStack, "stretch", spy_stretch)
+        stats = run_ensemble(A, 400, UNIFORM, 5, 1, 50)
+        assert stats.replicates == 5 and stats.kernel.projection_fallbacks > 0
+        assert taken[:3] == [False, False, True] and all(taken[2:]) and len(taken) > 10
+        assert calls == sorted(expected) and any(out_of_step)
+
+
 class TestRunEnsemble:
     def test_single_replicate_degenerates_to_chain(self):
         A = random_state(4, 31)

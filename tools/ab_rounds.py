@@ -35,9 +35,11 @@ the record grid at t = 0 and the end only (stride sets its own), n in
 Every cell runs once untimed on each side, then once timed on each side:
 the faster call sets the cell's batch, the count of calls that lasts at
 least BATCH_SECONDS, the same on both sides. Then come K pairs (--pairs,
-default 10): cell by cell, A first in even pairs and B in odd ones, a
-side's value is its median wall time of three batches (a cell that either
-side's warm-up refused is not timed). It prints each pair's values, then
+default 10): cell by cell, three batches a side, interleaved A, B, A, B,
+A, B in even pairs and B, A, B, A, B, A in odd ones, so a burst of load
+from elsewhere on the machine lands on both sides; a side's value is the
+median wall time of its three batches (a cell that either side's warm-up
+refused is not timed). It prints each pair's values, then
 per cell each side's median, the median and quartiles of the paired ratio
 B / A and the pairs B was better in (lower µs, higher ops/s). Both trees
 run in one process on the same inputs at the same moment of the machine,
@@ -111,9 +113,9 @@ class Cell:
             self.call()
         return time.perf_counter() - start
 
-    def run(self) -> None:
-        """Append the value of the median wall time of ROUNDS batches."""
-        wall, work = statistics.median(self.wall() for _ in range(ROUNDS)), self.work * self.batch
+    def record(self, walls) -> None:
+        """Append the value of the median of walls, the wall times of ROUNDS batches."""
+        wall, work = statistics.median(walls), self.work * self.batch
         self.values.append(work / wall if self.unit == "ops/s" else 1e6 * wall / work)
 
     def shown(self) -> str:
@@ -253,8 +255,10 @@ def main() -> int:
     for k in range(args.pairs):
         for a, b in zip(sides["a"], sides["b"]):
             if a.call and b.call:
-                for cell in (a, b) if k % 2 == 0 else (b, a):
-                    cell.run()
+                cells = (a, b) if k % 2 == 0 else (b, a)
+                walls = [[cell.wall() for cell in cells] for _ in range(ROUNDS)]
+                for cell, times in zip(cells, zip(*walls)):
+                    cell.record(times)
                 print(f"pair {k}: {a.label}: a {a.values[-1]:.1f}, b {b.values[-1]:.1f} {a.unit}, "
                       f"b / a {b.values[-1] / a.values[-1]:.4f}")
     _reference("after")
