@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegeneratePairError, SingularityError, UsageError
-from .matrix import ColumnMatrix, PairIndex, _count, _integer, _norm, _orth_column, validate_pair
+from .matrix import (ColumnMatrix, PairIndex, _count, _integer, _norm, _orth_column, _sq_norms, _vdot,
+                     validate_pair)
 from .process import KernelStats, _ChainStack, _replicate_seeds, _uniform_pairs, make_rng
 
 ORTH = "orth"
@@ -67,7 +68,7 @@ def _update_rhs(b: np.ndarray, i: int, j: int, c, c2, nu) -> None:
 def _kaczmarz(arr: np.ndarray, b: np.ndarray, x: np.ndarray, row: int) -> None:
     # the projection onto equation row, written into x in place
     a = arr[:, row]
-    x += (b[row] - np.vdot(a, x)) * a
+    x += (b[row] - _vdot(a, x)) * a
 
 
 def orth_with_rhs(state: CosolveState, pair: PairIndex) -> CosolveState:
@@ -124,8 +125,7 @@ def run_cosolve(
     state = initial_state(A0, x_true)
     rng_pairs, rng_rows = map(make_rng, _replicate_seeds(seed, np.arange(2, dtype=np.uint64)))
 
-    kinds = np.resize(np.array([ORTH] * p + [KACZ] * q), steps)
-    orth = kinds == ORTH
+    orth = np.arange(steps) % (p + q) < p
     at = np.flatnonzero(orth)  # the op of each orth op
     ij = _uniform_pairs(A0.n, rng_pairs, at.size)
     pairs, rows = iter(ij.tolist()), iter(rng_rows.integers(A0.n, size=steps - at.size).tolist())
@@ -133,11 +133,15 @@ def run_cosolve(
     todo = [next(pairs) if o else next(rows) for o in is_orth]
     chain = _ChainStack(A0, 1)
     arr = chain.cols[0].T
-    b, x = np.array(state.b), state.x
-    errs, phis = np.empty(steps), np.empty(steps)
+    b, x, x_true = np.array(state.b), state.x, state.x_true
+    # err[m] is the error after m Kaczmarz ops, read off their iterates 256 at a time
+    err, xs, phis = np.empty(steps - at.size + 1), np.empty((256, A0.n), x.dtype), np.empty(steps)
+    err[0] = _norm(x - x_true)
 
-    def run(lo, hi, err_norm, step, new):
-        # ops lo to hi, each orth op by step, orth or _move (its two values go to new)
+    def run(lo, hi, m, step, new):
+        # ops lo to hi, the first Kaczmarz op among them the m-th, each orth op by step
+        # (its values after (c, c2, nu) go to new)
+        m0 = m
         for k in range(lo, hi):
             if is_orth[k]:
                 i, j = todo[k]
@@ -146,31 +150,35 @@ def run_cosolve(
                 _update_rhs(b, i, j, c, c2, nu)
             else:
                 _kaczmarz(arr, b, x, todo[k])
-                err_norm = _norm(x - state.x_true)
-            errs[k], phis[k] = err_norm, chain.phi[0]
-        return err_norm
+                xs[m - m0] = x
+                m += 1
+                if m - m0 == len(xs):
+                    err[m0 + 1:m + 1], m0 = np.sqrt(_sq_norms(xs - x_true)), m
+        err[m0 + 1:m + 1] = np.sqrt(_sq_norms(xs[:m - m0] - x_true))  # _norm's bits
 
     # block by block, each to the chain's next checkpoint or the end: _commit reads the rest
-    # off its _moves, or the block is put back and replayed; a Kaczmarz op keeps the last phi
-    err_norm, lo, o = _norm(x - state.x_true), 0, 0
+    # off its _moves, or the block is put back and replayed through orth, which gives phi
+    # op by op; a Kaczmarz op keeps the last phi and an orth op the last error
+    lo, o = 0, 0
     while lo < steps:
         top = min(at.size, o + chain._to_checkpoint(slice(None)))
         hi = steps if top == at.size else int(at[top - 1]) + 1
         moved = np.flatnonzero(np.bincount(ij[o:top].ravel()))  # the rows its _moves write
-        saved, new = (chain.cols[:, moved], chain.inv[:, moved], b.copy(), x.copy(), err_norm), []
+        saved, new = (chain.cols[:, moved], chain.inv[:, moved], b.copy(), x.copy()), []
         phi = np.full((1, top - o + 1), chain.phi[0])
         try:
-            err_norm = run(lo, hi, err_norm, chain._move, new)
+            run(lo, hi, lo - o, chain._move, new)
             done = top == o or chain._commit(slice(None), ij[None, o:top],
                                              np.array(new).reshape(1, -1, 2), phi[:, 1:], True)
         except (DegeneratePairError, SingularityError, np.linalg.LinAlgError):
             done = False
-        if done:
-            phis[lo:hi] = phi[0, np.cumsum(orth[lo:hi])]
-        else:
-            chain.cols[:, moved], chain.inv[:, moved], b[:], x[:], err_norm = saved
-            err_norm = run(lo, hi, err_norm, chain.orth, [])
+        if not done:
+            chain.cols[:, moved], chain.inv[:, moved], b[:], x[:] = saved
+            new = []
+            run(lo, hi, lo - o, lambda r, i, j: (*chain.orth(r, i, j), chain.phi[r]), new)
+            phi[0, 1:] = new
+        phis[lo:hi] = phi[0, np.cumsum(orth[lo:hi])]
         lo, o = hi, top
-    history = np.rec.fromarrays([np.arange(1, steps + 1), kinds, errs, phis],
-                                names="step,kind,err_norm,phi")
+    history = np.rec.fromarrays([np.arange(1, steps + 1), np.where(orth, ORTH, KACZ),
+                                 err[np.cumsum(~orth)], phis], names="step,kind,err_norm,phi")
     return history, replace(state, A=chain.matrix(0), b=b, x=x, kernel=chain.counters(0))

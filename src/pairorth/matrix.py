@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy._core._multiarray_umath import vdot as _vdot  # np.vdot without its dispatcher
 
 from . import tolerances as tol
 from .errors import ConstructionError, DegeneratePairError, UsageError
@@ -38,7 +39,7 @@ def inner(x, y):
         raise UsageError(f"inner: length mismatch {x.shape} vs {y.shape}")
     if _field_of(x) != _field_of(y):
         raise UsageError("inner: field mismatch (real vs complex)")
-    value = np.vdot(y, x)  # vdot conjugates its first argument
+    value = _vdot(y, x)  # vdot conjugates its first argument
     return complex(value) if np.iscomplexobj(value) else float(value)
 
 
@@ -165,11 +166,11 @@ def _orth_column(arr: np.ndarray, i: int, j: int):
     """
     a_i = arr[:, i]
     a_j = arr[:, j]
-    c = np.vdot(a_j, a_i)  # <a_i, a_j> under this package's convention
+    c = _vdot(a_j, a_i)  # <a_i, a_j> under this package's convention
     if abs(c) >= 1.0 - tol.DEGENERATE_PAIR_GUARD:
         raise DegeneratePairError((i, j), abs(c))
     w = a_i - c * a_j
-    c2 = np.vdot(a_j, w)
+    c2 = _vdot(a_j, w)
     w -= c2 * a_j
     nu = _norm(w)
     if not 0.0 < nu < math.inf:  # zero or not finite

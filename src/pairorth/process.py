@@ -57,7 +57,7 @@ from .bounds import inflection, theorem7_bound
 from .errors import (ChainAbortError, DegeneratePairError, PairOrthError, SingularityError,
                      UsageError)
 from .matrix import (REAL, ColumnMatrix, PairIndex, _count, _gram_offdiag_fro, _integer,
-                     _orth_column, _sq_norms)
+                     _orth_column, _sq_norms, _vdot)
 from .metrics import (_distances_full, _pair_distances, _phi_from_distances, _start_distances,
                       condition_number)
 
@@ -156,7 +156,7 @@ def _draw_pair(n: int, kind: str, rng: np.random.Generator, w=None) -> tuple[Pai
         k = int(np.argmax(w[rows, cols]))
         return (int(rows[k]), int(cols[k])), False
     if kind == PROPORTIONAL:
-        row_cdf = w.sum(axis=1).cumsum()
+        row_cdf = np.add.reduce(w, axis=1).cumsum()
         # sqrt(fl(g * g)) == g, so the fallback is max |g| < 1e-15; such a w sums
         # below 4 n^2 1e-30 and a NaN fails both, so w.max() is read only there
         small = tol.PROPORTIONAL_FALLBACK_ABS
@@ -354,7 +354,7 @@ class _ChainStack:
         inv_i, inv_j = inv[i], inv[j]
         inv_j += (c + c2) * inv_i
         inv_i *= nu
-        return c, c2, nu, (np.vdot(inv_i, inv_i).real, np.vdot(inv_j, inv_j).real)
+        return c, c2, nu, (_vdot(inv_i, inv_i).real, _vdot(inv_j, inv_j).real)
 
     def _settle(self, r: int, sum_sq: float) -> None:
         """End a step of chain r whose kept distances give

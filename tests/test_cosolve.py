@@ -1,6 +1,7 @@
 """Right-hand-side co-updates and interleaved Kaczmarz runs."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,48 @@ class TestRunCosolve:
         assert np.array_equal(final.A.array, state.A.array)
         assert np.array_equal(final.b, state.b)
         assert np.array_equal(final.x, state.x)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("interleave", [(0, 1), (1, 16)])
+    def test_error_norms_read_off_many_iterate_buffers(self, field, interleave):
+        # run_cosolve keeps 256 Kaczmarz iterates before it reads their errors
+        # off: 10,000 ops fill that buffer many times, inside one block (0:1)
+        # and across blocks of 64 orth ops and 1,024 Kaczmarz ops (1:16)
+        A, x_true = random_instance(4, 12, field)
+        history, final = run_cosolve(A, x_true, interleave=interleave, steps=10_000, seed=7)
+        kinds = history.kind.tolist()
+        chain_phi = run_chain(A, kinds.count(ORTH), UNIFORM, derive_replicate_seed(7, 0)).phi
+        rng_pairs = make_rng(derive_replicate_seed(7, 0))
+        rng_rows = make_rng(derive_replicate_seed(7, 1))
+        state, orth_done = initial_state(A, x_true), 0
+        for kind, err_norm, phi in zip(kinds, history.err_norm.tolist(), history.phi.tolist()):
+            if kind == ORTH:
+                state = orth_with_rhs(state, sample_pair(state.A, "uniform", rng_pairs))
+                orth_done += 1
+            else:
+                state = kaczmarz_step(state, int(rng_rows.integers(A.n)))
+            assert err_norm == state.error()
+            assert phi == chain_phi[orth_done]
+        assert np.array_equal(final.A.array, state.A.array)
+        assert np.array_equal(final.b, state.b)
+        assert np.array_equal(final.x, state.x)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_error_norm_memory_grows_with_the_history(self, field):
+        # 8,000 more Kaczmarz ops at n = 64: a kept iterate per op would add
+        # 8,000 n 8 bytes (real) or twice that, the history 40 bytes an op
+        A, x_true = random_instance(64, 3, field)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                history, _ = run_cosolve(A, x_true, interleave=(0, 1), steps=steps, seed=1)
+                return tracemalloc.get_traced_memory()[1], history.nbytes
+            finally:
+                tracemalloc.stop()
+
+        (short, short_bytes), (long, long_bytes) = peak(1_000), peak(9_000)
+        assert long - short <= 4 * (long_bytes - short_bytes) < 8_000 * 64 * 8
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("kind,eta", [

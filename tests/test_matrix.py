@@ -21,7 +21,8 @@ from pairorth import (
 )
 from pairorth import tolerances as tol
 from pairorth.generators import GeneratorSpec
-from pairorth.matrix import _orth_column, validate_pair
+from pairorth.matrix import _orth_column, _vdot, validate_pair
+from pairorth.process import _weights
 
 SQ3 = np.sqrt(3.0)
 
@@ -272,6 +273,37 @@ class TestOrthColumnBits:
                 assert len(new) == len(old) and all(
                     a == b or (a != a and b != b) for a, b in zip(new, old)
                 )
+
+
+class TestNumpyEntryPoints:
+    """The numpy C functions the step kernel calls directly keep the bits of
+    the public calls they stand for: a numpy that moves them fails here."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 31, 32, 33, 127, 128, 129])
+    def test_vdot_is_np_vdot(self, n, field):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((4, 2 * n))
+        if field == "complex":
+            z = z + 1j * rng.standard_normal((4, 2 * n))
+        cols = np.asfortranarray(z[:, :n].T)  # columns as a chain's matrix holds them
+        vectors = [
+            z[0, :n], z[1, n:],  # contiguous rows
+            cols[:, 2], cols[:, 3],  # F-order column views
+            z[2, n - 1::-1], z[3, ::-1][:n],  # step -1
+            z[0, ::2], z[1, 1::2],  # step 2
+        ]
+        for x in vectors:
+            for y in vectors:
+                assert _vdot(x, y).tobytes() == np.vdot(x, y).tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_row_sums_are_sum(self, field):
+        # the proportional draw's row sums of _weights, by np.add.reduce
+        for n in (2, 3, 4, 7, 8, 9, 16, 31, 32, 33, 64, 65, 96, 127, 128, 129, 160):
+            arr = random_state(n, field, seed=n).array
+            w = _weights(arr.conj().T @ arr)
+            assert np.add.reduce(w, axis=1).tobytes() == w.sum(axis=1).tobytes()
 
 
 class TestGramOffdiag:

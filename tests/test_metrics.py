@@ -156,6 +156,21 @@ class TestDistances:
                     listed = [k for k in range(n) if k != i and k != j] + [i, j]
                     assert _pair_order(n, i, j).tolist() == listed
 
+    def test_pair_order_cache_is_bounded(self):
+        # n = 96 has 9,120 pairs, more than the cache keeps: it holds at most
+        # 4,096, and a pair evicted from it is built again in the listed order
+        n = 96
+        _pair_order.cache_clear()
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    _pair_order(n, i, j)
+        assert _pair_order.cache_info().currsize <= 4096
+        misses = _pair_order.cache_info().misses
+        listed = [k for k in range(2, n)] + [0, 1]
+        assert _pair_order(n, 0, 1).tolist() == listed  # the first pair in, so evicted
+        assert _pair_order.cache_info().misses == misses + 1
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_pair_read_off_keeps_the_bits_of_a_listed_gather(self, field):
         # a step's (d_i, d_j) has the bits of the same read-off on a gather by
