@@ -11,7 +11,7 @@ needed.
 run_cosolve advances the matrix as a one-chain stack of the step kernel
 of pairorth.process, with the right-hand-side and Kaczmarz updates of
 orth_with_rhs and kaczmarz_step, from checkpoint to checkpoint by block
-(README, "Steps by stretch"). It draws pairs and rows up front.
+(README, "The path map"). It draws pairs and rows up front.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .process import KernelStats, _ChainStack, _replicate_seeds, _uniform_pairs,
 
 ORTH = "orth"
 KACZ = "kacz"
+# run_cosolve's history, one row per op
+HISTORY_DTYPE = np.dtype([("step", np.int64), ("kind", "<U4"), ("err_norm", float), ("phi", float)])
 
 
 @dataclass(frozen=True)
@@ -125,36 +127,38 @@ def run_cosolve(
     state = initial_state(A0, x_true)
     rng_pairs, rng_rows = map(make_rng, _replicate_seeds(seed, np.arange(2, dtype=np.uint64)))
 
-    orth = np.arange(steps) % (p + q) < p
+    history, orth = np.recarray(steps, HISTORY_DTYPE), np.arange(steps) % (p + q) < p
+    history["step"], history["kind"] = np.arange(1, steps + 1), np.where(orth, ORTH, KACZ)
+    out_phi, out_err = history["phi"], history["err_norm"]
     at = np.flatnonzero(orth)  # the op of each orth op
     ij = _uniform_pairs(A0.n, rng_pairs, at.size)
-    pairs, rows = iter(ij.tolist()), iter(rng_rows.integers(A0.n, size=steps - at.size).tolist())
-    is_orth = orth.tolist()
-    todo = [next(pairs) if o else next(rows) for o in is_orth]
+    rows = rng_rows.integers(A0.n, size=steps - at.size)
     chain = _ChainStack(A0, 1)
     arr = chain.cols[0].T
     b, x, x_true = np.array(state.b), state.x, state.x_true
-    # err[m] is the error after m Kaczmarz ops, read off their iterates 256 at a time
-    err, xs, phis = np.empty(steps - at.size + 1), np.empty((256, A0.n), x.dtype), np.empty(steps)
-    err[0] = _norm(x - x_true)
+    # err[m] is the error after m Kaczmarz ops (err[0] the zero iterate's), read off their
+    # iterates 256 at a time
+    err, xs = np.full(steps - at.size + 1, _norm(x_true)), np.empty((256, A0.n), x.dtype)
 
-    def run(lo, hi, m, step, new):
-        # ops lo to hi, the first Kaczmarz op among them the m-th, each orth op by step
-        # (its values after (c, c2, nu) go to new)
-        m0 = m
-        for k in range(lo, hi):
-            if is_orth[k]:
-                i, j = todo[k]
+    def run(lo, hi, o, top, step):
+        # ops lo to hi: among them orth ops o to top, by step, and Kaczmarz ops lo - o to
+        # hi - top; returns the orth ops' values after (c, c2, nu), in order
+        pairs, kacz, new = iter(ij[o:top].tolist()), iter(rows[lo - o:hi - top].tolist()), []
+        m = m0 = lo - o
+        for is_orth in orth[lo:hi].tolist():
+            if is_orth:
+                i, j = next(pairs)
                 c, c2, nu, *values = step(0, i, j)
                 new += values
                 _update_rhs(b, i, j, c, c2, nu)
             else:
-                _kaczmarz(arr, b, x, todo[k])
+                _kaczmarz(arr, b, x, next(kacz))
                 xs[m - m0] = x
                 m += 1
                 if m - m0 == len(xs):
                     err[m0 + 1:m + 1], m0 = np.sqrt(_sq_norms(xs - x_true)), m
         err[m0 + 1:m + 1] = np.sqrt(_sq_norms(xs[:m - m0] - x_true))  # _norm's bits
+        return new
 
     # block by block, each to the chain's next checkpoint or the end: _commit reads the rest
     # off its _moves, or the block is put back and replayed through orth, which gives phi
@@ -164,21 +168,18 @@ def run_cosolve(
         top = min(at.size, o + chain._to_checkpoint(slice(None)))
         hi = steps if top == at.size else int(at[top - 1]) + 1
         moved = np.flatnonzero(np.bincount(ij[o:top].ravel()))  # the rows its _moves write
-        saved, new = (chain.cols[:, moved], chain.inv[:, moved], b.copy(), x.copy()), []
+        saved = chain.cols[:, moved], chain.inv[:, moved], b.copy(), x.copy()
         phi = np.full((1, top - o + 1), chain.phi[0])
         try:
-            run(lo, hi, lo - o, chain._move, new)
+            new = run(lo, hi, o, top, chain._move)
             done = top == o or chain._commit(slice(None), ij[None, o:top],
-                                             np.array(new).reshape(1, -1, 2), phi[:, 1:], True)
+                                             np.array(new).reshape(1, -1, 2), phi[:, 1:])
         except (DegeneratePairError, SingularityError, np.linalg.LinAlgError):
             done = False
         if not done:
             chain.cols[:, moved], chain.inv[:, moved], b[:], x[:] = saved
-            new = []
-            run(lo, hi, lo - o, lambda r, i, j: (*chain.orth(r, i, j), chain.phi[r]), new)
-            phi[0, 1:] = new
-        phis[lo:hi] = phi[0, np.cumsum(orth[lo:hi])]
+            phi[0, 1:] = run(lo, hi, o, top, lambda r, i, j: (*chain.orth(r, i, j), chain.phi[r]))
+        out_phi[lo:hi] = phi[0, np.cumsum(orth[lo:hi])]
+        out_err[lo:hi] = err[lo - o + np.cumsum(~orth[lo:hi])]
         lo, o = hi, top
-    history = np.rec.fromarrays([np.arange(1, steps + 1), np.where(orth, ORTH, KACZ),
-                                 err[np.cumsum(~orth)], phis], names="step,kind,err_norm,phi")
     return history, replace(state, A=chain.matrix(0), b=b, x=x, kernel=chain.counters(0))

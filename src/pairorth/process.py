@@ -9,29 +9,16 @@ grid, every multiple of a stride plus the last step.
 One kernel, _ChainStack, keeps R >= 1 chains from one start as (R, ...)
 arrays and steps them together: run_chain is a stack of one,
 run_ensemble runs one stack per chunk of replicates, and the Kaczmarz
-co-solver drives a stack of one. Per chain it keeps the inverse (two
-rows move per step), the distances and, for the proportional and greedy
-samplers, the weights |G|^2 of the Gram matrix G; it copies the start's
-inverse and distances, which a validated start computes once
-(metrics._start_distances). Above the 1e8 condition estimate it keeps
-the distances alone and reads d_i and d_j off one R-only QR per step.
-Its step updates the chains on the inverse path as one vectorized step
-when enough of them are (through a slice when they are all the chains),
-with the scalar code's reductions row by row, and runs the scalar code
-on each other chain's row, so every chain gets the same bits either way.
-Stacks step from checkpoint to checkpoint by stretch, grid records inside.
-In a smaller stack uniform inverse-path chains go by dependency level,
-others by the updates the next step reads; a larger one with n up to 64,
-its chains all live, uniform and on the inverse path, by one vectorized
-update a step up to its checkpoint step (README, "Steps by stretch").
-A chain refreshes when a running bound on its rounding comes due, tested
-every INVERSE_REFRESH_STEPS steps on either path, or when its condition
-estimate crosses 1e8 or, on the projection path, falls by a factor n; the
-chains due recompute by one stacked inv. A record-grid point is one
-stacked SVD and one stacked Gram over the live chains; each chain gets
-the bits of the call on its matrix alone. The update rules,
-the refresh policy, the measured drift, the selection rule and the
-proportional draw are in README, "How the step kernel keeps phi".
+co-solver drives a stack of one. Per chain it keeps the inverse (two rows
+move per step) and the distances, or above the 1e8 condition estimate the
+distances alone, and for the proportional and greedy samplers the weights
+|G|^2 of the Gram matrix G. A chain recomputes them when a running bound
+on its rounding comes due at a checkpoint, when its estimate crosses 1e8
+or, on the projection path, when it falls by a factor n. Every path that
+steps a chain gives it the bits of the scalar step, _ChainStack.orth,
+alone, and a grid record the bits of the call on its matrix alone. The
+rules, and the path map of what selects each path, are in
+README, "How the step kernel keeps phi".
 
 All randomness flows from explicit 64-bit seeds through a counter-based
 generator (Philox). Replicate seeds are derived from the base seed with a
@@ -205,11 +192,11 @@ def _uniform_pairs(n: int, rng: np.random.Generator, count: int | None = None):
 
 # A step updates the chains on the inverse path as one vectorized step once
 # at least this many are; fewer step one by one. The measured crossover is
-# in README, "One state for one chain or many".
+# in README, "The path map".
 STACK_MIN_REPLICATES = 4
 
 # A larger stack steps by stretch only up to this n: at n = 128 its saved rows and
-# read-off cost more than its steps save (README, "One state for one chain or many").
+# read-off cost more than its steps save (README, "Known limits").
 STACK_STRETCH_MAX_N = 64
 
 # Ensemble chunks are sized so that a stack's working arrays and records
@@ -257,6 +244,7 @@ class _ChainStack:
     _plan is step's _split, None once a chain refreshes, crosses or retires and after its
     checkpoint, the stack step _checkpoint, which no stretch moves: t and since advance
     together. rows[r] is chain r's _views, None until its first scalar step.
+    Which method steps which chains, and why: README, "The path map".
     """
 
     def __init__(self, A0: ColumnMatrix, count: int, kind: str = UNIFORM):
@@ -569,7 +557,7 @@ class _ChainStack:
                 pairs[:] = ij
             # the per-chain arrays take a slice, views, while all are live
             if self._commit(slice(None) if len(live) == self.count else live, pairs[:, :m], new,
-                            phi[:, :m], settle):
+                            phi[:, :m]):
                 if rngs:
                     self.uniform_fallbacks += fell
                 return True
@@ -579,14 +567,15 @@ class _ChainStack:
             rngs[r].bit_generator.state = state
         return False
 
-    def _commit(self, rs, pairs, new, phi, settle) -> bool:
+    def _commit(self, rs, pairs, new, phi) -> bool:
         """Read the rest off a stretch of chains rs on one path, whose step s on
         pairs[r, s] wrote new[r, s] (row_sq or d of its two columns): orth's bits by
         a forward fill, reductions for phi and the estimate, a cumsum for est_sum,
-        and with settle, _settle for the last step; without, whose next step goes through
-        step, the refresh test of every step. False, with nothing written, where one
-        before would refresh."""
+        and in a stack of fewer than STACK_MIN_REPLICATES chains, _settle for the last
+        step; in a larger one, whose next step goes through step, the refresh test of
+        every step. False, with nothing written, where one before would refresh."""
         (R, n), m, on_inv = self.d[rs].shape, pairs.shape[1], bool(self.on_inv[rs].all())
+        settle = self.count < STACK_MIN_REPLICATES
         # each chain's start values then its writes, flat, and at[r, s, k] the
         # index of column k's value after step s: the start's or its latest write
         flat = np.concatenate((self.row_sq[rs] if on_inv else self.d[rs],

@@ -42,7 +42,7 @@ DISTANCE_FALLBACK_KAPPA = 1e8
 # at a multiple of it where the running drift bound would reach the
 # slack by the next, or at a crossing of the 1e8 estimate (on the projection
 # path also when the estimate falls below 1/n of its value at the last one).
-# README, "How the step kernel keeps phi".
+# README, "The refresh policy".
 INVERSE_REFRESH_STEPS = 64
 
 # Slack for the exact one-step expectation against the iterative map.

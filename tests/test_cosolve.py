@@ -326,6 +326,24 @@ class TestRunCosolve:
         assert long - short <= 4 * (long_bytes - short_bytes) < 8_000 * 64 * 8
 
     @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("interleave", [(1, 1), (4, 1)])
+    def test_peak_memory_grows_with_the_history_alone(self, field, interleave):
+        # 8,000 more ops at n = 64, orth ops among them: the peak may grow by at most
+        # twice the history's 40 bytes an op, which leaves no room for a per-op Python
+        # list of pairs, rows or op kinds beside the drawn arrays
+        A, x_true = random_instance(64, 3, field)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run_cosolve(A, x_true, interleave=interleave, steps=steps, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(9_000) - peak(1_000) <= 2 * 40 * 8_000
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("kind,eta", [
         ("gaussian_normalized", None), ("near_singular", 1e-6), ("near_singular", 1e-10),
     ])
