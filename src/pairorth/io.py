@@ -9,7 +9,6 @@ so a failed run never leaves a partial output behind.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -41,17 +40,14 @@ def _parse_entry(token: str, field: str):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory, with the
-    mode open() would give it: 0666 less the process umask (mkstemp's 0600
-    would otherwise stay)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write text to path via a temp file under a fresh name in the same
+    directory, created as open() creates a file: mode 0666, from which the
+    kernel takes the process umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -241,9 +241,9 @@ class _ChainStack:
     uniform_fallbacks and worst_bound make counters(r). t counts the stack's
     steps; a degenerate pair clears live[r] and keeps (t, its
     DegeneratePairError) in aborts[r], with chain r untouched.
-    _plan is step's _split, None once a chain refreshes, crosses or retires and after its
-    checkpoint, the stack step _checkpoint, which no stretch moves: t and since advance
-    together. rows[r] is chain r's _views, None until its first scalar step.
+    _plan is step's _split, None once a chain refreshes, crosses or retires. rows[r] is
+    chain r's _views, None until its first scalar step. Every stretch, vectorized step and
+    co-solver block ends in _settle_all, orth in _settle: the same refresh rule.
     Which method steps which chains, and why: README, "The path map".
     """
 
@@ -362,6 +362,20 @@ class _ChainStack:
         if not self.on_inv[r]:
             self.fallbacks[r] += 1
 
+    def _settle_all(self, rs, est) -> None:
+        """_settle for chains rs on one path, whose step gave the estimates est, as
+        arrays: the chains due refresh through one _refresh."""
+        self.est_sum[rs] += est
+        below, on_inv = est <= tol.DISTANCE_FALLBACK_KAPPA, self.on_inv[rs][0]
+        due = ~below if on_inv else below | (self.n * est < self.est0[rs])
+        if 0 in (self.since[rs] % tol.INVERSE_REFRESH_STEPS).tolist():  # spares _comes_due's arrays
+            due |= self._comes_due(rs, est)
+        if due.any():
+            self._refresh(self._all[rs][due])
+        elif on_inv:
+            return  # only a refresh takes a chain off the inverse path
+        self.fallbacks[rs] += ~self.on_inv[rs]
+
     def _comes_due(self, rs, est):
         # B = eps est_sum bounds the drift of the kept log d_k (a step's rounding moves
         # them by about eps est); at a multiple of K = INVERSE_REFRESH_STEPS steps since
@@ -402,13 +416,11 @@ class _ChainStack:
 
     def _split(self):
         # (the chains of the vectorized step, slice(None) when they are the whole
-        # stack, or None; the others), and _checkpoint: the stack step at which
-        # the first of them reaches a multiple of INVERSE_REFRESH_STEPS
+        # stack, or None; the others)
         on_inv = self.live & self.on_inv
         a = np.flatnonzero(on_inv)
         if a.size < STACK_MIN_REPLICATES:
             return None, np.flatnonzero(self.live).tolist()
-        self._checkpoint = self.t + self._to_checkpoint(a)
         scalar = np.flatnonzero(self.live & ~on_inv).tolist()
         return (slice(None) if a.size == self.count else a), scalar
 
@@ -433,20 +445,9 @@ class _ChainStack:
         row_sq = self.row_sq[a]
         self.d[a] = d = np.minimum(1.0 / np.sqrt(row_sq), 1.0)
         self.phi[a] = -np.add.reduce(np.log(d), axis=1) + 0.0
-        est = np.sqrt(self.n * np.add.reduce(row_sq, axis=1))
-        self.est_sum[a] += est
         self.since[a] += 1
         inner_abs[a] = c_abs
-        # _settle's rule as one stack: a crossing or NaN estimate refreshes, and
-        # _comes_due only at the stack's checkpoint, after which step re-derives the next
-        due = ~(est <= tol.DISTANCE_FALLBACK_KAPPA)
-        if self.t == self._checkpoint:
-            self._plan = None
-            due |= self._comes_due(a, est)
-        if due.any():
-            due = self._all[a][due]
-            self._refresh(due)
-            self.fallbacks[due] += ~self.on_inv[due]
+        self._settle_all(a, np.sqrt(self.n * np.add.reduce(row_sq, axis=1)))
         return True
 
     def _orth_slots(self, at):
@@ -484,20 +485,20 @@ class _ChainStack:
         rngs[r] off the kept w), writing |c| and phi, with record(k) after offset
         steps for each (offset, k) of stops: it reads only cols, which no refresh
         touches. A stack of STACK_MIN_REPLICATES or more chains, all live, uniform
-        and on the inverse path, takes one _orth_slots a step over them all and
-        leaves its last step, a checkpoint, to step. In a smaller stack, between
-        stops, a uniform inverse-path chain goes by level where its levels average
+        and on the inverse path, takes one _orth_slots a step over them all, up to
+        and with its checkpoint step. In a smaller stack, between stops, a uniform
+        inverse-path chain goes by level where its levels average
         STACK_MIN_REPLICATES steps (step s takes 1 + the level of its last step on i
         or j, and one _orth_slots a level), any other by one _move a step. _commit
-        reads the rest off. False, with chains and rngs as they were, where the
-        chains sit on both paths, a pair is degenerate, a QR finds A singular or a
-        step before the last (in a stack, before the checkpoint) would refresh."""
+        reads the rest off and settles the last step. False, with chains and rngs as
+        they were, where the chains sit on both paths, a pair is degenerate, a QR
+        finds A singular or a step before the last would refresh."""
         live, (n, m) = self._all[self.live].tolist(), (self.n, pairs.shape[1])
         on_inv = self.on_inv[self.live].tolist()
-        settle = self.count < STACK_MIN_REPLICATES
-        if min(on_inv) != max(on_inv) or not settle and (rngs or sum(on_inv) < self.count):
+        small = self.count < STACK_MIN_REPLICATES
+        if min(on_inv) != max(on_inv) or not small and (rngs or sum(on_inv) < self.count):
             return False
-        if settle:
+        if small:
             # each of the busiest column's steps takes a level
             leveled = [r for r in live if rngs is None and on_inv[0]
                        and np.bincount(pairs[r].ravel()).max() * STACK_MIN_REPLICATES <= m]
@@ -506,10 +507,9 @@ class _ChainStack:
                      if x is not None]
         else:
             # chain r's step s on (i, j) takes rows r n + i and r n + j of cols and inv,
-            # flat[s] for every r; a decline puts back the rows they write. The last step,
-            # the checkpoint, goes through step
-            m, leveled, others = m - 1, [], []
-            flat = (pairs[:, :m] + (self._all * n)[:, None, None]).transpose(1, 2, 0).copy()
+            # flat[s] for every r; a decline puts back the rows they write
+            leveled, others = [], []
+            flat = (pairs + (self._all * n)[:, None, None]).transpose(1, 2, 0).copy()
             written = np.flatnonzero(np.bincount(flat.ravel()))
             saved = [(x, written, x.take(written, axis=0))
                      for x in (self.cols.reshape(-1, n), self.inv.reshape(-1, n))]
@@ -532,7 +532,7 @@ class _ChainStack:
                             levels.setdefault(level, []).extend(slots)
                 # (flat rows, chains, steps) of each _orth_slots: a step of the stack, a level
                 slots = [(level[:, 0] * n + level[:, 2:].T, level[:, 0], level[:, 1])
-                         for level in map(np.array, levels.values())] if settle else [
+                         for level in map(np.array, levels.values())] if small else [
                     (flat[s], slice(None), s) for s in range(lo, hi)]
                 for at, rows, s in slots:
                     c_abs, sq = self._orth_slots(at)
@@ -556,8 +556,7 @@ class _ChainStack:
             if rngs:
                 pairs[:] = ij
             # the per-chain arrays take a slice, views, while all are live
-            if self._commit(slice(None) if len(live) == self.count else live, pairs[:, :m], new,
-                            phi[:, :m]):
+            if self._commit(slice(None) if len(live) == self.count else live, pairs, new, phi):
                 if rngs:
                     self.uniform_fallbacks += fell
                 return True
@@ -571,11 +570,9 @@ class _ChainStack:
         """Read the rest off a stretch of chains rs on one path, whose step s on
         pairs[r, s] wrote new[r, s] (row_sq or d of its two columns): orth's bits by
         a forward fill, reductions for phi and the estimate, a cumsum for est_sum,
-        and in a stack of fewer than STACK_MIN_REPLICATES chains, _settle for the last
-        step; in a larger one, whose next step goes through step, the refresh test of
-        every step. False, with nothing written, where one before would refresh."""
+        and _settle_all for the last step. False, with nothing written, where a
+        step before the last would refresh."""
         (R, n), m, on_inv = self.d[rs].shape, pairs.shape[1], bool(self.on_inv[rs].all())
-        settle = self.count < STACK_MIN_REPLICATES
         # each chain's start values then its writes, flat, and at[r, s, k] the
         # index of column k's value after step s: the start's or its latest write
         flat = np.concatenate((self.row_sq[rs] if on_inv else self.d[rs],
@@ -587,23 +584,21 @@ class _ChainStack:
         # each value's d and term of sum_sq = sum_k 1 / d_k^2, then each step's
         d = np.minimum(1.0 / np.sqrt(flat), 1.0) if on_inv else flat
         sum_sq = np.add.reduce((flat if on_inv else 1.0 / (d * d)).take(at), axis=-1)
-        est = np.concatenate((self.est_sum[rs, None], np.sqrt(n * sum_sq[:, :m - settle])), axis=1)
-        below = est[:, 1:] <= tol.DISTANCE_FALLBACK_KAPPA  # est[:, 0] is est_sum
-        if not below.all() if on_inv else (below | (n * est[:, 1:] < self.est0[rs, None])).any():
+        est = np.concatenate((self.est_sum[rs, None], np.sqrt(n * sum_sq)), axis=1)
+        below = est[:, 1:-1] <= tol.DISTANCE_FALLBACK_KAPPA  # est[:, 0] is est_sum
+        if not below.all() if on_inv else (below | (n * est[:, 1:-1] < self.est0[rs, None])).any():
             return False
         phi[rs] = -np.add.reduce(np.log(d).take(at), axis=-1) + 0.0
         if on_inv:
             self.row_sq[rs] = flat.take(at[:, -1])
         else:
-            self.fallbacks[rs] += m - 1  # the last step's, if any, is _settle's
+            self.fallbacks[rs] += m - 1  # the last step's, if any, is _settle_all's
         self.d[rs], self.phi[rs] = d.take(at[:, -1]), phi[rs, -1]
-        self.est_sum[rs] = est.cumsum(axis=1)[:, -1]
+        self.est_sum[rs] = est[:, :-1].cumsum(axis=1)[:, -1]
         self.since[rs] += m
         self.t += m
-        if settle:
-            for r, last in zip(self._all[rs].tolist(), sum_sq[:, -1].tolist()):
-                self._settle(r, last)
-            phi[rs, -1] = self.phi[rs]  # a refresh's phi, if any
+        self._settle_all(rs, est[:, -1])
+        phi[rs, -1] = self.phi[rs]  # a refresh's phi, if any
         return True
 
 
@@ -717,8 +712,8 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
     records[..., 0] = np.array([[sigma[-1]], [sigma[0] / sigma[-1]],
                                 _gram_offdiag_fro(stack.cols[:1])])
     # checkpoint to checkpoint (or the end): a stretch of STACK_MIN_REPLICATES steps or more,
-    # grid[k:top] recorded inside, or one by one. A stack of fewer chains takes all of it; a
-    # larger one, n <= STACK_STRETCH_MAX_N, all but the checkpoint step of one ending there
+    # grid[k:top] recorded inside, or one by one. A stack of fewer chains takes any such
+    # stretch; a larger one, n <= STACK_STRETCH_MAX_N, one that ends at a checkpoint
     small, end, k = count < STACK_MIN_REPLICATES, 0, 1
     while end < steps:
         t, end = end, end + stack._to_checkpoint(stack.live)
@@ -727,7 +722,7 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
         taken = by_stretch and STACK_MIN_REPLICATES <= end - t and stack.stretch(
             pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1], rngs,
             [(g - t, q) for q, g in enumerate(grid[k:top], k)], record)
-        for t in range(end + small if taken else t + 1, end + 1):
+        for t in range((end if taken else t) + 1, end + 1):
             for r in np.flatnonzero(stack.live).tolist() if rngs else ():
                 pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
                 stack.uniform_fallbacks[r] += fell_back

@@ -2,6 +2,8 @@
 
 import importlib.util
 import os
+import subprocess
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,3 +73,26 @@ def test_a_file_on_one_side_only_is_flagged(golden, capsys, tmp_path):
     code, lines = _compare(golden, capsys, tmp_path, {"case/stderr.txt": ""})
     assert code == 1
     assert "  FLAG only in B" in lines and lines[-1] == "4 of 5 files identical"
+
+
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                    dict.fromkeys(THREADS, "2")])
+def test_cases_run_on_one_blas_thread_unless_the_caller_sets_a_count(golden, tmp_path, caller):
+    # the bits of the n = 128 and 160 cases follow the thread count
+    envs = []
+
+    def run(cmd, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    with mock.patch.dict(os.environ), mock.patch.object(golden.subprocess, "run", run):
+        for name in THREADS:
+            os.environ.pop(name, None)
+        os.environ.update(caller)
+        assert golden.main([ROOT, str(tmp_path / "out")]) == 0
+    assert len(envs) == len(golden._cases())
+    assert all({name: env.get(name) for name in THREADS}
+               == {name: caller.get(name, "1") for name in THREADS} for env in envs)

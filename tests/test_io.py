@@ -3,6 +3,7 @@
 import os
 import re
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,6 +179,18 @@ class TestAtomicWrite:
             os.umask(old)
         mode = stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode)
         assert mode == 0o666 & ~umask == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+
+    def test_never_sets_the_umask(self, tmp_path):
+        # a umask read by setting it and back would, in between, give another
+        # thread's new files mode 0666: the kernel applies it at the create
+        old = os.umask(0o027)
+        try:
+            with mock.patch.object(os, "umask", side_effect=AssertionError("umask set")):
+                io.atomic_write_text(str(tmp_path / "out.txt"), "data")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.txt").read_text() == "data"
+        assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == 0o666 & ~0o027
 
     def test_failure_leaves_no_partial(self, tmp_path, monkeypatch):
         path = tmp_path / "out.txt"

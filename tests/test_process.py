@@ -4,9 +4,12 @@ import math
 import tracemalloc
 from collections import namedtuple
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from pairorth import (
@@ -892,9 +895,9 @@ class TestStackedEnsemble:
 
 
 class TestStackCheckpoint:
-    """A stack keeps which chains take the vectorized step, and counts the
-    vectorized steps to its next checkpoint, until a chain refreshes,
-    crosses or retires; the vectorized step calls _comes_due only there."""
+    """A stack keeps which chains take the vectorized step until a chain
+    refreshes, crosses or retires; the vectorized step calls _comes_due only
+    where one of them reaches a checkpoint."""
 
     @pytest.mark.parametrize("n,field,seed,eta,count,base_seed,steps,staggered", [
         # the criterion-6 instance: some chains refresh at a checkpoint, others
@@ -1282,7 +1285,7 @@ def stack_outcomes(A, steps, seeds, stride):
 class TestStackStretch:
     """A stack of STACK_MIN_REPLICATES or more uniform chains, all live and on
     the inverse path, steps by stretch up to each checkpoint: one _orth_slots a
-    step over every chain, one _commit, and the checkpoint step through step.
+    step over every chain, the checkpoint step too, and one _commit.
     Every chain must get run_chain's bits and the bits of the same stack with
     every stretch declined, through each kind of decline."""
 
@@ -1303,8 +1306,8 @@ class TestStackStretch:
     def test_bit_identical_to_run_chain_and_to_step_by_step(self, n, field, replicates,
                                                              monkeypatch):
         # 140 steps at stride 7: two stretches to the checkpoints 64 and 128,
-        # each with the records 7, ..., 63 (70, ..., 126) inside and its
-        # checkpoint step left to step, then a tail of 12 steps one by one
+        # each with the records 7, ..., 63 (70, ..., 126) inside and ending
+        # with its checkpoint step, then a tail of 12 steps one by one
         A = random_state(n, 2, field)
         seeds = [derive_replicate_seed(9, r) for r in range(replicates)]
         result, calls = self.by_stretch_and_by_step(A, 140, seeds, 7, monkeypatch)
@@ -1392,6 +1395,33 @@ class TestStackStretch:
             assert_same_outcome(a, b)
         assert calls == [Stretch(64, False, 0, 0, 9, True, False)] * 2
 
+    @pytest.mark.parametrize("field,seed", [("real", 3), ("complex", 0)])
+    def test_due_chains_refresh_through_one_inv(self, field, seed, monkeypatch):
+        # the stack of test_due_chains_refresh_at_checkpoints_through_one_inv,
+        # through _run_stack: each stretch ends at a checkpoint where chains come
+        # due, and they refresh through one _refresh, so one stacked inv, over
+        # all of them, whether the stretch or step makes the checkpoint step
+        K = tol.INVERSE_REFRESH_STEPS
+        A = near_singular_state(8, seed, field, 1e-6)
+        seeds = [derive_replicate_seed(42, r) for r in range(8)]
+        calls, taken = [], []
+        refresh, stretch = process._ChainStack._refresh, process._ChainStack.stretch
+        monkeypatch.setattr(process._ChainStack, "_refresh", lambda self, rs: calls.append(
+            (self.t, self._all[rs].tolist())) or refresh(self, rs))
+        monkeypatch.setattr(process._ChainStack, "stretch", lambda self, *args: taken.append(
+            stretch(self, *args)) or taken[-1])
+        result = stack_outcomes(A, 200, seeds, 50)
+        by_stretch, calls[:] = calls.copy(), []
+        monkeypatch.setattr(process._ChainStack, "stretch", lambda *args: False)
+        for a, b in zip(result, stack_outcomes(A, 200, seeds, 50), strict=True):
+            assert_same_outcome(a, b)
+        assert taken == [True] * 3 and calls == by_stretch
+        steps = [t for t, _ in calls]
+        assert steps == sorted(set(steps)) and all(t % K == 0 for t in steps)
+        assert max(len(rs) for _, rs in calls) >= 2
+        for r, out in enumerate(result):
+            assert_same_outcome(out, chain_or_abort(A, 200, seeds[r], 50))
+
     @pytest.mark.parametrize("kind", [PROPORTIONAL, GREEDY])
     def test_weighted_stacks_step_one_by_one(self, kind, monkeypatch):
         # a weighted stack's stretch declines before its first step
@@ -1414,10 +1444,9 @@ class TestStackStretch:
 
 
 class TestVectorizedStep:
-    """The vectorized step keeps its checkpoint as a stack step, which no
-    stretch moves, and sends every live chain of a step through orth where it
-    meets a degenerate pair: each chain must get the bits or the abort of the
-    chain alone, and _comes_due must run on the checkpoint steps only."""
+    """The vectorized step sends every live chain of a step through orth where
+    it meets a degenerate pair: each chain must get the bits or the abort of
+    the chain alone, and _comes_due must run on the checkpoint steps only."""
 
     def test_two_chains_retire_in_one_step(self, monkeypatch):
         # chains 2 and 5 of 8 leave columns 0 and 1 alone, then draw the
@@ -1460,9 +1489,9 @@ class TestVectorizedStep:
         # the stack of test_chains_back_on_the_inverse_path_out_of_step, through
         # run_ensemble: the first two stretches decline and replay through step,
         # where the chains come back onto the inverse path out of step; from then
-        # on every stretch is taken, and only its checkpoint step goes through
-        # step. The vectorized step must call _comes_due on each step at which one
-        # of its chains reaches a multiple of K, and on no other
+        # on every stretch is taken, its checkpoint step too. The vectorized step
+        # and _commit must call _comes_due on each step at which one of their
+        # chains reaches a multiple of K, and on no other
         K = tol.INVERSE_REFRESH_STEPS
         A = near_singular_state(8, 3, "real", 1e-8)
         calls, expected, out_of_step, taken = [], [], [], []
@@ -1486,7 +1515,7 @@ class TestVectorizedStep:
         def spy_stretch(self, *args):
             t, since = self.t, self.since[self.live]
             taken.append(stretch(self, *args))
-            # the steps _commit took, which no _comes_due sees
+            # the steps _commit took at a chain's checkpoint: its last, which it settles
             expected.extend(t + s for s in range(1, self.t - t + 1) if ((since + s) % K == 0).any())
             return taken[-1]
 
@@ -1746,3 +1775,94 @@ def test_inverse_path_distances_follow_the_row_norms(n, seed, eta, field):
         checked += int(on.sum())
     # the 1e-10 starts begin on the projection path and cross to the inverse path
     assert checked >= 10 * count
+
+
+class TestEveryPath:
+    """One property over every path that steps a chain: the scalar orth, the
+    vectorized step, a small stack's stretch by level and by _move, the stack
+    stretch and the co-solver's blocks. Each chain must get the bits of the
+    same run with every stretch (or block) declined, through orth and step,
+    and of run_chain for its seed."""
+
+    @staticmethod
+    def start(n, field, start, x, seed):
+        """A Gaussian start, a prescribed spectrum with kappa_0 = 10^x, or a
+        planted distance 10^-x; None for a start the generator refuses."""
+        spec = {"gaussian": dict(kind="gaussian_normalized"),
+                "prescribed": dict(kind="prescribed_spectrum",
+                                   sigma=tuple(np.logspace(0.0, -x, n).tolist())),
+                "near_singular": dict(kind="near_singular", eta=10.0 ** -x)}[start]
+        try:
+            return generate(GeneratorSpec(n=n, field=field, seed=seed, **spec))[0]
+        except pairorth.ConstructionError:
+            return None
+
+    @staticmethod
+    def outcomes(A, steps, kind, seeds, stride):
+        """Each chain of one _run_stack run, trajectory or ChainAbortError, or
+        the error the run raised."""
+        grid = _record_grid(steps, stride)
+        try:
+            run = process._run_stack(A, steps, kind, seeds, grid)
+        except (PairOrthError, np.linalg.LinAlgError) as exc:
+            return exc
+        return [process._chain_result(grid, run, r) for r in range(len(seeds))]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 16), field=st.sampled_from(["real", "complex"]),
+           kind=st.sampled_from([UNIFORM, PROPORTIONAL, GREEDY]), count=st.integers(1, 6),
+           start=st.sampled_from(["gaussian", "prescribed", "near_singular"]),
+           x=st.floats(0.5, 10.0), seed=st.integers(0, 2**32),
+           steps=st.integers(0, 150), stride=st.integers(1, 150))
+    # the draws rarely reach a stack stretch or a decline after its steps: a stack
+    # stretch taken, records inside; chains due at a checkpoint, in stacks of 6 and 2;
+    # a uniform chain by level; a stack stretch declined after 10 steps; an abort
+    # after a taken stretch
+    @example(n=8, field="complex", kind=UNIFORM, count=5, start="gaussian", x=1.0, seed=9,
+             steps=150, stride=7)
+    @example(n=8, field="real", kind=UNIFORM, count=6, start="near_singular", x=6.0, seed=3,
+             steps=150, stride=50)
+    @example(n=8, field="real", kind=UNIFORM, count=2, start="near_singular", x=6.0, seed=3,
+             steps=150, stride=50)
+    @example(n=16, field="real", kind=UNIFORM, count=3, start="gaussian", x=1.0, seed=15,
+             steps=150, stride=150)
+    @example(n=6, field="real", kind=UNIFORM, count=4, start="near_singular", x=7.5, seed=2,
+             steps=150, stride=50)
+    @example(n=6, field="real", kind=UNIFORM, count=1, start="near_singular", x=9.0, seed=4,
+             steps=150, stride=50)
+    def test_stacks(self, n, field, kind, count, start, x, seed, steps, stride):
+        A = self.start(n, field, start, x, seed)
+        assume(A is not None)
+        seeds = [derive_replicate_seed(seed, r) for r in range(count)]
+        stacked = self.outcomes(A, steps, kind, seeds, stride)
+        with mock.patch.object(process._ChainStack, "stretch", lambda *args: False):
+            by_step = self.outcomes(A, steps, kind, seeds, stride)
+        if isinstance(stacked, Exception):
+            assert_same_outcome(stacked, by_step)
+            return
+        for r, out in enumerate(stacked):
+            assert_same_outcome(out, by_step[r])
+            assert_same_outcome(out, chain_outcome(A, steps, kind, seeds[r], stride))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 16), field=st.sampled_from(["real", "complex"]),
+           start=st.sampled_from(["gaussian", "prescribed", "near_singular"]),
+           x=st.floats(0.5, 10.0), seed=st.integers(0, 2**32),
+           interleave=st.sampled_from([(0, 1), (1, 1), (4, 1), (1, 4)]),
+           steps=st.integers(0, 300))
+    def test_cosolve(self, n, field, start, x, seed, interleave, steps):
+        A = self.start(n, field, start, x, seed)
+        assume(A is not None)
+        x_true = np.random.default_rng(seed).standard_normal(n)
+
+        def bits():
+            try:
+                history, final = run_cosolve(A, x_true, interleave, steps, seed)
+            except (PairOrthError, np.linalg.LinAlgError) as exc:
+                return type(exc), str(exc)
+            return (history.tobytes(), final.A.array.tobytes(), final.b.tobytes(),
+                    final.x.tobytes(), final.kernel)
+
+        by_block = bits()
+        with mock.patch.object(process._ChainStack, "_commit", lambda *args: False):
+            assert bits() == by_block

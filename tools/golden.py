@@ -9,8 +9,10 @@ writes go to OUT/<case>/out/ (every subcommand but `bounds` is given
 `--out out`), and its stdout, stderr and exit code go to
 stdout.txt, stderr.txt and exit_code.txt. Commands run with OUT/<case> as
 their working directory and name their outputs by relative path, so no
-absolute path reaches the outputs. Run it once per checkout; when two
-checkouts behave the same, `diff -r OUT_A OUT_B` prints nothing.
+absolute path reaches the outputs. They run on one BLAS thread, unless the
+caller's environment sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS, which then keeps its value. Run it once per checkout; when
+two checkouts behave the same, `diff -r OUT_A OUT_B` prints nothing.
 
 --compare reads two such trees. For each file that differs it prints the
 max |delta| of every float column of a CSV and every float key of a
@@ -35,6 +37,7 @@ import sys
 
 SIGMA = "1,0.6,0.3,0.1,0.05,0.01,0.005,0.001"
 EMIT = ["--emit", "trajectory,ensemble,summary"]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _cases() -> dict[str, list[str]]:
@@ -84,7 +87,7 @@ def _cases() -> dict[str, list[str]]:
         "--replicates", "4", "--seed", "5", *EMIT,
     ]
     # n = 128 and 160, where the bits still depend on the BLAS thread count
-    # (ROADMAP item 1): compare two trees under the same thread count
+    # (ROADMAP item 1): compare two trees under the same count, one by default
     for n in ("128", "160"):
         cases[f"run-gaussian-{n}"] = [
             "run", "--gen", "gaussian", "--n", n, "--steps", "256", "--stride", "64",
@@ -331,7 +334,9 @@ def main(argv=None) -> int:
     src = os.path.join(os.path.abspath(args.checkout), "src")
     if not os.path.isfile(os.path.join(src, "pairorth", "cli.py")):
         parser.error(f"no pairorth package under {src}")
-    env = dict(os.environ, PYTHONPATH=src)
+    # one BLAS thread unless the caller sets a count, so two trees compare on one
+    # count wherever they run
+    env = {**dict.fromkeys(BLAS_THREAD_VARS, "1"), **os.environ, "PYTHONPATH": src}
     for name, cmd in _cases().items():
         case_dir = os.path.join(args.out, name)
         os.makedirs(case_dir)
