@@ -142,21 +142,25 @@ def run_cosolve(
 
     def run(lo, hi, o, top, step):
         # ops lo to hi: among them orth ops o to top, by step, and Kaczmarz ops lo - o to
-        # hi - top; returns the orth ops' values after (c, c2, nu), in order
-        pairs, kacz, new = iter(ij[o:top].tolist()), iter(rows[lo - o:hi - top].tolist()), []
+        # hi - top, their kinds and rows read 256 ops at a time (a 0:q run is one block);
+        # returns the orth ops' values after (c, c2, nu), in order
+        pairs, new = iter(ij[o:top].tolist()), []
         m = m0 = lo - o
-        for is_orth in orth[lo:hi].tolist():
-            if is_orth:
-                i, j = next(pairs)
-                c, c2, nu, *values = step(0, i, j)
-                new += values
-                _update_rhs(b, i, j, c, c2, nu)
-            else:
-                _kaczmarz(arr, b, x, next(kacz))
-                xs[m - m0] = x
-                m += 1
-                if m - m0 == len(xs):
-                    err[m0 + 1:m + 1], m0 = np.sqrt(_sq_norms(xs - x_true)), m
+        for at_op in range(lo, hi, len(xs)):
+            kinds = orth[at_op:min(at_op + len(xs), hi)].tolist()
+            kacz = iter(rows[m:m + kinds.count(False)].tolist())
+            for is_orth in kinds:
+                if is_orth:
+                    i, j = next(pairs)
+                    c, c2, nu, *values = step(0, i, j)
+                    new += values
+                    _update_rhs(b, i, j, c, c2, nu)
+                else:
+                    _kaczmarz(arr, b, x, next(kacz))
+                    xs[m - m0] = x
+                    m += 1
+                    if m - m0 == len(xs):
+                        err[m0 + 1:m + 1], m0 = np.sqrt(_sq_norms(xs - x_true)), m
         err[m0 + 1:m + 1] = np.sqrt(_sq_norms(xs[:m - m0] - x_true))  # _norm's bits
         return new
 

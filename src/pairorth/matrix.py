@@ -49,11 +49,11 @@ class ColumnMatrix:
     Values are immutable once constructed: the underlying array is marked
     read-only and every update returns a new instance. _sigma keeps the
     singular values of the rank check, _start the (inv, row_norms, d, on_inv)
-    of metrics._start_distances from first use (read-only; both None when
-    built by _wrap).
+    of metrics._start_distances and _gram the Gram of _kept_gram, each from
+    first use (read-only; all None when built by _wrap).
     """
 
-    __slots__ = ("_array", "_sigma", "_start", "n", "field")
+    __slots__ = ("_array", "_sigma", "_start", "_gram", "n", "field")
 
     def __init__(self, entries, *, normalize: bool = False):
         arr = np.array(entries, order="F")
@@ -90,7 +90,8 @@ class ColumnMatrix:
 
         arr.setflags(write=False)
         sigma.setflags(write=False)
-        self._array, self._sigma, self._start, self.n, self.field = arr, sigma, None, n, field
+        self._array, self._sigma, self.n, self.field = arr, sigma, n, field
+        self._start = self._gram = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, field: str) -> "ColumnMatrix":
@@ -101,7 +102,7 @@ class ColumnMatrix:
         """
         self = object.__new__(cls)
         arr.setflags(write=False)
-        self._array, self._sigma, self._start = arr, None, None
+        self._array, self._sigma, self._start, self._gram = arr, None, None, None
         self.n, self.field = arr.shape[0], field
         return self
 
@@ -109,6 +110,17 @@ class ColumnMatrix:
     def array(self) -> np.ndarray:
         """Read-only view of the matrix, columns along axis 1."""
         return self._array
+
+    def _kept_gram(self) -> np.ndarray:
+        """A^H A off the C-order A^T, as a stack's cols[0] holds it: kept read-only in
+        _gram from first use, or recomputed each call for a matrix built by _wrap."""
+        gram = self._gram
+        if gram is None:
+            cols = np.ascontiguousarray(self._array.T)
+            gram = cols.conj() @ cols.T
+            gram.setflags(write=False)
+            self._gram = None if self._sigma is None else gram
+        return gram
 
     def column(self, j: int) -> np.ndarray:
         return self._array[:, j]
@@ -198,7 +210,8 @@ def gram_offdiag_fro(A: ColumnMatrix) -> float:
     sqrt(sum over i != j of |<a_i, a_j>|^2): the total pairwise
     non-orthogonality.
     """
-    return float(_gram_offdiag_fro(A._array.T[None])[0])
+    # off the kept Gram: subtracting I gives the bits of _gram_offdiag_fro's in-place -= 1
+    return float(np.sqrt(_sq_norms((A._kept_gram() - np.eye(A.n)).reshape(1, -1)))[0])
 
 
 def _gram_offdiag_fro(cols: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from .bounds import inflection, theorem7_bound
 from .errors import (ChainAbortError, DegeneratePairError, PairOrthError, SingularityError,
                      UsageError)
 from .matrix import (REAL, ColumnMatrix, PairIndex, _count, _gram_offdiag_fro, _integer,
-                     _orth_column, _sq_norms, _vdot)
+                     _orth_column, _sq_norms, _vdot, gram_offdiag_fro)
 from .metrics import (_distances_full, _pair_distances, _phi_from_distances, _start_distances,
                       condition_number)
 
@@ -116,6 +116,9 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
+_ones = functools.cache(np.ones)  # the vector of a product's row sums, w.dot(_ones(n))
+
+
 def _weights(gram: np.ndarray) -> np.ndarray:
     """The weights |gram|^2 of the proportional and greedy samplers, with a
     zero diagonal."""
@@ -128,11 +131,9 @@ def _weights(gram: np.ndarray) -> np.ndarray:
 def _draw_pair(n: int, kind: str, rng: np.random.Generator, w=None) -> tuple[PairIndex, bool]:
     """The pair, and whether the proportional sampler fell back to uniform:
     sample_pair's law and stream, off w = _weights(A^H A) (None for uniform).
-    The proportional double picks the row by a search over the cumulative row
-    sums of w, then the column by one over that row's cumulative sum: the
-    pair rng.choice(n * n, p=w.ravel() / w.sum()) would, unless the double
-    lands within roundoff of a boundary of the cumulative sums.
-    """
+    A proportional draw searches the row sums of one product, w @ 1, as
+    _exact_pair searches its own, and keeps the pair where x lies farther than
+    _certified's margin from every boundary around it; elsewhere _exact_pair decides."""
     if kind == UNIFORM:
         return _uniform_pairs(n, rng), False
     if kind == GREEDY:
@@ -143,22 +144,94 @@ def _draw_pair(n: int, kind: str, rng: np.random.Generator, w=None) -> tuple[Pai
         k = int(np.argmax(w[rows, cols]))
         return (int(rows[k]), int(cols[k])), False
     if kind == PROPORTIONAL:
-        row_cdf = np.add.reduce(w, axis=1).cumsum()
-        # sqrt(fl(g * g)) == g, so the fallback is max |g| < 1e-15; such a w sums
-        # below 4 n^2 1e-30 and a NaN fails both, so w.max() is read only there
-        small = tol.PROPORTIONAL_FALLBACK_ABS
-        if row_cdf[-1] < 4 * n * n * small * small and math.sqrt(w.max()) < small:
-            return _draw_pair(n, UNIFORM, rng)[0], True
-        # u < 1 rounds u * total below total, so the row search stays
-        # inside; a search lands where its cdf rises, on a positive weight
-        x = rng.random() * row_cdf[-1]
-        i = int(row_cdf.searchsorted(x, "right"))
-        j = int(w[i].cumsum().searchsorted(x - (row_cdf[i - 1] if i else 0.0), "right"))
-        if j == n:
-            # the row's own sum fell short of x by roundoff
-            j = int(np.flatnonzero(w[i])[-1])
-        return (i, j), False
+        cdf = np.add.accumulate(w.dot(_ones(n)))
+        total = cdf.item(-1)
+        margin, sure, below = _certified(n, total)
+        if not sure:
+            return _exact_pair(n, rng, w)
+        if below and math.sqrt(w.max()) < tol.PROPORTIONAL_FALLBACK_ABS:
+            return _uniform_pairs(n, rng), True
+        u = rng.random()
+        x = u * total
+        i = int(cdf.searchsorted(x, "right"))  # i < n: x < total
+        row, r = np.add.accumulate(w[i]), x - (cdf.item(i - 1) if i else 0.0)
+        j = int(row.searchsorted(r, "right"))
+        if j < n and min(r - (row.item(j - 1) if j else 0.0), cdf.item(i) - x,
+                         row.item(j) - r) > margin:
+            return (i, j), False
+        return _exact_pair(n, rng, w, u)
     raise UsageError(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
+
+
+def _certified(n: int, total):
+    """(margin, sure, below) off a total of product row sums, a float or an array: the
+    margin 8 n eps total, whether the total is finite and farther than the margin from
+    the fallback's 4 n^2 1e-30, and whether it lies below it. Summing k nonnegative
+    terms in any order errs by at most gamma_k = k u / (1 - k u) of their sum, so both
+    rules' prefix sums lie within gamma_2n of the true ones and their comparisons differ
+    by at most (4 n + 2) eps total, below the margin for n >= 2 (README, "The samplers")."""
+    margin, bound = 8 * n * _EPS * total, 4 * n * n * tol.PROPORTIONAL_FALLBACK_ABS**2
+    return margin, abs(total - bound) > margin, total < bound  # NaN and inf are not sure
+
+
+def _exact_pair(n: int, rng, w, u=None) -> tuple[PairIndex, bool]:
+    """The proportional rule, with the double u if drawn: x = u total picks the row by
+    a search of the cumulative pairwise row sums of w, then the column by one of that
+    row's cumulative sum, the pair rng.choice(n * n, p=w.ravel() / w.sum()) would give
+    unless x lands within roundoff of a boundary."""
+    row_cdf = np.add.reduce(w, axis=1).cumsum()
+    # sqrt(fl(g * g)) == g, so the fallback is max |g| < 1e-15; such a w sums
+    # below 4 n^2 1e-30 and a NaN fails both, so w.max() is read only there
+    small = tol.PROPORTIONAL_FALLBACK_ABS
+    if u is None and row_cdf[-1] < 4 * n * n * small * small and math.sqrt(w.max()) < small:
+        return _uniform_pairs(n, rng), True
+    # u < 1 rounds u * total below total, so the row search stays
+    # inside; a search lands where its cdf rises, on a positive weight
+    x = (rng.random() if u is None else u) * row_cdf[-1]
+    i = int(row_cdf.searchsorted(x, "right"))
+    j = int(w[i].cumsum().searchsorted(x - (row_cdf[i - 1] if i else 0.0), "right"))
+    if j == n:
+        # the row's own sum fell short of x by roundoff
+        j = int(np.flatnonzero(w[i])[-1])
+    return (i, j), False
+
+
+def _draw_pairs(kind: str, rngs, w: np.ndarray, rs: list[int]):
+    """_draw_pair for each chain r of rs, off w[r] and from rngs[r], in one call:
+    (pairs, fell_back) in the order of rs. Greedy takes one argmax over the stacked
+    upper triangles; proportional certifies every draw off one batched product and
+    runs _exact_pair only for the chains it cannot certify."""
+    n, count = w.shape[-1], len(rs)
+    w, at = (w if count == len(w) else w[rs]), np.arange(count)  # a view while all draw
+    if kind == GREEDY:
+        rows, cols = _upper_triangle(n)
+        k = w.reshape(count, n * n).take(rows * n + cols, axis=1).argmax(axis=1)
+        return np.stack((rows[k], cols[k]), axis=1), np.zeros(count, dtype=bool)
+    # cdf[:, k + 1] and sums[:, k + 1] are the cumulative sums through row or entry k
+    cdf, sums = np.zeros((2, count, n + 1))
+    np.add.accumulate(w.reshape(-1, n).dot(_ones(n)).reshape(count, n), axis=1, out=cdf[:, 1:])
+    margin, sure, fell = _certified(n, cdf[:, n])
+    fell &= sure
+    if low := fell.any():
+        fell[fell] = np.sqrt(w[fell].max(axis=(1, 2))) < tol.PROPORTIONAL_FALLBACK_ABS
+    drawn = sure & ~fell
+    # each chain's uniform integer, its double, or a NaN, whose x fails every test below
+    u = np.array([rngs[r].integers(n * (n - 1)) if f else rngs[r].random() if d else math.nan
+                  for r, f, d in zip(rs, fell.tolist(), drawn.tolist())])
+    x = u * cdf[:, n]
+    # a search past the last boundary is clamped onto it and fails its test
+    i = np.minimum(np.add.reduce(cdf[:, 1:] <= x[:, None], axis=1), n - 1)
+    r = x - cdf[at, i]
+    np.add.accumulate(w[at, i], axis=1, out=sums[:, 1:])
+    j = np.minimum(np.add.reduce(sums[:, 1:] <= r[:, None], axis=1), n - 1)
+    gap = np.minimum(np.minimum(r - sums[at, j], cdf[at, i + 1] - x), sums[at, j + 1] - r)
+    pairs, ok = np.stack((i, j), axis=1), drawn & (gap > margin)
+    if low:  # _uniform_pairs of the integers
+        i, j = np.divmod(u[fell].astype(np.intp), n - 1)
+        pairs[fell] = np.stack((i, j + (j >= i)), axis=1)
+    for k in np.flatnonzero(~(ok | fell)).tolist():
+        pairs[k], fell[k] = _exact_pair(n, rngs[rs[k]], w[k], u[k] if drawn[k] else None)
+    return pairs, fell
 
 
 def sample_pair(A: ColumnMatrix, kind: str, rng: np.random.Generator) -> PairIndex:
@@ -233,11 +306,11 @@ class _ChainStack:
     potential. While on_inv[r] holds, inv[r] is its A^-1 (rows contiguous)
     and row_sq[r] the squared norms of those rows; on the projection path
     both are stale, and a step keeps d[r] but d_i and d_j, read off one QR.
-    w[r] is _weights(A^H A) for the proportional and greedy samplers (kind;
-    w is None for uniform), updated in row and column i from one product per
-    step; since[r] counts the steps since the last full recompute, est0[r] is
-    the condition estimate sqrt(n sum_k 1 / d_k^2) there and est_sum[r] sums
-    it over the steps since; refreshes, fallbacks, worst_drift,
+    w[r] is _weights(A^H A) for the proportional and greedy samplers (kind; w is None
+    for uniform), first from the start's ColumnMatrix._kept_gram, then updated in row and
+    column i from one product per step; since[r] counts the steps since the last full
+    recompute, est0[r] is the condition estimate sqrt(n sum_k 1 / d_k^2) there and
+    est_sum[r] sums it over the steps since; refreshes, fallbacks, worst_drift,
     uniform_fallbacks and worst_bound make counters(r). t counts the stack's
     steps; a degenerate pair clears live[r] and keeps (t, its
     DegeneratePairError) in aborts[r], with chain r untouched.
@@ -264,10 +337,10 @@ class _ChainStack:
         self.aborts: dict[int, tuple[int, DegeneratePairError]] = {}
         self._all = np.arange(count)
         self.rows = [None] * count
-        # every chain starts from A0: its kept distances, and one Gram, to all
+        # every chain starts from A0: its kept distances and Gram, to all
         self._recompute(slice(None), _start_distances(A0))
         if self.w is not None:
-            self.w[:] = _weights(self.cols[0].conj() @ self.cols[0].T)
+            self.w[:] = _weights(A0._kept_gram())
 
     def _views(self, r: int):
         # chain r's matrix, d, inv, row_sq and w: views that the scalar code
@@ -707,10 +780,10 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
         sigma = np.linalg.svd(cols.mT, compute_uv=False)
         records[:, rs, k] = sigma[:, -1], sigma[:, 0] / sigma[:, -1], _gram_offdiag_fro(cols)
 
-    # every chain starts from A0, by condition_number's singular values (the stacked SVD's bits)
+    # every chain starts from A0, by condition_number's singular values (the stacked SVD's
+    # bits) and gram_offdiag_fro off its kept Gram (the stacked Gram's)
     sigma = condition_number(A0)[1]
-    records[..., 0] = np.array([[sigma[-1]], [sigma[0] / sigma[-1]],
-                                _gram_offdiag_fro(stack.cols[:1])])
+    records[..., 0] = np.array([[sigma[-1]], [sigma[0] / sigma[-1]], [gram_offdiag_fro(A0)]])
     # checkpoint to checkpoint (or the end): a stretch of STACK_MIN_REPLICATES steps or more,
     # grid[k:top] recorded inside, or one by one. A stack of fewer chains takes any such
     # stretch; a larger one, n <= STACK_STRETCH_MAX_N, one that ends at a checkpoint
@@ -723,9 +796,10 @@ def _run_stack(A0: ColumnMatrix, steps: int, kind: str, seeds, grid: list[int]):
             pairs[:, t:end], inner_abs[:, t:end], phi[:, t + 1:end + 1], rngs,
             [(g - t, q) for q, g in enumerate(grid[k:top], k)], record)
         for t in range((end if taken else t) + 1, end + 1):
-            for r in np.flatnonzero(stack.live).tolist() if rngs else ():
-                pairs[r, t - 1], fell_back = _draw_pair(n, kind, rngs[r], stack.w[r])
-                stack.uniform_fallbacks[r] += fell_back
+            if rngs:
+                live = np.flatnonzero(stack.live).tolist()
+                pairs[live, t - 1], fell = _draw_pairs(kind, rngs, stack.w, live)
+                stack.uniform_fallbacks[live] += fell
             stack.step(pairs[:, t - 1], inner_abs[:, t - 1])
             phi[:, t] = stack.phi
             if stack.aborts and not stack.live.any():

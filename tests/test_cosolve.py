@@ -344,6 +344,23 @@ class TestRunCosolve:
         assert peak(9_000) - peak(1_000) <= 2 * 40 * 8_000
 
     @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_one_block_run_keeps_no_list_of_its_ops(self, field):
+        # a 0:1 run is one block: 8,000 more ops at n = 64 may grow the peak by the
+        # history's 40 bytes an op, the drawn rows' 8, the error norms' 8 and the op
+        # kinds' 1, but not by the 8-byte pointers of a whole-run list of kinds or rows
+        A, x_true = random_instance(64, 3, field)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run_cosolve(A, x_true, interleave=(0, 1), steps=steps, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(9_000) - peak(1_000) <= 64 * 8_000
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("kind,eta", [
         ("gaussian_normalized", None), ("near_singular", 1e-6), ("near_singular", 1e-10),
     ])

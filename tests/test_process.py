@@ -247,6 +247,111 @@ class TestProportionalDraw:
             assert i != j and w[i, j] > 0.0
 
 
+class Scripted:
+    """A stand-in generator: random() returns u and integers(high) high // 3, and
+    takes records each call, so that two draws compare by what they took."""
+
+    def __init__(self, u):
+        self.u, self.takes = u, []
+
+    def random(self):
+        self.takes.append("random")
+        return self.u
+
+    def integers(self, high, size=None):
+        self.takes.append(("integers", high))
+        return high // 3
+
+
+class TestCertifiedDraw:
+    """_draw_pair and the stacked _draw_pairs against _exact_pair, the rule
+    itself: the same pair, or the same error, and the same draws taken from the
+    generator, with _exact_pair run only where the total lies within the margin
+    of the fallback's 4 n^2 1e-30, is not finite, or the double lands within a
+    few ulps of a boundary."""
+
+    @staticmethod
+    def weights(n, field, seed, shape, total):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        if field == "complex":
+            a = a + 1j * rng.standard_normal((n, n))
+        a /= np.linalg.norm(a, axis=0)
+        w = _weights(a.conj().T @ a)
+        if shape == "zero rows":  # columns orthogonal to all others
+            w[:, : (n - 1) // 2] = w[: (n - 1) // 2] = 0.0
+        elif shape == "ties":
+            w[w > 0] = 0.25
+        elif shape == "nan":
+            w[n - 1, 0] = np.nan
+        bound = 4 * n * n * tol.PROPORTIONAL_FALLBACK_ABS**2
+        scale = {None: 1.0, "above": 1 + 2.0**-20, "at": 1.0, "below": 1 - 2.0**-20}[total]
+        if total is not None and shape != "nan":
+            w *= bound * scale / np.add.reduce(w, axis=1).sum()
+        return w
+
+    @staticmethod
+    def doubles(w, at, seed, ulps):
+        """One generic double, or for each row boundary (at "row") or each boundary
+        in one row (at "column") of _exact_pair's sums the double whose x lands
+        there, moved by ulps."""
+        rng = np.random.default_rng(seed)
+        if at == "generic":
+            return [rng.random()]
+        cdf = np.add.reduce(w, axis=1).cumsum()
+        if at == "row":
+            marks = cdf
+        else:
+            i = int(rng.choice(np.flatnonzero(np.add.reduce(w, axis=1))))
+            marks = (cdf[i - 1] if i else 0.0) + w[i].cumsum()
+        us = []
+        for mark in (marks / cdf[-1]).tolist():
+            for _ in range(abs(ulps)):
+                mark = np.nextafter(mark, math.copysign(2.0, ulps))
+            us.append(min(max(float(mark), 0.0), 1.0 - 2.0**-53))
+        return us
+
+    @staticmethod
+    def outcome(draw, u):
+        gen = Scripted(u)
+        try:
+            result = draw(gen)
+        except IndexError as exc:
+            result = type(exc)
+        return result, gen.takes
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 160), field=st.sampled_from(["real", "complex"]),
+           seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["gram", "zero rows", "ties", "nan"]),
+           total=st.sampled_from([None, "above", "at", "below"]),
+           at=st.sampled_from(["generic", "row", "column"]), ulps=st.integers(-3, 3))
+    @example(n=160, field="complex", seed=1, shape="gram", total=None, at="column", ulps=0)
+    @example(n=2, field="real", seed=2, shape="ties", total="at", at="generic", ulps=0)
+    @example(n=9, field="real", seed=3, shape="zero rows", total="below", at="row", ulps=-3)
+    def test_same_pair_and_stream(self, n, field, seed, shape, total, at, ulps):
+        at = "generic" if shape == "nan" else at
+        w = self.weights(n, field, seed, shape, total)
+        exact, stack = process._exact_pair, np.stack([w, w])
+
+        def stacked(gen):
+            # chain 1 of a stack of two, gathered
+            pairs, fell = process._draw_pairs(PROPORTIONAL, [None, gen], stack, [1])
+            return tuple(pairs[0].tolist()), bool(fell[0])
+
+        spied = []
+        with mock.patch.object(process, "_exact_pair",
+                               lambda *args: spied.append(args) or exact(*args)):
+            for u in self.doubles(w, at, seed, ulps):
+                want = self.outcome(lambda gen: exact(n, gen, w), u)
+                assert self.outcome(lambda gen: _draw_pair(n, PROPORTIONAL, gen, w), u) == want
+                assert self.outcome(stacked, u) == want
+                # both forms run the exact rule where a margin cannot decide, and only there
+                exact_path = shape == "nan" or total == "at" or at != "generic"
+                assert len(spied) == 2 * exact_path
+                del spied[:]
+
+
 class TestGreedySampler:
     def test_tie_break_on_angle_matrix(self):
         rng = make_rng(0)
@@ -712,6 +817,25 @@ def test_stacked_weight_rows_match_per_chain_products(n, field):
         for k, (r, ik) in enumerate(zip(a, i)):
             arr = cols[r].T
             assert np.array_equal(rows[k], arr[:, ik].conj() @ arr)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [4, 8, 32, 128, 160])
+def test_kept_gram_is_the_stacked_product(n, field):
+    """A validated start keeps one Gram, the 2-D product of its C-order A^T, and
+    a weighted stack's start weights and its t = 0 gram_offdiag record read it:
+    it must have the bits of the stacked product the grid records take, and a
+    matrix built by _wrap recomputes the same bits."""
+    A = random_state(n, n, field)
+    gram = A._kept_gram()
+    assert gram is A._kept_gram() and not gram.flags.writeable
+    cols = np.stack([A.array.T] * 3)
+    assert np.array_equal(gram, (cols.conj() @ cols.mT)[1])
+    wrapped = ColumnMatrix._wrap(np.array(A.array, order="F"), field)
+    assert np.array_equal(wrapped._kept_gram(), gram) and wrapped._gram is None
+    assert gram_offdiag_fro(A) == _gram_offdiag_fro(cols[:1])[0]
+    stack = process._ChainStack(A, 2, PROPORTIONAL)
+    assert np.array_equal(stack.w[1], _weights(cols[0].conj() @ cols[0].T))
 
 
 @pytest.mark.parametrize("kind", [PROPORTIONAL, GREEDY])
@@ -1829,6 +1953,14 @@ class TestEveryPath:
     @example(n=6, field="real", kind=UNIFORM, count=4, start="near_singular", x=7.5, seed=2,
              steps=150, stride=50)
     @example(n=6, field="real", kind=UNIFORM, count=1, start="near_singular", x=9.0, seed=4,
+             steps=150, stride=50)
+    # weighted stacks from a near-orthonormal start (kappa_0 = 2): the stacked draws
+    # of 6 proportional chains fall back to uniform from their step 32 to 44 on,
+    # 107 to 119 of 150 draws a chain; 5 greedy chains, whose |g| all fall
+    # below 1e-15 at step 30, take the stacked argmax over such weights from then on
+    @example(n=6, field="real", kind=PROPORTIONAL, count=6, start="prescribed", x=0.3, seed=3,
+             steps=150, stride=50)
+    @example(n=6, field="complex", kind=GREEDY, count=5, start="prescribed", x=0.3, seed=3,
              steps=150, stride=50)
     def test_stacks(self, n, field, kind, count, start, x, seed, steps, stride):
         A = self.start(n, field, start, x, seed)

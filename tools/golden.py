@@ -80,6 +80,16 @@ def _cases() -> dict[str, list[str]]:
         "--sampler", "proportional", "--steps", "400", "--stride", "100", "--replicates", "8",
         "--seed", "7", *EMIT,
     ]
+    # weighted stacks of 8 from a near-orthonormal start, drawn by the stacked draw:
+    # the proportional chains fall back to uniform from their step 8 to 14 on, and
+    # the greedy argmax runs over weights below 1e-15 from step 8 on; both summaries
+    # pin uniform_fallbacks
+    for sampler in ("proportional", "greedy"):
+        cases[f"run-{sampler}-to-fallback"] = [
+            "run", "--gen", "prescribed", "--n", "4", "--sigma", "1,0.99,0.98,0.97",
+            "--sampler", sampler, "--steps", "1000", "--stride", "250", "--replicates", "8",
+            "--seed", "5", *EMIT,
+        ]
     # a well-conditioned inverse path: its running drift bound never comes
     # due, so the chains make no refresh in 1,000 steps
     cases["run-gaussian-32-deferred"] = [
